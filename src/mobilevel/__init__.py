@@ -32,7 +32,6 @@ from .core import (
     UnsupportedProblemError,
     WcSolverError,
     counted_oracles,
-    counted_stochastic_oracles,
     validate_problem,
     wrap_deterministic,
     HESSIAN,

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Parses INI-style run configs with [problem]/[solver]/[preference]/[output]
-sections, builds benchmark problems, executes runs and preference sweeps,
-and emits machine-readable traces (CSV) plus a JSON run record.  A verify
-command runs the library's cross-check suites.
+sections (unknown sections and keys are rejected), builds benchmark
+problems, executes runs and preference sweeps, and emits machine-readable
+traces (CSV) plus a JSON run record.  The verify command runs the check
+registry of :mod:`mobilevel.checks`, the same one the acceptance suite
+drives: the quick entries by default, all of them with ``--full``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -27,28 +29,20 @@ from .core import (
     RunFailure,
     RunTrace,
     SolverConfig,
-    validate_problem,
-    wrap_deterministic,
 )
 from .benchmarks import (
     HypercleaningToySpec,
     DEFAULT_CORRUPTION_RATES,
     QuadraticBilevelSpec,
-    brute_force_min_norm,
-    brute_force_simplex_min,
-    finite_diff_hypergrad,
     make_hypercleaning_toy,
     make_quadratic,
 )
-from .hypergrad import hypergrad_cg, hypergrad_ns, lower_level_solve
 from .optimizer import (
-    expected_counters,
     pareto_sweep,
     run_deterministic,
     run_nonpreference,
     run_stochastic,
 )
-from .subsolvers import WcSubproblem, project_simplex, solve_wc_subproblem
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -115,7 +109,45 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.Config
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value.strip())
+    _reject_unknown_keys(parser, path)
     return parser
+
+
+# Keys each section accepts; every other key, and every other section, is
+# rejected.  [problem] also accepts the keys its family reads in
+# build_problem, and [solver] the fields build_solver_config reads.
+_SOLVER_INT_FIELDS = ("K", "D", "N", "Q", "T", "D_f", "D_g", "B", "seed")
+_SOLVER_FLOAT_FIELDS = ("alpha", "beta", "eta", "u", "stop_tol")
+_SOLVER_BOOL_FIELDS = ("warm_start_y", "warm_start_v", "exact_counters", "record_hypergrads")
+_SECTION_KEYS = {
+    "problem": ("family", "seed", "x0", "y0"),
+    "solver": ("option",) + tuple(
+        key.lower() for key in _SOLVER_INT_FIELDS + _SOLVER_FLOAT_FIELDS + _SOLVER_BOOL_FIELDS
+    ),
+    "preference": ("vector", "pattern", "index"),
+    "output": ("trace_csv", "run_json", "summary_csv", "traces_dir"),
+}
+_FAMILY_KEYS = {
+    "quadratic": (
+        "p", "q", "s", "hessian_scale", "coupling_scale", "target_scale", "hessian", "coupling",
+    ),
+    "hypercleaning": ("feature_dim", "n_train", "n_val", "corruption_rates", "reg_weight"),
+}
+
+
+def _reject_unknown_keys(parser: configparser.ConfigParser, path: str) -> None:
+    family = parser.get("problem", "family", fallback=None)
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            raise _config_error(path, section, None, "unknown section")
+        allowed = _SECTION_KEYS[section]
+        if section == "problem":
+            if family not in _FAMILY_KEYS:
+                continue  # build_problem reports the missing or unknown family
+            allowed += _FAMILY_KEYS[family]
+        for key in parser.options(section):
+            if key not in allowed:
+                raise _config_error(path, section, key, "unknown key")
 
 
 def _get(parser, path, section, key, cast, default=None, required=False):
@@ -243,22 +275,16 @@ def build_problem(parser: configparser.ConfigParser, path: str):
 def build_solver_config(parser: configparser.ConfigParser, path: str) -> SolverConfig:
     section = "solver"
     kwargs = {}
-    int_fields = ("K", "D", "N", "Q", "T", "D_f", "D_g", "B", "seed")
-    float_fields = ("alpha", "beta", "eta", "u", "stop_tol")
-    bool_fields = ("warm_start_y", "warm_start_v", "exact_counters", "record_hypergrads")
     if parser.has_section(section):
-        for key in int_fields:
-            value = _get(parser, path, section, key.lower(), int)
-            if value is not None:
-                kwargs[key] = value
-        for key in float_fields:
-            value = _get(parser, path, section, key.lower(), float)
-            if value is not None:
-                kwargs[key] = value
-        for key in bool_fields:
-            value = _get(parser, path, section, key.lower(), _parse_bool)
-            if value is not None:
-                kwargs[key] = value
+        for fields, cast in (
+            (_SOLVER_INT_FIELDS, int),
+            (_SOLVER_FLOAT_FIELDS, float),
+            (_SOLVER_BOOL_FIELDS, _parse_bool),
+        ):
+            for key in fields:
+                value = _get(parser, path, section, key.lower(), cast)
+                if value is not None:
+                    kwargs[key] = value
         option = _get(parser, path, section, "option", str)
         if option is not None:
             kwargs["option"] = option.lower()
@@ -506,10 +532,7 @@ def cmd_sweep(args) -> int:
 
     started = time.perf_counter()
     try:
-        result = pareto_sweep(
-            problem, config, preferences, x0, y0,
-            parallel=args.jobs > 1, jobs=args.jobs,
-        )
+        result = pareto_sweep(problem, config, preferences, x0, y0)
     except (ConfigurationError, ConfigFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -545,311 +568,27 @@ def cmd_sweep(args) -> int:
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _verify_quadratic(seed: int = 0):
-    """Problem factory used by the verify checks (patchable in tests)."""
-    spec = QuadraticBilevelSpec.random(4, 5, 3, seed=seed, hessian_scale=0.25)
-    return make_quadratic(spec)
-
-
-def _verify_toy():
-    spec = HypercleaningToySpec(
-        feature_dim=4, n_train=30, n_val=30,
-        corruption_rates=(0.0, 0.3, 0.5), seed=5,
-    )
-    return make_hypercleaning_toy(spec)
-
-
-def _check_oracle_symmetry():
-    problem, constants = _verify_quadratic()
-    rng = np.random.default_rng(0)
-    diag = validate_problem(problem, rng.standard_normal(4), rng.standard_normal(5))
-    ok = diag.max_residual() <= 1e-10
-    return ok, f"max residual {diag.max_residual():.2e}"
-
-
-def _check_oracle_curvature():
-    problem, constants = _verify_quadratic()
-    rng = np.random.default_rng(1)
-    diag = validate_problem(problem, rng.standard_normal(4), rng.standard_normal(5))
-    ok = diag.rayleigh_min >= constants.mu_g - 1e-9
-    return ok, f"rayleigh {diag.rayleigh_min:.4f} vs mu_g {constants.mu_g:.4f}"
-
-
-def _check_analytic_consistency():
-    worst = 0.0
-    for seed in range(5):
-        problem, _ = _verify_quadratic(seed)
-        rng = np.random.default_rng(seed + 100)
-        x = rng.standard_normal(problem.dim_x)
-        ys = problem.reference.y_star(x)
-        analytic = problem.reference.grad_phi(x)
-        for s in range(problem.num_objectives):
-            rhs = problem.ul_grad_y(s, x, ys)
-            hessian = np.column_stack(
-                [problem.ll_hvp(x, ys, e) for e in np.eye(problem.dim_y)]
-            )
-            v = np.linalg.solve(hessian, rhs)
-            implicit = problem.ul_grad_x(s, x, ys) - problem.ll_jvp(x, ys, v)
-            worst = max(worst, float(np.abs(implicit - analytic[:, s]).max()))
-    return worst <= 1e-10, f"max gap {worst:.2e}"
-
-
-def _check_finite_difference():
-    problem, constants = _verify_quadratic(2)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(problem.dim_x)
-    lower = lower_level_solve(problem, x, np.zeros(problem.dim_y), 400, 1.0 / constants.L)
-    worst = 0.0
-    for s in range(problem.num_objectives):
-        grad, _ = hypergrad_cg(problem, x, lower.y_final, s, None, problem.dim_y)
-        fd = finite_diff_hypergrad(problem, x, s)
-        worst = max(worst, float(np.abs(grad - fd).max()))
-    return worst <= 1e-4, f"max coord gap {worst:.2e}"
-
-
-def _check_simplex_projection():
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(30):
-        s = int(rng.integers(2, 4))
-        z = 3.0 * rng.standard_normal(s)
-        w = project_simplex(z).lam
-
-        def objective(grid, z=z):
-            diff = grid - z[None, :]
-            return np.sum(diff * diff, axis=1)
-
-        best, _ = brute_force_simplex_min(objective, s, 1e-3)
-        worst = max(worst, float(np.abs(w - best).max()))
-    return worst <= 2e-3, f"max gap to grid {worst:.2e}"
-
-
-def _check_weight_subproblem():
-    rng = np.random.default_rng(4)
-    worst_kkt, worst_gap = 0.0, 0.0
-    for i in range(20):
-        s = 2 + (i % 2)
-        cols = rng.standard_normal((5, s))
-        gram = cols.T @ cols
-        raw = rng.uniform(0.1, 1.0, s)
-        r = raw / raw.sum()
-        u = float(rng.choice([0.0, 1.0, 10.0]))
-        phi = rng.uniform(0.0, 5.0, s)
-        sp = WcSubproblem(gram=gram, phi=phi, r=r, u=u)
-        lam, kkt = solve_wc_subproblem(sp)
-        worst_kkt = max(worst_kkt, kkt)
-
-        def objective(grid, sp=sp, r=r, phi=phi, u=u):
-            scaled = grid * r[None, :]
-            return np.einsum("ni,ij,nj->n", scaled, sp.gram, scaled) - u * (grid @ (r * phi))
-
-        _, grid_val = brute_force_simplex_min(objective, s, 1e-4)
-        worst_gap = max(worst_gap, abs(sp.objective(lam.lam) - grid_val))
-    ok = worst_kkt <= 1e-10 and worst_gap <= 1e-6
-    return ok, f"kkt {worst_kkt:.2e}, objective gap {worst_gap:.2e}"
-
-
-def _check_min_norm_equivalence():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for i in range(20):
-        s = 2 + (i % 2)
-        cols = rng.standard_normal((4, s))
-        sp = WcSubproblem(
-            gram=cols.T @ cols, phi=np.zeros(s), r=np.full(s, 1.0 / s), u=0.0
-        )
-        lam, _ = solve_wc_subproblem(sp)
-        reference = brute_force_min_norm([cols[:, j] for j in range(s)])
-        worst = max(worst, float(np.abs(lam.lam - reference.lam).max()))
-    return worst <= 1e-4, f"max weight gap {worst:.2e}"
-
-
-def _check_descent_inequality():
-    problem, _ = _verify_quadratic(3)
-    config = SolverConfig(K=40, D=40, option="cg", N=4, u=1e-6, record_hypergrads=True)
-    pref = Preference.preferred(problem.num_objectives, 0)
-    trace = run_deterministic(
-        problem, config, pref, np.full(problem.dim_x, 2.0), np.zeros(problem.dim_y)
-    )
-    worst = -np.inf
-    for rec in trace.records:
-        d = rec.hypergrads @ (pref.r * rec.weights.lam)
-        dns = float(d @ d)
-        for s in range(problem.num_objectives):
-            slack = dns - 2.0 * pref.r_max * float(d @ rec.hypergrads[:, s])
-            worst = max(worst, slack)
-    return worst <= 1e-8, f"worst violation {worst:.2e}"
-
-
-def _check_counter_identity():
-    problem, _ = _verify_quadratic(4)
-    pref = Preference.uniform(problem.num_objectives)
-    x0 = np.zeros(problem.dim_x)
-    y0 = np.zeros(problem.dim_y)
-    details = []
-    ok = True
-    for option in ("cg", "ns"):
-        config = SolverConfig(K=7, D=5, N=4, option=option)
-        trace = run_deterministic(problem, config, pref, x0, y0)
-        expected = expected_counters(config, problem.num_objectives, option)
-        match = trace.counters.as_tuple() == expected.as_tuple()
-        ok = ok and match
-        details.append(f"{option}: {trace.counters.as_tuple()}")
-    stoch = wrap_deterministic(problem)
-    config = SolverConfig(K=4, D=5, Q=6, option="ns", beta=0.05)
-    trace = run_stochastic(stoch, config, pref, x0, y0)
-    expected = expected_counters(config, problem.num_objectives, "stochastic")
-    ok = ok and trace.counters.as_tuple() == expected.as_tuple()
-    details.append(f"stochastic: {trace.counters.as_tuple()}")
-    return ok, "; ".join(details)
-
-
-def _check_replay_determinism():
-    problem, _ = _verify_quadratic(6)
-    pref = Preference.uniform(problem.num_objectives)
-    config = SolverConfig(K=10, D=10, option="cg", N=3, seed=42)
-    x0 = np.full(problem.dim_x, 0.5)
-    y0 = np.zeros(problem.dim_y)
-    first = run_deterministic(problem, config, pref, x0, y0)
-    second = run_deterministic(problem, config, pref, x0, y0)
-    same = np.array_equal(first.final_x, second.final_x) and all(
-        np.array_equal(a.phi, b.phi) and a.d_norm_sq == b.d_norm_sq
-        for a, b in zip(first.records, second.records)
-    )
-    return same, "bitwise equal" if same else "traces differ"
-
-
-def _check_hypercleaning():
-    toy, constants = _verify_toy()
-    det = toy.deterministic()
-    rng = np.random.default_rng(8)
-    diag = validate_problem(det, np.zeros(toy.dim_x), 0.1 * rng.standard_normal(toy.dim_y))
-    curvature_ok = diag.rayleigh_min >= constants.mu_g - 1e-12
-    full = toy.full_batch("ll_step")
-    x = np.zeros(toy.dim_x)
-    y = 0.1 * rng.standard_normal(toy.dim_y)
-    bitwise = np.array_equal(toy.ll_grad_y(x, y, full), det.ll_grad_y(x, y))
-    ok = curvature_ok and bitwise and diag.max_residual() <= 1e-10
-    return ok, (
-        f"rayleigh {diag.rayleigh_min:.4f} (mu_g {constants.mu_g}), "
-        f"full-batch bitwise {bitwise}"
-    )
-
-
-def _check_series_bias_decay():
-    spec = QuadraticBilevelSpec.random(4, 5, 2, seed=1, hessian_scale=0.15)
-    problem, constants = make_quadratic(spec)
-    alpha = 1.0 / constants.L
-    bound = (1.0 - alpha * constants.mu_g) ** 8 + 0.05
-    x = np.array([1.0, -0.5, 0.8, 0.2])
-    y0 = np.full(5, 3.0)
-    errors = []
-    for depth in (8, 16, 32, 64):
-        lower = lower_level_solve(problem, x, y0, depth, alpha, keep_trajectory=True)
-        worst = 0.0
-        for s in range(2):
-            grad = hypergrad_ns(problem, x, lower, s, alpha)
-            worst = max(worst, float(np.linalg.norm(grad - problem.reference.grad_phi(x)[:, s])))
-        errors.append(worst)
-    decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    ratios_ok = all(b <= bound * a for a, b in zip(errors, errors[1:]))
-    return decreasing and ratios_ok, f"errors {['%.2e' % e for e in errors]}"
-
-
-def _check_convergence_rate():
-    spec = QuadraticBilevelSpec.random(4, 4, 2, seed=5, hessian_scale=0.1)
-    problem, _ = make_quadratic(spec)
-    pref = Preference(np.array([0.6, 0.4]))
-    config = SolverConfig(K=500, D=64, option="ns", u=0.0)
-    trace = run_deterministic(
-        problem, config, pref, np.full(4, 2.0), np.zeros(4)
-    )
-    true_d = np.array([rec.true_d_norm_sq for rec in trace.records])
-    ratio = true_d[:400].mean() / true_d[:200].mean()
-    ok = ratio <= 0.65 and true_d.min() <= 1e-6
-    return ok, f"avg ratio {ratio:.3f}, min true d^2 {true_d.min():.2e}"
-
-
-def _check_stochastic_consistency():
-    toy, constants = _verify_toy()
-    config = SolverConfig(
-        K=15, D=40, Q=150, T=10**6, D_f=10**6, D_g=10**6, B=10**6,
-        option="ns", u=1.0, seed=2,
-        alpha=1.0 / constants.L, eta=1.0 / constants.L, beta=0.5,
-    )
-    pref = Preference.uniform(toy.num_objectives)
-    x0 = np.zeros(toy.dim_x)
-    y0 = np.zeros(toy.dim_y)
-    stochastic = run_stochastic(toy, config, pref, x0, y0)
-    deterministic = run_deterministic(toy.deterministic(), config, pref, x0, y0)
-    gap = float(np.abs(stochastic.final_phi - deterministic.final_phi).max())
-    return gap <= 1e-3, f"final phi gap {gap:.2e}"
-
-
-def _check_front_exploration():
-    spec = QuadraticBilevelSpec(
-        dim_x=2, dim_y=2, num_objectives=2,
-        hessian=np.array([[1.0, 0.1], [0.1, 0.8]]),
-        coupling=np.array([[0.3, 0.1], [0.0, 0.2]]),
-        x_targets=np.array([[2.0, 0.0], [-2.0, 0.5]]),
-        y_targets=np.array([[1.0, 0.0], [0.0, -1.0]]),
-    )
-    problem, _ = make_quadratic(spec)
-    config = SolverConfig(K=300, D=48, option="cg", N=2, u=10.0)
-    grid = [0.1, 0.5, 0.9]
-    prefs = [Preference(np.array([g, 1.0 - g])) for g in grid]
-    result = pareto_sweep(problem, config, prefs, np.zeros(2), np.zeros(2))
-    phi1 = [entry.final_phi[0] for entry in result.entries]
-    ok = all(b <= a + 1e-6 for a, b in zip(phi1, phi1[1:]))
-    return ok, f"phi_1 along grid {['%.3f' % v for v in phi1]}"
-
-
-QUICK_CHECKS = (
-    ("oracle-symmetry", _check_oracle_symmetry),
-    ("oracle-curvature", _check_oracle_curvature),
-    ("analytic-consistency", _check_analytic_consistency),
-    ("finite-difference", _check_finite_difference),
-    ("simplex-projection", _check_simplex_projection),
-    ("weight-subproblem", _check_weight_subproblem),
-    ("min-norm-equivalence", _check_min_norm_equivalence),
-    ("descent-inequality", _check_descent_inequality),
-    ("counter-identity", _check_counter_identity),
-    ("replay-determinism", _check_replay_determinism),
-    ("hypercleaning-oracles", _check_hypercleaning),
-)
-
-FULL_CHECKS = (
-    ("series-bias-decay", _check_series_bias_decay),
-    ("convergence-rate", _check_convergence_rate),
-    ("stochastic-consistency", _check_stochastic_consistency),
-    ("front-exploration", _check_front_exploration),
-)
-
-
 def cmd_verify(args) -> int:
-    checks = list(QUICK_CHECKS)
-    if args.full:
-        checks += list(FULL_CHECKS)
+    # Imported here: checks imports this module, and run and sweep do not need it.
+    from .checks import CHECKS
+
+    selected = [check for check in CHECKS.values() if args.full or check.quick]
     failures = []
-    for name, check in checks:
+    for check in selected:
         started = time.perf_counter()
         try:
-            ok, detail = check()
+            ok, detail = check.run()
         except Exception as exc:  # noqa: BLE001 - report, do not crash
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - started
         status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name} ({elapsed:.2f}s): {detail}")
+        print(f"[{status}] {check.name} ({elapsed:.2f}s): {detail}")
         if not ok:
-            failures.append(name)
+            failures.append(check.name)
     if failures:
         print(f"failed checks: {', '.join(failures)}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(f"all {len(checks)} checks passed")
+    print(f"all {len(selected)} checks passed")
     return EXIT_OK
 
 
@@ -871,7 +610,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sweep_parser = sub.add_parser("sweep", help="run a preference grid")
     sweep_parser.add_argument("--config", required=True)
     sweep_parser.add_argument("--grid", required=True)
-    sweep_parser.add_argument("--jobs", type=int, default=1)
     sweep_parser.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     sweep_parser.set_defaults(func=cmd_sweep)
 

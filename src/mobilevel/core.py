@@ -451,84 +451,44 @@ def wrap_deterministic(oracles: DeterministicOracles) -> StochasticOracles:
 
 
 def counted_oracles(
-    oracles: DeterministicOracles, counters: OracleCounters
-) -> DeterministicOracles:
+    oracles: DeterministicOracles | StochasticOracles, counters: OracleCounters
+) -> DeterministicOracles | StochasticOracles:
     """View of ``oracles`` whose calls increment ``counters``.
 
-    Value evaluations are not counted; only gradients and second-order
-    products are.  Dimension checks on this hot path are assertions only,
+    Serves both bundle types: a :class:`StochasticOracles` call passes its
+    batch as the trailing argument, a :class:`DeterministicOracles` call
+    leaves it ``None``.  (An explicit default is cheaper per call than
+    forwarding ``*args`` on this hot path.)  One tick per call regardless
+    of batch size.  Value evaluations are not counted; only gradients and
+    second-order products are.  Dimension checks are assertions only,
     stripped under ``python -O``.
     """
     p, q, s_count = oracles.dim_x, oracles.dim_y, oracles.num_objectives
 
-    def ul_grad_x(s, x, y):
+    def ul_grad_x(s, x, y, b=None):
         assert 0 <= s < s_count and len(x) == p and len(y) == q
         counters.gc_f += 1
-        return oracles.ul_grad_x(s, x, y)
+        return oracles.ul_grad_x(s, x, y) if b is None else oracles.ul_grad_x(s, x, y, b)
 
-    def ul_grad_y(s, x, y):
+    def ul_grad_y(s, x, y, b=None):
         assert 0 <= s < s_count and len(x) == p and len(y) == q
         counters.gc_f += 1
-        return oracles.ul_grad_y(s, x, y)
+        return oracles.ul_grad_y(s, x, y) if b is None else oracles.ul_grad_y(s, x, y, b)
 
-    def ll_grad_y(x, y):
+    def ll_grad_y(x, y, b=None):
         assert len(x) == p and len(y) == q
         counters.gc_g += 1
-        return oracles.ll_grad_y(x, y)
+        return oracles.ll_grad_y(x, y) if b is None else oracles.ll_grad_y(x, y, b)
 
-    def ll_hvp(x, y, v):
+    def ll_hvp(x, y, v, b=None):
         assert len(x) == p and len(v) == q
         counters.hv_g += 1
-        return oracles.ll_hvp(x, y, v)
+        return oracles.ll_hvp(x, y, v) if b is None else oracles.ll_hvp(x, y, v, b)
 
-    def ll_jvp(x, y, v):
+    def ll_jvp(x, y, v, b=None):
         assert len(x) == p and len(v) == q
         counters.jv_g += 1
-        return oracles.ll_jvp(x, y, v)
-
-    return replace(
-        oracles,
-        ul_grad_x=ul_grad_x,
-        ul_grad_y=ul_grad_y,
-        ll_grad_y=ll_grad_y,
-        ll_hvp=ll_hvp,
-        ll_jvp=ll_jvp,
-    )
-
-
-def counted_stochastic_oracles(
-    oracles: StochasticOracles, counters: OracleCounters
-) -> StochasticOracles:
-    """Stochastic counterpart of :func:`counted_oracles`.
-
-    One counter tick per oracle call regardless of batch size.
-    """
-    p, q, s_count = oracles.dim_x, oracles.dim_y, oracles.num_objectives
-
-    def ul_grad_x(s, x, y, b):
-        assert 0 <= s < s_count and len(x) == p and len(y) == q
-        counters.gc_f += 1
-        return oracles.ul_grad_x(s, x, y, b)
-
-    def ul_grad_y(s, x, y, b):
-        assert 0 <= s < s_count and len(x) == p and len(y) == q
-        counters.gc_f += 1
-        return oracles.ul_grad_y(s, x, y, b)
-
-    def ll_grad_y(x, y, b):
-        assert len(x) == p and len(y) == q
-        counters.gc_g += 1
-        return oracles.ll_grad_y(x, y, b)
-
-    def ll_hvp(x, y, v, b):
-        assert len(x) == p and len(v) == q
-        counters.hv_g += 1
-        return oracles.ll_hvp(x, y, v, b)
-
-    def ll_jvp(x, y, v, b):
-        assert len(x) == p and len(v) == q
-        counters.jv_g += 1
-        return oracles.ll_jvp(x, y, v, b)
+        return oracles.ll_jvp(x, y, v) if b is None else oracles.ll_jvp(x, y, v, b)
 
     return replace(
         oracles,

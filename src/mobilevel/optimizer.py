@@ -1,15 +1,17 @@
-"""Outer optimization loops and the preference-sweep driver.
+"""The outer optimization loop, its public entry points, and the sweep driver.
 
 Each outer iteration solves the lower level (warm-started), estimates one
 hypergradient column per objective, picks simplex weights by the quadratic
 subproblem, and steps the upper variable along the preference-scaled
-combination.  The non-preference variant drops the preference scaling and
-uses the plain minimum-norm weights.
+combination.  One loop serves every variant; only the hypergradient
+estimator step differs: cg or ns on a deterministic problem
+(``run_deterministic``, and ``run_nonpreference``, which drops the
+preference scaling and uses the plain minimum-norm weights), or the
+sampled Neumann recursion on a stochastic one (``run_stochastic``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -26,7 +28,6 @@ from .core import (
     SolverConfig,
     StochasticOracles,
     counted_oracles,
-    counted_stochastic_oracles,
 )
 from .hypergrad import (
     build_hypergradient_matrix,
@@ -36,12 +37,16 @@ from .hypergrad import (
 )
 from .subsolvers import WcSubproblem, solve_wc_subproblem
 
+# Unused here (the loop calls counted_oracles for both bundle types); kept
+# bound because the benchmark tracer (bench/tracer.py) patches this name.
+counted_stochastic_oracles = counted_oracles
+
 TERM_COMPLETED = "completed"
 TERM_STATIONARY = "stationary"
 TERM_STOP_TOL = "stop_tol"
 
 
-def _check_dims(problem, x0, y0):
+def _check_inputs(problem, x0, y0, r: Optional[Preference]):
     if np.shape(x0) != (problem.dim_x,):
         raise ConfigurationError(
             f"x0 has shape {np.shape(x0)}, expected ({problem.dim_x},)"
@@ -50,46 +55,87 @@ def _check_dims(problem, x0, y0):
         raise ConfigurationError(
             f"y0 has shape {np.shape(y0)}, expected ({problem.dim_y},)"
         )
+    if r is not None and len(r) != problem.num_objectives:
+        raise ConfigurationError("preference length must equal the objective count")
 
 
-def _run_deterministic_loop(
-    problem: DeterministicOracles,
-    config: SolverConfig,
-    weight_vec: np.ndarray,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    v0: Optional[np.ndarray],
-) -> RunTrace:
-    """Shared engine of the preference-guided and non-preference loops.
+class _CgNsStep:
+    """Deterministic estimator step (cg or ns).
+
+    Carries the per-column CG warm starts across iterations; the ns option
+    keeps the lower-level trajectory for the series sweep.
+    """
+
+    def __init__(self, config: SolverConfig, s_count: int, v0: Optional[np.ndarray]):
+        self.config = config
+        self.warm_v = [
+            None if v0 is None else np.array(v0, dtype=float) for _ in range(s_count)
+        ]
+
+    def lower(self, oracles, x, y_start):
+        """Returns ``(y_D, rng_state)``; there is no generator here."""
+        config = self.config
+        self.result = lower_level_solve(
+            oracles, x, y_start, config.D, config.alpha,
+            keep_trajectory=config.option == "ns",
+        )
+        return self.result.y_final, None
+
+    def hypergradients(self, oracles, x):
+        matrix, self.warm_v = build_hypergradient_matrix(
+            oracles, x, self.result, self.config, self.warm_v
+        )
+        return matrix
+
+
+class _SampledNeumannStep:
+    """Stochastic estimator step: sampled lower SGD and Neumann recursion."""
+
+    def __init__(self, config: SolverConfig, mu_g: float):
+        self.config = config
+        self.mu_g = mu_g
+        self.rng = np.random.default_rng(config.seed)
+
+    def lower(self, oracles, x, y_start):
+        """Returns ``(y_D, rng_state)``, the state taken before the solve so
+        that any iterate can be replayed exactly from its record."""
+        config = self.config
+        rng_state = self.rng.bit_generator.state
+        self.y_d = stochastic_lower_solve(
+            oracles, x, y_start, config.D, config.alpha, config.T, self.rng
+        )
+        return self.y_d, rng_state
+
+    def hypergradients(self, oracles, x):
+        return build_hypergradient_matrix_stochastic(
+            oracles, x, self.y_d, self.config, self.rng, self.mu_g
+        )
+
+
+def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
+    """The outer loop shared by every variant.
 
     ``weight_vec`` scales both the Gram term of the subproblem and the
     update direction; the all-ones vector recovers plain minimum-norm
-    weighting.
+    weighting.  ``step`` is the hypergradient-estimator step and carries
+    the resolved config.
     """
+    config = step.config
     counters = OracleCounters()
     oracles = counted_oracles(problem, counters)
     s_count = problem.num_objectives
     x = np.array(x0, dtype=float)
     y0 = np.array(y0, dtype=float)
     y_prev = y0.copy()
-    warm_v = [
-        None if v0 is None else np.array(v0, dtype=float) for _ in range(s_count)
-    ]
     lam = np.full(s_count, 1.0 / s_count)
-    keep_traj = config.option == "ns"
     records: list = []
     termination = TERM_COMPLETED
 
     for k in range(config.K):
         try:
             y_start = y_prev if (k > 0 and config.warm_start_y) else y0
-            lower = lower_level_solve(
-                oracles, x, y_start, config.D, config.alpha, keep_trajectory=keep_traj
-            )
-            y_prev = lower.y_final
-            matrix, warm_v = build_hypergradient_matrix(
-                oracles, x, lower, config, warm_v
-            )
+            y_prev, rng_state = step.lower(oracles, x, y_start)
+            matrix = step.hypergradients(oracles, x)
             subproblem = WcSubproblem(
                 gram=matrix.gram(), phi=matrix.phi_values, r=weight_vec, u=config.u
             )
@@ -116,6 +162,7 @@ def _run_deterministic_loop(
                 counters=counters.snapshot(),
                 true_d_norm_sq=true_d_norm_sq,
                 hypergrads=matrix.grads if config.record_hypergrads else None,
+                rng_state=rng_state,
             )
         )
         if d_norm_sq == 0.0:
@@ -138,11 +185,9 @@ def run_deterministic(
     v0: Optional[np.ndarray] = None,
 ) -> RunTrace:
     """Preference-guided deterministic run."""
-    _check_dims(problem, x0, y0)
-    if len(r) != problem.num_objectives:
-        raise ConfigurationError("preference length must equal the objective count")
+    _check_inputs(problem, x0, y0, r)
     config = config.resolved(problem.constants, r.r_max)
-    return _run_deterministic_loop(problem, config, r.r, x0, y0, v0)
+    return _run_loop(problem, r.r, x0, y0, _CgNsStep(config, problem.num_objectives, v0))
 
 
 def run_nonpreference(
@@ -158,12 +203,12 @@ def run_nonpreference(
     scaling, no alignment term) and the update uses the unscaled weighted
     combination of hypergradient columns.
     """
-    _check_dims(problem, x0, y0)
+    _check_inputs(problem, x0, y0, None)
     config = config.resolved(problem.constants, 1.0)
     if config.u != 0.0:
         config = replace(config, u=0.0)
     ones = np.ones(problem.num_objectives)
-    return _run_deterministic_loop(problem, config, ones, x0, y0, v0)
+    return _run_loop(problem, ones, x0, y0, _CgNsStep(config, problem.num_objectives, v0))
 
 
 def run_stochastic(
@@ -179,75 +224,13 @@ def run_stochastic(
     generator state is recorded per iteration so any iterate can be
     replayed exactly.
     """
-    _check_dims(problem, x0, y0)
-    if len(r) != problem.num_objectives:
-        raise ConfigurationError("preference length must equal the objective count")
+    _check_inputs(problem, x0, y0, r)
     if problem.constants is None:
         raise ConfigurationError("stochastic runs need problem constants (mu_g)")
     mu_g = problem.constants.mu_g
     config = config.resolved(problem.constants, r.r_max)
     config.validate_stochastic(mu_g)
-
-    counters = OracleCounters()
-    oracles = counted_stochastic_oracles(problem, counters)
-    rng = np.random.default_rng(config.seed)
-    x = np.array(x0, dtype=float)
-    y0 = np.array(y0, dtype=float)
-    y_prev = y0.copy()
-    s_count = problem.num_objectives
-    lam = np.full(s_count, 1.0 / s_count)
-    records: list = []
-    termination = TERM_COMPLETED
-
-    for k in range(config.K):
-        rng_state = rng.bit_generator.state
-        try:
-            y_start = y_prev if (k > 0 and config.warm_start_y) else y0
-            y_d = stochastic_lower_solve(
-                oracles, x, y_start, config.D, config.alpha, config.T, rng
-            )
-            y_prev = y_d
-            matrix = build_hypergradient_matrix_stochastic(
-                oracles, x, y_d, config, rng, mu_g
-            )
-            subproblem = WcSubproblem(
-                gram=matrix.gram(), phi=matrix.phi_values, r=r.r, u=config.u
-            )
-            weights, _ = solve_wc_subproblem(subproblem, warm_start=lam)
-            lam = weights.lam
-        except Exception as exc:  # noqa: BLE001
-            raise RunFailure(
-                f"run aborted at iteration {k}: {exc}",
-                trace=RunTrace(tuple(records), x, y_prev, f"error: {exc}"),
-            ) from exc
-
-        direction = matrix.grads @ (r.r * lam)
-        d_norm_sq = float(direction @ direction)
-        true_d_norm_sq = None
-        if problem.reference is not None:
-            true_direction = problem.reference.grad_phi(x) @ (r.r * lam)
-            true_d_norm_sq = float(true_direction @ true_direction)
-        records.append(
-            IterationRecord(
-                k=k,
-                phi=matrix.phi_values,
-                weights=weights,
-                d_norm_sq=d_norm_sq,
-                counters=counters.snapshot(),
-                true_d_norm_sq=true_d_norm_sq,
-                hypergrads=matrix.grads if config.record_hypergrads else None,
-                rng_state=rng_state,
-            )
-        )
-        if d_norm_sq == 0.0:
-            termination = TERM_STATIONARY
-            break
-        if config.stop_tol > 0.0 and d_norm_sq <= config.stop_tol:
-            termination = TERM_STOP_TOL
-            break
-        x = x - config.beta * direction
-
-    return RunTrace(tuple(records), x, y_prev, termination)
+    return _run_loop(problem, r.r, x0, y0, _SampledNeumannStep(config, mu_g))
 
 
 @dataclass(frozen=True)
@@ -278,14 +261,11 @@ def pareto_sweep(
     x0: np.ndarray,
     y0: np.ndarray,
     v0: Optional[np.ndarray] = None,
-    parallel: bool = False,
-    jobs: Optional[int] = None,
 ) -> SweepResult:
     """One full run per preference from identical initial conditions.
 
     Individual run failures are recorded in their entry without aborting
-    the rest of the sweep.  Runs never share solver state, so parallel
-    execution returns the same entries as sequential.
+    the rest of the sweep.
     """
     if not preferences:
         raise ConfigurationError("preferences must be nonempty")
@@ -308,12 +288,7 @@ def pareto_sweep(
             trace=trace,
         )
 
-    if parallel:
-        with ThreadPoolExecutor(max_workers=jobs or len(preferences)) as pool:
-            entries = list(pool.map(one, preferences))
-    else:
-        entries = [one(pref) for pref in preferences]
-    return SweepResult(tuple(entries))
+    return SweepResult(tuple(one(pref) for pref in preferences))
 
 
 def expected_counters(config: SolverConfig, s_count: int, option: str) -> OracleCounters:

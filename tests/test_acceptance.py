@@ -1,378 +1,61 @@
 """Acceptance suite.
 
-Each test implements one acceptance criterion at its stated tolerance and
-prints a PASS line with its runtime (run ``pytest tests/test_acceptance.py
--s`` to see them).  Expected values come from independent oracles: analytic
-ground truth, central finite differences, brute-force simplex grids, and
-closed-form counting.
+Each test runs one acceptance criterion from the check registry
+(:mod:`mobilevel.checks`, which ``mobilevel verify`` also runs) within its
+runtime budget and prints a PASS line with its runtime (run ``pytest
+tests/test_acceptance.py -s`` to see them).
 """
 
-import json
 import time
-from dataclasses import replace
 
-import numpy as np
-
-from mobilevel import (
-    Preference,
-    QuadraticBilevelSpec,
-    HypercleaningToySpec,
-    SolverConfig,
-    brute_force_min_norm,
-    brute_force_simplex_min,
-    expected_counters,
-    finite_diff_hypergrad,
-    hypergrad_cg,
-    hypergrad_ns,
-    lower_level_solve,
-    make_hypercleaning_toy,
-    make_quadratic,
-    pareto_sweep,
-    run_deterministic,
-    run_nonpreference,
-    run_stochastic,
-    solve_wc_subproblem,
-    stochastic_hvp_neumann,
-    wrap_deterministic,
-    WcSubproblem,
-    cli,
-)
+from mobilevel import checks
 
 
-class _Budget:
-    def __init__(self, name, seconds):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.start
-        if exc_type is None:
-            print(f"[{self.name}] PASS ({elapsed:.2f}s, budget {self.seconds:.0f}s)")
-            assert elapsed < self.seconds, f"{self.name} exceeded its runtime budget"
-        else:
-            print(f"[{self.name}] FAIL after {elapsed:.2f}s")
-        return False
+def _criterion(number, name, seconds):
+    started = time.perf_counter()
+    ok, detail = checks.CHECKS[name].run()
+    elapsed = time.perf_counter() - started
+    status = "PASS" if ok else "FAIL"
+    print(f"[criterion {number}: {name}] {status} ({elapsed:.2f}s, budget {seconds:.0f}s)")
+    assert ok, detail
+    assert elapsed < seconds, f"{name} exceeded its runtime budget"
 
 
 def test_criterion_1_hypergradient_oracle_equivalence():
-    # 20 seeded quadratic problems (p, q <= 20, S <= 5); CG with a deep
-    # lower solve against the analytic total derivative and against the
-    # central-difference oracle.
-    with _Budget("criterion 1: hypergradient correctness", 10.0):
-        rng = np.random.default_rng(123)
-        for seed in range(20):
-            p = int(rng.integers(2, 21))
-            q = int(rng.integers(2, 21))
-            s_count = int(rng.integers(1, 6))
-            spec = QuadraticBilevelSpec.random(p, q, s_count, seed=seed,
-                                               hessian_scale=0.25)
-            problem, constants = make_quadratic(spec)
-            x = rng.standard_normal(p)
-            lower = lower_level_solve(problem, x, np.zeros(q), 400,
-                                      1.0 / constants.L)
-            analytic = problem.reference.grad_phi(x)
-            for s in range(s_count):
-                grad, _ = hypergrad_cg(problem, x, lower.y_final, s, None, q,
-                                       tol=0.0)
-                rel = np.linalg.norm(grad - analytic[:, s])
-                rel /= np.linalg.norm(analytic[:, s])
-                assert rel <= 1e-6
-                fd = finite_diff_hypergrad(problem, x, s, h=1e-5, ll_tol=1e-12)
-                assert np.abs(fd - analytic[:, s]).max() <= 1e-4
+    _criterion(1, "hypergradient-correctness", 10.0)
 
 
 def test_criterion_2_series_bias_decay():
-    # Fixed x, cold lower-level starts, step 1/L: the estimator error is
-    # monotone in the trajectory depth and contracts by at least
-    # (1 - alpha mu)^8 (plus slack) per doubling.
-    with _Budget("criterion 2: series bias decay", 5.0):
-        spec = QuadraticBilevelSpec.random(4, 5, 2, seed=1, hessian_scale=0.15)
-        problem, constants = make_quadratic(spec)
-        alpha = 1.0 / constants.L
-        bound = (1.0 - alpha * constants.mu_g) ** 8 + 0.05
-        x = np.array([1.0, -0.5, 0.8, 0.2])
-        y0 = np.full(5, 3.0)
-        errors = []
-        for depth in (8, 16, 32, 64):
-            lower = lower_level_solve(problem, x, y0, depth, alpha,
-                                      keep_trajectory=True)
-            worst = 0.0
-            for s in range(2):
-                grad = hypergrad_ns(problem, x, lower, s, alpha)
-                truth = problem.reference.grad_phi(x)[:, s]
-                worst = max(worst, float(np.linalg.norm(grad - truth)))
-            errors.append(worst)
-        assert all(b < a for a, b in zip(errors, errors[1:]))
-        assert all(b <= bound * a for a, b in zip(errors, errors[1:]))
+    _criterion(2, "series-bias-decay", 5.0)
 
 
 def test_criterion_3_weight_subproblem_correctness():
-    # 200 random PSD instances at two and three objectives: certified KKT
-    # residuals, objective parity with a fine simplex grid, and matching
-    # minimum-norm weights in the unweighted case.
-    with _Budget("criterion 3: weight subproblem", 20.0):
-        rng = np.random.default_rng(77)
-        for i in range(200):
-            s_count = 2 + (i % 2)
-            p = int(rng.integers(s_count, 8))
-            cols = rng.standard_normal((p, s_count))
-            gram = cols.T @ cols
-            if i % 2 == 0:
-                r = np.full(s_count, 1.0 / s_count)
-                u = 0.0
-            else:
-                raw = rng.uniform(0.1, 1.0, s_count)
-                r = raw / raw.sum()
-                u = float(rng.choice([0.1, 1.0, 10.0]))
-            phi = rng.uniform(0.0, 5.0, s_count)
-            sp = WcSubproblem(gram=gram, phi=phi, r=r, u=u)
-            lam, kkt = solve_wc_subproblem(sp)
-            assert kkt <= 1e-10
-
-            def objective(grid, r=r, gram=gram, phi=phi, u=u):
-                scaled = grid * r[None, :]
-                quad = np.einsum("ni,ij,nj->n", scaled, gram, scaled)
-                return quad - u * (grid @ (r * phi))
-
-            _, grid_val = brute_force_simplex_min(objective, s_count, 1e-4)
-            assert abs(sp.objective(lam.lam) - grid_val) <= 1e-6
-            if u == 0.0:
-                reference = brute_force_min_norm(
-                    [cols[:, j] for j in range(s_count)], grid_resolution=1e-4
-                )
-                assert np.abs(lam.lam - reference.lam).max() <= 1e-4
+    _criterion(3, "weight-subproblem", 20.0)
 
 
 def test_criterion_4_weighted_direction_inequality():
-    # Full runs on five benchmarks, three preferences each, tiny alignment
-    # coefficient: ||d_k||^2 <= 2 r_max <d_k, column_s> + 1e-8 for all k, s.
-    with _Budget("criterion 4: weighted direction inequality", 30.0):
-        for seed in range(5):
-            spec = QuadraticBilevelSpec.random(4, 4, 3, seed=seed,
-                                               hessian_scale=0.25)
-            problem, _ = make_quadratic(spec)
-            prefs = (
-                Preference.uniform(3),
-                Preference.preferred(3, 0),
-                Preference(np.array([0.5, 0.3, 0.2])),
-            )
-            for pref in prefs:
-                config = SolverConfig(K=60, D=40, N=4, option="cg", u=1e-6,
-                                      record_hypergrads=True)
-                trace = run_deterministic(problem, config, pref,
-                                          np.full(4, 2.0), np.zeros(4))
-                assert trace.iterations == 60
-                for rec in trace.records:
-                    d = rec.hypergrads @ (pref.r * rec.weights.lam)
-                    dns = float(d @ d)
-                    for s in range(3):
-                        inner = float(d @ rec.hypergrads[:, s])
-                        assert dns <= 2.0 * pref.r_max * inner + 1e-8
+    _criterion(4, "direction-inequality", 30.0)
 
 
 def test_criterion_5_convergence_rate():
-    # Series option, depth 64, upper step from the smoothness rule: the
-    # running average of the true-direction norms halves (within 0.65) as
-    # the horizon doubles, and the best iterate is stationary to 1e-6.
-    with _Budget("criterion 5: convergence rate", 60.0):
-        spec = QuadraticBilevelSpec.random(4, 4, 2, seed=5, hessian_scale=0.1)
-        problem, constants = make_quadratic(spec)
-        assert constants.smoothness_upper() is not None
-        pref = Preference(np.array([0.6, 0.4]))
-        config = SolverConfig(K=500, D=64, option="ns", u=0.0)  # beta from rule
-        trace = run_deterministic(problem, config, pref,
-                                  np.full(4, 2.0), np.zeros(4))
-        resolved = config.resolved(constants, pref.r_max)
-        assert resolved.beta == constants.default_ul_step(pref.r_max)
-        true_d = np.array([rec.true_d_norm_sq for rec in trace.records])
-        assert true_d.shape == (500,)
-        ratio = true_d[:400].mean() / true_d[:200].mean()
-        assert ratio <= 0.65
-        assert true_d.min() <= 1e-6
+    _criterion(5, "convergence-rate", 60.0)
 
 
 def test_criterion_6_oracle_counter_identities():
-    # Actual counters equal the closed forms exactly, zero tolerance, for
-    # both deterministic estimators and the stochastic loop.
-    with _Budget("criterion 6: counter identities", 5.0):
-        spec = QuadraticBilevelSpec.random(3, 4, 3, seed=2, hessian_scale=0.2)
-        problem, _ = make_quadratic(spec)
-        pref = Preference.uniform(3)
-        x0, y0 = np.zeros(3), np.zeros(4)
-        k, d, n = 9, 6, 4
-        config = SolverConfig(K=k, D=d, N=n, option="ns", exact_counters=True)
-        trace = run_deterministic(problem, config, pref, x0, y0)
-        assert trace.counters.as_tuple() == (
-            2 * k * 3, k * d, k * (d + 1) * 3, k * (d + 1) * 3
-        )
-        assert trace.counters.as_tuple() == expected_counters(config, 3, "ns").as_tuple()
-
-        config = SolverConfig(K=k, D=d, N=n, option="cg", exact_counters=True)
-        trace = run_deterministic(problem, config, pref, x0, y0)
-        assert trace.counters.as_tuple() == (2 * k * 3, k * d, k * 3, k * n * 3)
-        assert trace.counters.as_tuple() == expected_counters(config, 3, "cg").as_tuple()
-
-        stochastic = wrap_deterministic(problem)
-        config = SolverConfig(K=5, D=7, Q=6, option="ns", beta=0.05)
-        trace = run_stochastic(stochastic, config, pref, x0, y0)
-        assert trace.counters.as_tuple() == (
-            expected_counters(config, 3, "stochastic").as_tuple()
-        )
-        assert trace.counters.as_tuple() == (2 * 5 * 3, 5 * 7, 5 * 3, 5 * 6 * 3)
+    _criterion(6, "counter-identities", 5.0)
 
 
 def test_criterion_7_stochastic_consistency():
-    # Zero-variance sampling reproduces the deterministic run on the toy
-    # reweighting problem, and the sampled Hessian-inverse recursion hits
-    # its closed form and its geometric error bound on diag(1, 2, 5).
-    with _Budget("criterion 7: stochastic consistency", 60.0):
-        spec = HypercleaningToySpec(feature_dim=4, n_train=30, n_val=30,
-                                    corruption_rates=(0.0, 0.3, 0.5), seed=5)
-        toy, constants = make_hypercleaning_toy(spec)
-        big = 10**6
-        config = SolverConfig(
-            K=15, D=40, Q=150, T=big, D_f=big, D_g=big, B=big,
-            option="ns", u=1.0, seed=2,
-            alpha=1.0 / constants.L, eta=1.0 / constants.L, beta=0.5,
-        )
-        pref = Preference.uniform(3)
-        x0, y0 = np.zeros(toy.dim_x), np.zeros(toy.dim_y)
-        stochastic = run_stochastic(toy, config, pref, x0, y0)
-        deterministic = run_deterministic(toy.deterministic(), config, pref, x0, y0)
-        assert np.abs(stochastic.final_phi - deterministic.final_phi).max() <= 1e-3
-
-        from mobilevel import DeterministicOracles, HESSIAN
-
-        hessian = np.diag([1.0, 2.0, 5.0])
-        mu, l_const, eta = 1.0, 5.0, 0.19
-        carrier = wrap_deterministic(DeterministicOracles(
-            num_objectives=1, dim_x=1, dim_y=3,
-            ul_value=lambda s, x, y: 0.0,
-            ul_grad_x=lambda s, x, y: np.zeros(1),
-            ul_grad_y=lambda s, x, y: np.zeros(3),
-            ll_grad_y=lambda x, y: hessian @ y,
-            ll_hvp=lambda x, y, v: hessian @ v,
-            ll_jvp=lambda x, y, v: np.zeros(1),
-        ))
-        v0 = np.array([1.0, -2.0, 0.5])
-        h_inv_v = np.linalg.solve(hessian, v0)
-        for q_steps in (10, 20, 40):
-            batches = [carrier.full_batch(HESSIAN)] * q_steps
-            out = stochastic_hvp_neumann(carrier, np.zeros(1), np.zeros(3),
-                                         v0, q_steps, eta, batches)
-            series = eta * sum(
-                np.linalg.matrix_power(np.eye(3) - eta * hessian, m) @ v0
-                for m in range(q_steps + 1)
-            )
-            assert np.abs(out - series).max() <= 1e-12
-            bound = (1 - eta * mu) ** (q_steps + 1)
-            bound *= np.linalg.norm(h_inv_v) * (l_const / mu)
-            assert np.linalg.norm(out - h_inv_v) <= bound
+    _criterion(7, "stochastic-consistency", 60.0)
 
 
 def test_criterion_8_preference_guided_front_exploration():
-    # Two quadratic objectives with separated minima: the final value of
-    # the first objective is nonincreasing in its preference weight, and
-    # nonincreasing in the alignment coefficient at a fixed preference.
-    with _Budget("criterion 8: front exploration", 60.0):
-        spec = QuadraticBilevelSpec(
-            dim_x=2, dim_y=2, num_objectives=2,
-            hessian=np.array([[1.0, 0.1], [0.1, 0.8]]),
-            coupling=np.array([[0.3, 0.1], [0.0, 0.2]]),
-            x_targets=np.array([[2.0, 0.0], [-2.0, 0.5]]),
-            y_targets=np.array([[1.0, 0.0], [0.0, -1.0]]),
-        )
-        problem, _ = make_quadratic(spec)
-        x0, y0 = np.zeros(2), np.zeros(2)
-        config = SolverConfig(K=400, D=48, N=2, option="cg", u=10.0)
-        prefs = [Preference(np.array([v, 1.0 - v]))
-                 for v in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        sweep = pareto_sweep(problem, config, prefs, x0, y0)
-        phi1 = [entry.final_phi[0] for entry in sweep.entries]
-        assert all(b <= a + 1e-6 for a, b in zip(phi1, phi1[1:]))
-
-        pref = Preference(np.array([0.9, 0.1]))
-        finals = []
-        for u in (0.1, 1.0, 10.0, 20.0):
-            trace = run_deterministic(problem, replace(config, u=u), pref, x0, y0)
-            finals.append(trace.final_phi[0])
-        assert all(b <= a + 1e-6 for a, b in zip(finals, finals[1:]))
+    _criterion(8, "front-exploration", 60.0)
 
 
 def test_criterion_9_nonpreference_variant():
-    # The plain minimum-norm run reaches a point whose true gradients admit
-    # a near-zero convex combination, and its weight sequence matches the
-    # uniform-preference run (whose direction is 1/S of the unscaled one,
-    # compensated through the upper step).
-    with _Budget("criterion 9: non-preference variant", 30.0):
-        spec = QuadraticBilevelSpec.random(3, 3, 2, seed=21, hessian_scale=0.2)
-        problem, _ = make_quadratic(spec)
-        x0, y0 = np.full(3, 1.5), np.zeros(3)
-        config = SolverConfig(K=300, D=64, option="ns", u=0.0, beta=0.05)
-        nonpref = run_nonpreference(problem, config, x0, y0)
-        cols = problem.reference.grad_phi(nonpref.final_x)
-        weights = brute_force_min_norm([cols[:, 0], cols[:, 1]],
-                                       grid_resolution=1e-4)
-        assert float(np.linalg.norm(cols @ weights.lam) ** 2) <= 1e-6
-
-        uniform = run_deterministic(problem, replace(config, beta=0.05 * 2),
-                                    Preference.uniform(2), x0, y0)
-        assert nonpref.iterations == uniform.iterations
-        for a, b in zip(nonpref.records, uniform.records):
-            assert np.abs(a.weights.lam - b.weights.lam).max() <= 1e-6
+    _criterion(9, "nonpreference-variant", 30.0)
 
 
-def test_criterion_10_reproducibility(tmp_path):
-    # Identical config and seed produce byte-identical CSV and JSON output
-    # across invocations, for single runs and sweeps.
-    with _Budget("criterion 10: reproducibility", 10.0):
-        out = tmp_path / "out"
-        config_path = tmp_path / "run.ini"
-        config_path.write_text(f"""
-[problem]
-family = quadratic
-p = 3
-q = 3
-s = 2
-seed = 7
-hessian_scale = 0.2
-
-[solver]
-option = cg
-k = 50
-d = 16
-n = 3
-u = 10.0
-seed = 11
-
-[preference]
-pattern = preferred
-index = 0
-
-[output]
-trace_csv = {out}/trace.csv
-run_json = {out}/run.json
-summary_csv = {out}/summary.csv
-traces_dir = {out}/traces
-""", encoding="utf-8")
-        assert cli.main(["run", "--config", str(config_path)]) == 0
-        csv_first = (out / "trace.csv").read_bytes()
-        json_first = (out / "run.json").read_bytes()
-        assert cli.main(["run", "--config", str(config_path)]) == 0
-        assert (out / "trace.csv").read_bytes() == csv_first
-        assert (out / "run.json").read_bytes() == json_first
-        record = json.loads(json_first)
-        assert record["solver"]["seed"] == 11
-
-        assert cli.main(["sweep", "--config", str(config_path),
-                         "--grid", "preferred"]) == 0
-        summary_first = (out / "summary.csv").read_bytes()
-        trace_first = (out / "traces" / "run_000.csv").read_bytes()
-        assert cli.main(["sweep", "--config", str(config_path),
-                         "--grid", "preferred"]) == 0
-        assert (out / "summary.csv").read_bytes() == summary_first
-        assert (out / "traces" / "run_000.csv").read_bytes() == trace_first
+def test_criterion_10_reproducibility():
+    _criterion(10, "reproducibility", 10.0)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mobilevel import cli
+from mobilevel import checks, cli
 
 
 def write_config(path, text):
@@ -95,6 +95,29 @@ run_json = {out}/run.json
         assert cli.main(["run", "--config", config]) == 2
         err = capsys.readouterr().err
         assert "hessian" in err
+
+    @pytest.mark.parametrize("section, key", [
+        ("problem", "hesian_scale"),
+        ("solver", "kk"),
+        ("preference", "indx"),
+        ("output", "trace"),
+    ])
+    def test_unknown_key_reports_line(self, tmp_path, capsys, section, key):
+        # A misspelled key is rejected, never silently ignored.
+        text = QUADRATIC_CONFIG.format(out=tmp_path / "out")
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+        config = write_config(tmp_path / "run.ini", text)
+        line = text.splitlines().index(f"[{section}]") + 2
+        assert cli.main(["run", "--config", config]) == 2
+        assert f"{config}:{line}: [{section}] {key}: unknown key" in capsys.readouterr().err
+
+    def test_unknown_section_and_override_rejected(self, quadratic_config, capsys):
+        config, _ = quadratic_config
+        assert cli.main(["run", "--config", config, "--set", "solver.kk=1"]) == 2
+        assert "[solver] kk: unknown key" in capsys.readouterr().err
+        assert cli.main(["sweep", "--config", config, "--grid", "uniform",
+                         "--set", "solvr.k=1"]) == 2
+        assert "[solvr]: unknown section" in capsys.readouterr().err
 
     def test_invalid_value_reports_line(self, tmp_path, capsys):
         config = write_config(tmp_path / "bad.ini", """
@@ -340,13 +363,13 @@ class TestCmdVerify:
     def test_quick_passes(self, capsys):
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == len(cli.QUICK_CHECKS)
+        assert out.count("[PASS]") == sum(check.quick for check in checks.CHECKS.values())
         assert "[FAIL]" not in out
 
     def test_corrupted_benchmark_fails_symmetry(self, monkeypatch, capsys):
         from dataclasses import replace as dc_replace
 
-        real_factory = cli._verify_quadratic
+        real_factory = checks._verify_quadratic
 
         def corrupted(seed=0):
             problem, constants = real_factory(seed)
@@ -358,7 +381,7 @@ class TestCmdVerify:
 
             return dc_replace(problem, ll_hvp=bad_hvp), constants
 
-        monkeypatch.setattr(cli, "_verify_quadratic", corrupted)
+        monkeypatch.setattr(checks, "_verify_quadratic", corrupted)
         assert cli.main(["verify"]) == 1
         captured = capsys.readouterr()
         assert "[FAIL] oracle-symmetry" in captured.out

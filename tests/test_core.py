@@ -4,6 +4,7 @@ import pytest
 from mobilevel import (
     ConfigurationError,
     DeterministicOracles,
+    HESSIAN,
     InvalidProblemError,
     OracleCounters,
     Preference,
@@ -243,15 +244,25 @@ class TestStochasticWrapper:
 
 class TestCountedOracles:
     def test_counts_every_gradient_call(self, quadratic):
+        # One wrapper serves both bundle types: each counted field ticks its
+        # own counter once, values are free, and every call returns the
+        # wrapped oracle's result bitwise.
         _, problem, _ = quadratic
-        counters = OracleCounters()
-        counted = counted_oracles(problem, counters)
-        x, y, v = np.zeros(3), np.zeros(4), np.ones(4)
-        counted.ul_value(0, x, y)  # values are free
-        counted.ul_grad_x(0, x, y)
-        counted.ul_grad_y(0, x, y)
-        counted.ll_grad_y(x, y)
-        counted.ll_hvp(x, y, v)
-        counted.ll_hvp(x, y, v)
-        counted.ll_jvp(x, y, v)
-        assert counters.as_tuple() == (2, 1, 1, 2)
+        stochastic = wrap_deterministic(problem)
+        rng = np.random.default_rng(0)
+        x, y, v = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(4)
+        calls = (  # (field, arguments, ticks as (gc_f, gc_g, jv_g, hv_g))
+            ("ul_value", (1, x, y), (0, 0, 0, 0)),
+            ("ul_grad_x", (1, x, y), (1, 0, 0, 0)),
+            ("ul_grad_y", (1, x, y), (1, 0, 0, 0)),
+            ("ll_grad_y", (x, y), (0, 1, 0, 0)),
+            ("ll_jvp", (x, y, v), (0, 0, 1, 0)),
+            ("ll_hvp", (x, y, v), (0, 0, 0, 1)),
+        )
+        for bundle, batch in ((problem, ()), (stochastic, (stochastic.full_batch(HESSIAN),))):
+            for field, args, ticks in calls:
+                counters = OracleCounters()
+                counted = counted_oracles(bundle, counters)
+                out = getattr(counted, field)(*args, *batch)
+                assert counters.as_tuple() == ticks, field
+                assert np.array_equal(out, getattr(bundle, field)(*args, *batch)), field

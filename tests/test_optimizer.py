@@ -267,18 +267,6 @@ class TestParetoSweep:
         phi1 = [entry.final_phi[0] for entry in sweep.entries]
         assert all(b <= a + 1e-6 for a, b in zip(phi1, phi1[1:]))
 
-    def test_parallel_matches_sequential(self, two_objective):
-        _, problem, _ = two_objective
-        config = SolverConfig(K=10, D=15, N=3, option="cg", u=1.0)
-        prefs = [Preference.preferred(2, 0), Preference.preferred(2, 1),
-                 Preference.uniform(2)]
-        seq = pareto_sweep(problem, config, prefs, np.zeros(3), np.zeros(4))
-        par = pareto_sweep(problem, config, prefs, np.zeros(3), np.zeros(4),
-                           parallel=True, jobs=3)
-        for a, b in zip(seq.entries, par.entries):
-            np.testing.assert_array_equal(a.final_phi, b.final_phi)
-            assert a.final_d_norm_sq == b.final_d_norm_sq
-
     def test_failures_recorded_per_entry(self, two_objective):
         _, problem, _ = two_objective
         config = SolverConfig(K=5, D=5, N=2, option="cg", alpha=1e9, beta=0.1, eta=0.1)
