@@ -199,7 +199,7 @@ def _criterion_1():
         lower = lower_level_solve(problem, x, np.zeros(q), 400, 1.0 / constants.L)
         analytic = problem.reference.grad_phi(x)
         for s in range(s_count):
-            grad, _ = hypergrad_cg(problem, x, lower.y_final, s, None, q, tol=0.0)
+            grad, _ = hypergrad_cg(problem, x, lower.y_final, s, None, q)
             rel = np.linalg.norm(grad - analytic[:, s])
             rel /= np.linalg.norm(analytic[:, s])
             _require(rel <= 1e-6, f"problem {seed} column {s}: CG relative error {rel:.2e}")
@@ -334,9 +334,9 @@ def _criterion_6():
     x0, y0 = np.zeros(3), np.zeros(4)
     k, d, n = 9, 6, 4
     cases = (
-        ("ns", SolverConfig(K=k, D=d, N=n, option="ns", exact_counters=True),
+        ("ns", SolverConfig(K=k, D=d, N=n, option="ns"),
          (2 * k * 3, k * d, k * (d + 1) * 3, k * (d + 1) * 3)),
-        ("cg", SolverConfig(K=k, D=d, N=n, option="cg", exact_counters=True),
+        ("cg", SolverConfig(K=k, D=d, N=n, option="cg"),
          (2 * k * 3, k * d, k * 3, k * n * 3)),
         ("stochastic", SolverConfig(K=5, D=7, Q=6, option="ns", beta=0.05),
          (2 * 5 * 3, 5 * 7, 5 * 3, 5 * 6 * 3)),
@@ -349,7 +349,7 @@ def _criterion_6():
             trace = run_deterministic(problem, config, pref, x0, y0)
         counts = trace.counters.as_tuple()
         _require(counts == closed_form, f"{option}: {counts}, expected {closed_form}")
-        expected = expected_counters(config, 3, option).as_tuple()
+        expected = expected_counters(config, 3, trace.estimator).as_tuple()
         _require(counts == expected, f"{option}: {counts}, expected_counters {expected}")
         details.append(f"{option}: {counts}")
     return True, "; ".join(details)

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,8 +46,6 @@ from .optimizer import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
-
-SEED_ENV_VAR = "MOBL_SEED"
 
 
 class ConfigFileError(Exception):
@@ -118,11 +115,10 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.Config
 # build_problem, and [solver] the fields build_solver_config reads.
 _SOLVER_INT_FIELDS = ("K", "D", "N", "Q", "T", "D_f", "D_g", "B", "seed")
 _SOLVER_FLOAT_FIELDS = ("alpha", "beta", "eta", "u", "stop_tol")
-_SOLVER_BOOL_FIELDS = ("warm_start_y", "warm_start_v", "exact_counters", "record_hypergrads")
 _SECTION_KEYS = {
     "problem": ("family", "seed", "x0", "y0"),
     "solver": ("option",) + tuple(
-        key.lower() for key in _SOLVER_INT_FIELDS + _SOLVER_FLOAT_FIELDS + _SOLVER_BOOL_FIELDS
+        key.lower() for key in _SOLVER_INT_FIELDS + _SOLVER_FLOAT_FIELDS
     ),
     "preference": ("vector", "pattern", "index"),
     "output": ("trace_csv", "run_json", "summary_csv", "traces_dir"),
@@ -169,15 +165,6 @@ def _parse_vector(raw: str) -> np.ndarray:
 def _parse_matrix(raw: str) -> np.ndarray:
     rows = [r for r in raw.split(";") if r.strip()]
     return np.array([[float(tok) for tok in row.split(",")] for row in rows])
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("expected a boolean")
 
 
 def build_problem(parser: configparser.ConfigParser, path: str):
@@ -276,11 +263,7 @@ def build_solver_config(parser: configparser.ConfigParser, path: str) -> SolverC
     section = "solver"
     kwargs = {}
     if parser.has_section(section):
-        for fields, cast in (
-            (_SOLVER_INT_FIELDS, int),
-            (_SOLVER_FLOAT_FIELDS, float),
-            (_SOLVER_BOOL_FIELDS, _parse_bool),
-        ):
+        for fields, cast in ((_SOLVER_INT_FIELDS, int), (_SOLVER_FLOAT_FIELDS, float)):
             for key in fields:
                 value = _get(parser, path, section, key.lower(), cast)
                 if value is not None:
@@ -288,16 +271,22 @@ def build_solver_config(parser: configparser.ConfigParser, path: str) -> SolverC
         option = _get(parser, path, section, "option", str)
         if option is not None:
             kwargs["option"] = option.lower()
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            kwargs["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigFileError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer")
     try:
         return SolverConfig(**kwargs)
     except ConfigurationError as exc:
         raise _config_error(path, section, None, str(exc))
+
+
+def _reject_cg_keys(parser: configparser.ConfigParser, path: str) -> None:
+    """A stochastic run has one estimator, the sampled Neumann recursion:
+    reject the [solver] keys that would select or size another one."""
+    if parser.has_option("solver", "n"):
+        raise _config_error(path, "solver", "n", "a stochastic run has no CG budget")
+    option = parser.get("solver", "option", fallback="ns").strip().lower()
+    if option != "ns":
+        raise _config_error(
+            path, "solver", "option", f"a stochastic run takes option 'ns', not '{option}'"
+        )
 
 
 def build_preference(
@@ -396,18 +385,21 @@ def run_record(
     problem_summary: dict,
     preference: Optional[Preference],
 ) -> dict:
+    """The JSON run record; ``option`` is ``trace.estimator``, and a
+    stochastic run, which has no CG budget, leaves out ``N``."""
     counters = trace.counters
+    solver = {
+        "K": config.K, "D": config.D, "N": config.N, "Q": config.Q,
+        "alpha": config.alpha, "beta": config.beta, "eta": config.eta,
+        "u": config.u, "option": trace.estimator,
+        "T": config.T, "D_f": config.D_f, "D_g": config.D_g, "B": config.B,
+        "seed": config.seed, "stop_tol": config.stop_tol,
+    }
+    if trace.estimator == "stochastic":
+        del solver["N"]
     return {
         "problem": problem_summary,
-        "solver": {
-            "K": config.K, "D": config.D, "N": config.N, "Q": config.Q,
-            "alpha": config.alpha, "beta": config.beta, "eta": config.eta,
-            "u": config.u, "option": config.option,
-            "T": config.T, "D_f": config.D_f, "D_g": config.D_g, "B": config.B,
-            "seed": config.seed,
-            "warm_start_y": config.warm_start_y, "warm_start_v": config.warm_start_v,
-            "stop_tol": config.stop_tol, "exact_counters": config.exact_counters,
-        },
+        "solver": solver,
         "preference": None if preference is None else [float(v) for v in preference.r],
         "termination": trace.termination,
         "iterations": trace.iterations,
@@ -436,6 +428,8 @@ def cmd_run(args) -> int:
     try:
         parser = load_config(args.config, args.set or [])
         problem, kind, x0, y0, summary = build_problem(parser, args.config)
+        if kind == "stochastic":
+            _reject_cg_keys(parser, args.config)
         config = build_solver_config(parser, args.config)
         preference = build_preference(parser, args.config, problem.num_objectives)
         trace_path = _get(parser, args.config, "output", "trace_csv", str, default="trace.csv")
@@ -444,21 +438,9 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    # Resolve up front so the run record shows exactly what executed (the
-    # non-preference variant ignores the alignment coefficient).
-    try:
-        resolved = config.resolved(problem.constants, preference.r_max if preference else 1.0)
-        if preference is None:
-            resolved = replace(resolved, u=0.0)
-        if kind == "stochastic":
-            resolved.validate_stochastic(problem.constants.mu_g)
-    except (ConfigurationError, ConfigFileError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
     started = time.perf_counter()
     try:
-        trace = _execute(problem, kind, resolved, preference, x0, y0)
+        trace = _execute(problem, kind, config, preference, x0, y0)
     except RunFailure as failure:
         if failure.trace is not None:
             _write_text(trace_path, trace_csv_text(failure.trace, problem.num_objectives))
@@ -470,7 +452,8 @@ def cmd_run(args) -> int:
     elapsed = time.perf_counter() - started
 
     _write_text(trace_path, trace_csv_text(trace, problem.num_objectives))
-    record = run_record(trace, resolved, summary, preference)
+    # The config the loop resolved (u = 0 in the non-preference variant).
+    record = run_record(trace, trace.config, summary, preference)
     _write_text(json_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     phi = trace.final_phi

@@ -176,10 +176,6 @@ class ProblemConstants:
         if self.L is not None and self.L < self.mu_g:
             raise ValueError("L must be at least mu_g")
 
-    @property
-    def kappa(self) -> Optional[float]:
-        return None if self.L is None else self.L / self.mu_g
-
     def smoothness_upper(self) -> Optional[float]:
         """Upper-level smoothness bound; ``None`` when not derivable.
 
@@ -220,7 +216,10 @@ class SolverConfig:
 
     Step sizes left as ``None`` are resolved from :class:`ProblemConstants`
     at run start; there are no silent numeric defaults.  ``K`` may be zero
-    (an empty run); all other iteration counts are at least one.
+    (an empty run); all other iteration counts are at least one.  Every
+    lower solve and every CG column warm-starts from its previous outer
+    iterate; a CG column spends exactly ``N`` Hessian-vector products.
+    The stochastic loop reads neither ``option`` nor ``N``.
     """
 
     K: int = 100
@@ -237,10 +236,7 @@ class SolverConfig:
     D_g: int = 32
     B: int = 8
     seed: int = 0
-    warm_start_y: bool = True
-    warm_start_v: bool = True
     stop_tol: float = 0.0
-    exact_counters: bool = True
     record_hypergrads: bool = False
 
     def __post_init__(self):
@@ -549,12 +545,16 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-iteration records plus the final iterates of one run."""
+    """Per-iteration records plus the final iterates of one run, with the
+    resolved ``config`` the loop ran and its ``estimator``: ``cg``, ``ns``
+    or ``stochastic``, the names ``expected_counters`` takes."""
 
     records: Sequence[IterationRecord]
     final_x: np.ndarray
     final_y: np.ndarray
     termination: str
+    config: SolverConfig
+    estimator: str
 
     @property
     def iterations(self) -> int:

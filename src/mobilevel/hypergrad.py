@@ -39,8 +39,6 @@ from .core import (
 )
 from .subsolvers import conjugate_gradient
 
-CG_LAZY_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class LowerSolveResult:
@@ -91,32 +89,19 @@ def hypergrad_cg(
     s: int,
     v0: Optional[np.ndarray],
     n_steps: int,
-    tol: float = 0.0,
-    *,
-    exact_iters: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hypergradient of objective ``s`` via a CG solve at ``y_d``.
 
     Returns ``(gradient, v)`` where ``v`` is the CG iterate, reusable as a
     warm start.  The solve spends exactly ``n_steps`` Hessian-vector
-    products when ``exact_iters`` is set: all of them on CG updates from a
-    zero start, or one on the initial residual plus ``n_steps - 1`` updates
-    from a warm start.  With ``exact_iters`` off the solve may stop early
-    on a small residual.
+    products: all of them on CG updates from a zero (or ``None``) start,
+    or one on the initial residual plus ``n_steps - 1`` updates from a
+    warm start.
     """
     b = oracles.ul_grad_y(s, x, y_d)
     if v0 is None:
         v0 = np.zeros(oracles.dim_y)
-    warm = bool(np.any(np.asarray(v0) != 0.0))
-    budget = n_steps - 1 if warm else n_steps
-    v, _, _ = conjugate_gradient(
-        lambda w: oracles.ll_hvp(x, y_d, w),
-        b,
-        v0,
-        max_iters=budget,
-        tol=tol if not exact_iters else 0.0,
-        force_iters=exact_iters,
-    )
+    v, _ = conjugate_gradient(lambda w: oracles.ll_hvp(x, y_d, w), b, v0, n_steps)
     grad = oracles.ul_grad_x(s, x, y_d) - oracles.ll_jvp(x, y_d, v)
     return grad, v
 
@@ -198,13 +183,15 @@ def build_hypergradient_matrix(
     x: np.ndarray,
     lower_result: LowerSolveResult,
     config: SolverConfig,
-    warm_v: Optional[Sequence[Optional[np.ndarray]]] = None,
+    warm_v: Sequence[Optional[np.ndarray]],
 ) -> tuple[HypergradientMatrix, list]:
     """One estimated hypergradient column per objective, via the configured option.
 
-    Returns the matrix together with the per-objective CG iterates for warm
-    starting the next outer iteration (``None`` entries under the series
-    option).  ``config.alpha`` must already be resolved.
+    Under the cg option column ``s`` warm-starts from ``warm_v[s]`` (``None``
+    for a zero start).  Returns the matrix together with the per-objective
+    CG iterates for warm starting the next outer iteration (``None``
+    entries under the series option).  ``config.alpha`` must already be
+    resolved.
     """
     s_count = oracles.num_objectives
     cols = np.empty((oracles.dim_x, s_count))
@@ -214,20 +201,7 @@ def build_hypergradient_matrix(
     for s in range(s_count):
         phi[s] = oracles.ul_value(s, x, y_d)
         if config.option == "cg":
-            v0 = None
-            if config.warm_start_v and warm_v is not None and warm_v[s] is not None:
-                v0 = warm_v[s]
-            grad, v_n = hypergrad_cg(
-                oracles,
-                x,
-                y_d,
-                s,
-                v0,
-                config.N,
-                tol=CG_LAZY_TOL,
-                exact_iters=config.exact_counters,
-            )
-            new_warm[s] = v_n
+            grad, new_warm[s] = hypergrad_cg(oracles, x, y_d, s, warm_v[s], config.N)
         else:
             grad = hypergrad_ns(oracles, x, lower_result, s, config.alpha)
         cols[:, s] = grad

@@ -66,11 +66,10 @@ class _CgNsStep:
     keeps the lower-level trajectory for the series sweep.
     """
 
-    def __init__(self, config: SolverConfig, s_count: int, v0: Optional[np.ndarray]):
+    def __init__(self, config: SolverConfig, s_count: int):
         self.config = config
-        self.warm_v = [
-            None if v0 is None else np.array(v0, dtype=float) for _ in range(s_count)
-        ]
+        self.estimator = config.option
+        self.warm_v = [None] * s_count
 
     def lower(self, oracles, x, y_start):
         """Returns ``(y_D, rng_state)``; there is no generator here."""
@@ -90,6 +89,8 @@ class _CgNsStep:
 
 class _SampledNeumannStep:
     """Stochastic estimator step: sampled lower SGD and Neumann recursion."""
+
+    estimator = "stochastic"
 
     def __init__(self, config: SolverConfig, mu_g: float):
         self.config = config
@@ -125,16 +126,14 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
     oracles = counted_oracles(problem, counters)
     s_count = problem.num_objectives
     x = np.array(x0, dtype=float)
-    y0 = np.array(y0, dtype=float)
-    y_prev = y0.copy()
+    y_prev = np.array(y0, dtype=float)
     lam = np.full(s_count, 1.0 / s_count)
     records: list = []
     termination = TERM_COMPLETED
 
     for k in range(config.K):
         try:
-            y_start = y_prev if (k > 0 and config.warm_start_y) else y0
-            y_prev, rng_state = step.lower(oracles, x, y_start)
+            y_prev, rng_state = step.lower(oracles, x, y_prev)
             matrix = step.hypergradients(oracles, x)
             subproblem = WcSubproblem(
                 gram=matrix.gram(), phi=matrix.phi_values, r=weight_vec, u=config.u
@@ -144,7 +143,9 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
         except Exception as exc:  # noqa: BLE001 - wrap with the partial trace
             raise RunFailure(
                 f"run aborted at iteration {k}: {exc}",
-                trace=RunTrace(tuple(records), x, y_prev, f"error: {exc}"),
+                trace=RunTrace(
+                    tuple(records), x, y_prev, f"error: {exc}", config, step.estimator
+                ),
             ) from exc
 
         direction = matrix.grads @ (weight_vec * lam)
@@ -173,7 +174,7 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
             break
         x = x - config.beta * direction
 
-    return RunTrace(tuple(records), x, y_prev, termination)
+    return RunTrace(tuple(records), x, y_prev, termination, config, step.estimator)
 
 
 def run_deterministic(
@@ -182,12 +183,11 @@ def run_deterministic(
     r: Preference,
     x0: np.ndarray,
     y0: np.ndarray,
-    v0: Optional[np.ndarray] = None,
 ) -> RunTrace:
     """Preference-guided deterministic run."""
     _check_inputs(problem, x0, y0, r)
     config = config.resolved(problem.constants, r.r_max)
-    return _run_loop(problem, r.r, x0, y0, _CgNsStep(config, problem.num_objectives, v0))
+    return _run_loop(problem, r.r, x0, y0, _CgNsStep(config, problem.num_objectives))
 
 
 def run_nonpreference(
@@ -195,7 +195,6 @@ def run_nonpreference(
     config: SolverConfig,
     x0: np.ndarray,
     y0: np.ndarray,
-    v0: Optional[np.ndarray] = None,
 ) -> RunTrace:
     """Minimum-norm run without preference scaling.
 
@@ -208,7 +207,7 @@ def run_nonpreference(
     if config.u != 0.0:
         config = replace(config, u=0.0)
     ones = np.ones(problem.num_objectives)
-    return _run_loop(problem, ones, x0, y0, _CgNsStep(config, problem.num_objectives, v0))
+    return _run_loop(problem, ones, x0, y0, _CgNsStep(config, problem.num_objectives))
 
 
 def run_stochastic(
@@ -260,7 +259,6 @@ def pareto_sweep(
     preferences: Sequence[Preference],
     x0: np.ndarray,
     y0: np.ndarray,
-    v0: Optional[np.ndarray] = None,
 ) -> SweepResult:
     """One full run per preference from identical initial conditions.
 
@@ -272,7 +270,7 @@ def pareto_sweep(
 
     def one(pref: Preference) -> SweepEntry:
         try:
-            trace = run_deterministic(problem, config, pref, x0, y0, v0)
+            trace = run_deterministic(problem, config, pref, x0, y0)
         except RunFailure as failure:
             return SweepEntry(
                 preference=pref,
@@ -294,10 +292,11 @@ def pareto_sweep(
 def expected_counters(config: SolverConfig, s_count: int, option: str) -> OracleCounters:
     """Closed-form oracle counts of a completed run.
 
-    ``option`` selects between the two deterministic estimators and the
-    stochastic loop.  The identities hold exactly when the run keeps its
-    per-solve budgets fixed (``exact_counters`` on) and completes all K
-    iterations; for early-stopped runs substitute the recorded iteration
+    ``option`` names the estimator (``RunTrace.estimator``): one of the
+    two deterministic ones or the stochastic loop.  Every per-solve budget
+    is fixed (a CG column spends exactly N Hessian products, warm-started
+    or not), so the identities hold exactly for a run that completes all
+    K iterations; for early-stopped runs substitute the recorded iteration
     count for K.
     """
     k, d = config.K, config.D

@@ -27,34 +27,30 @@ def conjugate_gradient(
     apply_A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     v0: np.ndarray,
-    max_iters: int,
-    tol: float = 0.0,
-    *,
-    force_iters: bool = False,
-) -> tuple[np.ndarray, int, float]:
+    applications: int,
+) -> tuple[np.ndarray, float]:
     """Solve ``A v = b`` for an SPD linear map by conjugate gradient.
 
-    Returns ``(v, iters_used, residual_norm)``.  ``iters_used`` counts CG
-    update steps; the initial residual costs one extra application of the
-    map unless ``v0`` is exactly zero.  With ``force_iters`` the loop runs
-    all ``max_iters`` steps even after exact convergence, so callers can
-    rely on a fixed number of map applications.
+    Applies the map exactly ``applications`` times and returns
+    ``(v, residual_norm)``.  A nonzero ``v0`` spends one application on the
+    initial residual, leaving ``applications - 1`` CG updates; a zero
+    ``v0`` spends all of them on updates.
     """
+    if applications < 1:
+        raise ValueError("applications must be at least 1")
     b = np.asarray(b, dtype=float)
     v = np.array(v0, dtype=float)
     if np.any(v != 0.0):
         r = b - apply_A(v)
+        applications -= 1
     else:
         r = b.copy()
     if not np.all(np.isfinite(r)):
         raise NumericalBreakdownError("non-finite residual at iteration 0")
     rr = float(r @ r)
     res = np.sqrt(rr)
-    if not force_iters and res <= tol:
-        return v, 0, res
     p = r.copy()
-    iters = 0
-    for i in range(max_iters):
+    for i in range(applications):
         ap = apply_A(p)
         if not np.all(np.isfinite(ap)):
             raise NumericalBreakdownError(f"non-finite map output at iteration {i + 1}")
@@ -65,15 +61,12 @@ def conjugate_gradient(
         v += step * p
         r -= step * ap
         rr_new = float(r @ r)
-        iters = i + 1
         if not np.isfinite(rr_new):
-            raise NumericalBreakdownError(f"non-finite residual at iteration {iters}")
+            raise NumericalBreakdownError(f"non-finite residual at iteration {i + 1}")
         res = np.sqrt(rr_new)
-        if not force_iters and res <= tol:
-            break
         p = r + (rr_new / rr if rr > 0.0 else 0.0) * p
         rr = rr_new
-    return v, iters, res
+    return v, res
 
 
 def project_simplex(z: np.ndarray) -> SimplexWeights:

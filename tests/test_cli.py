@@ -1,10 +1,13 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mobilevel import checks, cli
+
+HYPERCLEANING_INI = Path(__file__).resolve().parent.parent / "configs" / "hypercleaning.ini"
 
 
 def write_config(path, text):
@@ -101,6 +104,10 @@ run_json = {out}/run.json
         ("solver", "kk"),
         ("preference", "indx"),
         ("output", "trace"),
+        ("solver", "exact_counters"),
+        ("solver", "warm_start_y"),
+        ("solver", "warm_start_v"),
+        ("solver", "record_hypergrads"),
     ])
     def test_unknown_key_reports_line(self, tmp_path, capsys, section, key):
         # A misspelled key is rejected, never silently ignored.
@@ -177,15 +184,37 @@ family = quadratic
         assert (out / "trace.csv").read_bytes() == first_csv
         assert (out / "run.json").read_bytes() == first_json
 
-    def test_seed_env_override(self, quadratic_config, monkeypatch):
-        config, out = quadratic_config
+    def test_seed_env_var_ignored(self, tmp_path, monkeypatch):
+        # The solver seed comes from the config alone (or --set
+        # solver.seed=N); an environment variable cannot move it.
+        monkeypatch.setenv("MOBL_SEED", "123")
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "run.ini",
+            QUADRATIC_CONFIG.format(out=out).replace("u = 10.0", "u = 10.0\nseed = 11"),
+        )
         assert cli.main(["run", "--config", config]) == 0
         record = json.loads((out / "run.json").read_text())
-        assert record["solver"]["seed"] == 0
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-        assert cli.main(["run", "--config", config]) == 0
-        record = json.loads((out / "run.json").read_text())
-        assert record["solver"]["seed"] == 123
+        assert record["solver"]["seed"] == 11
+        ok, detail = checks.CHECKS["reproducibility"].run()
+        assert ok, detail
+
+    def test_stochastic_rejects_cg_keys(self, tmp_path, capsys):
+        # The stochastic loop has one estimator: it takes no CG budget and
+        # no option but ns, and its record names the estimator it ran.
+        config = str(HYPERCLEANING_INI)
+        out = tmp_path / "out"
+        outputs = ["--set", f"output.trace_csv={out}/trace.csv",
+                   "--set", f"output.run_json={out}/run.json", "--set", "solver.k=2"]
+        assert cli.main(["run", "--config", config, "--set", "solver.n=7"] + outputs) == 2
+        assert f"{config}: [solver] n: a stochastic run has no CG budget" in (
+            capsys.readouterr().err)
+        line = HYPERCLEANING_INI.read_text().splitlines().index("option = ns") + 1
+        assert cli.main(["run", "--config", config, "--set", "solver.option=cg"] + outputs) == 2
+        assert f"{config}:{line}: [solver] option: " in capsys.readouterr().err
+        assert cli.main(["run", "--config", config] + outputs) == 0
+        solver = json.loads((out / "run.json").read_text())["solver"]
+        assert solver["option"] == "stochastic" and "N" not in solver
 
     def test_run_failure_exit_1_with_partial_trace(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -352,7 +352,7 @@ class TestBuildMatrix:
                               beta=0.1, eta=0.1)
         x = np.array([0.5, -0.5, 1.0])
         lower = lower_level_solve(problem, x, np.zeros(4), 30, config.alpha)
-        matrix, warm = build_hypergradient_matrix(problem, x, lower, config)
+        matrix, warm = build_hypergradient_matrix(problem, x, lower, config, [None])
         grad, v = hypergrad_cg(problem, x, lower.y_final, 0, None, 4)
         np.testing.assert_array_equal(matrix.grads[:, 0], grad)
         np.testing.assert_array_equal(warm[0], v)
@@ -365,7 +365,7 @@ class TestBuildMatrix:
                               beta=0.1, eta=0.1)
         x = np.array([1.0, 0.2, -0.7, 0.4])
         lower = lower_level_solve(problem, x, np.zeros(5), 200, config.alpha)
-        matrix, _ = build_hypergradient_matrix(problem, x, lower, config)
+        matrix, _ = build_hypergradient_matrix(problem, x, lower, config, [None] * 3)
         analytic = problem.reference.grad_phi(x)
         for s in range(3):
             rel = np.linalg.norm(matrix.grads[:, s] - analytic[:, s])
@@ -381,7 +381,7 @@ class TestBuildMatrix:
                               beta=0.1, eta=alpha)
         x = np.array([0.8, -0.1, 0.6])
         lower = lower_level_solve(problem, x, np.zeros(4), 200, alpha)
-        det_matrix, _ = build_hypergradient_matrix(problem, x, lower, config)
+        det_matrix, _ = build_hypergradient_matrix(problem, x, lower, config, [None] * 2)
         rng = np.random.default_rng(0)
         st_matrix = build_hypergradient_matrix_stochastic(
             stochastic, x, lower.y_final, config, rng, constants.mu_g
