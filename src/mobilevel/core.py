@@ -76,7 +76,7 @@ def _frozen_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
@@ -514,7 +514,7 @@ class HypergradientMatrix:
             raise ValueError("hypergradient matrix must be 2-d (p x S)")
         if phi.shape != (grads.shape[1],):
             raise ValueError("phi_values length must equal the column count")
-        if not (np.all(np.isfinite(grads)) and np.all(np.isfinite(phi))):
+        if not (np.isfinite(grads).all() and np.isfinite(phi).all()):
             raise ValueError("hypergradient entries must be finite")
         grads.setflags(write=False)
         phi.setflags(write=False)

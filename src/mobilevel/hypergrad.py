@@ -75,7 +75,7 @@ def lower_level_solve(
     trajectory = [y.copy()] if keep_trajectory else None
     for t in range(1, steps + 1):
         y = y - step_size * oracles.ll_grad_y(x, y)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DivergenceError(f"lower-level iterate diverged at step {t}")
         if trajectory is not None:
             trajectory.append(y.copy())
@@ -256,6 +256,6 @@ def stochastic_lower_solve(
     for t in range(1, steps + 1):
         batch = oracles.sample(LL_STEP, batch_size, rng)
         y = y - step_size * oracles.ll_grad_y(x, y, batch)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DivergenceError(f"lower-level iterate diverged at step {t}")
     return y

@@ -8,6 +8,7 @@ alignment term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,14 +46,14 @@ def conjugate_gradient(
         applications -= 1
     else:
         r = b.copy()
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise NumericalBreakdownError("non-finite residual at iteration 0")
     rr = float(r @ r)
     res = np.sqrt(rr)
     p = r.copy()
     for i in range(applications):
         ap = apply_A(p)
-        if not np.all(np.isfinite(ap)):
+        if not np.isfinite(ap).all():
             raise NumericalBreakdownError(f"non-finite map output at iteration {i + 1}")
         pap = float(p @ ap)
         # rr == 0 or pap <= 0 only at exact convergence; keep iterating
@@ -61,7 +62,7 @@ def conjugate_gradient(
         v += step * p
         r -= step * ap
         rr_new = float(r @ r)
-        if not np.isfinite(rr_new):
+        if not math.isfinite(rr_new):
             raise NumericalBreakdownError(f"non-finite residual at iteration {i + 1}")
         res = np.sqrt(rr_new)
         p = r + (rr_new / rr if rr > 0.0 else 0.0) * p
@@ -76,7 +77,7 @@ def project_simplex(z: np.ndarray) -> SimplexWeights:
     finite inputs.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("projection input must be finite")
     n = z.size
     s = np.sort(z)[::-1]
@@ -146,7 +147,8 @@ def _power_lambda_max(m: np.ndarray, iters: int = 20) -> float:
         w = m @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
-            return 0.0
+            # v lies in the null space; the power method cannot leave it.
+            return float(np.linalg.eigvalsh(m)[-1])
         v = w / norm
         est = float(v @ m @ v)
     return est
@@ -210,11 +212,13 @@ def solve_wc_subproblem(
 ) -> tuple[SimplexWeights, float]:
     """Minimize the weighted subproblem over the simplex to KKT residual ``tol``.
 
-    Projected gradient descent with a fixed step derived from a power-method
-    bound on the quadratic term, warm-started from the previous outer
-    iteration.  Candidate active sets found along the way are refined by an
-    exact face solve so optima are certified at tight tolerances; for small
-    problems every face is tried before giving up.  Raises
+    Warm-started from the previous outer iteration; a start that already
+    certifies is returned after one projection.  Otherwise projected
+    gradient descent runs with a fixed step derived from a power-method
+    bound on the quadratic term, computed only when PGD runs.  Candidate
+    active sets found along the way are refined by an exact face solve so
+    optima are certified at tight tolerances; for small problems every face
+    is tried before giving up.  Raises
     :class:`WcSolverError` with the best iterate when the budget runs out.
 
     Certification is floored at the floating-point resolution of the
@@ -234,7 +238,6 @@ def solve_wc_subproblem(
 
     scaled = sp.scaled_gram()
     lin = sp.linear_term()
-    step = 1.0 / (2.0 * _power_lambda_max(scaled) + sp.u * float(np.linalg.norm(sp.r * sp.phi)) + 1e-12)
     grad_scale = 2.0 * float(np.abs(scaled).max(initial=0.0)) + float(np.abs(lin).max(initial=0.0))
     certify_tol = max(tol, 64.0 * np.finfo(float).eps * grad_scale)
 
@@ -248,6 +251,7 @@ def solve_wc_subproblem(
     if best_residual <= certify_tol:
         return SimplexWeights(best), best_residual
 
+    step = 1.0 / (2.0 * _power_lambda_max(scaled) + sp.u * float(np.linalg.norm(sp.r * sp.phi)) + 1e-12)
     check_every = 25
     for it in range(1, max_iters + 1):
         lam = project_simplex(lam - step * grad(lam)).lam

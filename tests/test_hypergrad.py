@@ -22,6 +22,7 @@ from mobilevel import (
     wrap_deterministic,
     HESSIAN,
 )
+from mobilevel.hypergrad import stochastic_lower_solve
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,16 @@ class TestLowerLevelSolve:
         problem = scalar_problem(2.0, 1.0, 0.0)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="step"):
             lower_level_solve(problem, np.array([1.0]), np.array([1e300]), 10, 1e280)
+
+    def test_stochastic_divergence_names_step(self):
+        # h = 2, step 1e10: each step multiplies y by about -2e10, so 1e290
+        # overflows on the second step.
+        problem = wrap_deterministic(scalar_problem(2.0, 1.0, 0.0))
+        rng = np.random.default_rng(0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match=r"^lower-level iterate diverged at step 2$"
+        ):
+            stochastic_lower_solve(problem, np.zeros(1), np.array([1e290]), 10, 1e10, 1, rng)
 
     def test_trajectory_layout(self, quadratic):
         _, problem, constants = quadratic

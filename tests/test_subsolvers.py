@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mobilevel import subsolvers
 from mobilevel import (
     NumericalBreakdownError,
     WcSolverError,
@@ -65,6 +67,18 @@ class TestConjugateGradient:
 
         with pytest.raises(NumericalBreakdownError, match="iteration 1"):
             conjugate_gradient(bad, np.ones(2), np.zeros(2), 3)
+
+    def test_late_breakdown_names_iteration(self):
+        calls = []
+
+        def inf_on_third(w):
+            calls.append(1)
+            return np.full_like(w, np.inf) if len(calls) == 3 else 2.0 * w
+
+        with pytest.raises(NumericalBreakdownError,
+                           match=r"^non-finite map output at iteration 3$"):
+            conjugate_gradient(inf_on_third, np.array([1.0, -2.0, 0.5]), np.zeros(3), 5)
+        assert len(calls) == 3
 
 
 class TestProjectSimplex:
@@ -259,3 +273,94 @@ class TestSolveWcSubproblem:
             lam, residual = solve_wc_subproblem(sp)
             scale = 2.0 * np.abs(sp.scaled_gram()).max()
             assert residual <= max(1e-10, 64 * np.finfo(float).eps * scale)
+
+    def test_opposed_columns_in_power_null_space(self):
+        # Opposed columns of equal scaled norm: the all-ones start of the
+        # power method lies in the scaled Gram's null space.  The step bound
+        # must still be the top eigenvalue, or PGD crawls to its budget.
+        sp = WcSubproblem(gram=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                          phi=np.ones(2), r=np.full(2, 0.5), u=0.0)
+        history = []
+        lam, residual = solve_wc_subproblem(sp, warm_start=np.array([0.9, 0.1]),
+                                            history=history)
+        np.testing.assert_allclose(lam.lam, [0.5, 0.5], atol=1e-12)
+        assert residual <= 1e-10
+        assert len(history) <= 30
+
+
+class TestLazyStepBound:
+    def test_certified_warm_start_skips_power_bound(self, monkeypatch):
+        def forbidden(m, iters=20):
+            raise AssertionError("step bound computed for a certified warm start")
+
+        monkeypatch.setattr(subsolvers, "_power_lambda_max", forbidden)
+        sp = WcSubproblem(gram=np.diag([1.0, 4.0]), phi=np.zeros(2),
+                          r=np.full(2, 0.5), u=0.0)
+        lam, residual = solve_wc_subproblem(sp, warm_start=np.array([0.8, 0.2]))
+        np.testing.assert_allclose(lam.lam, [0.8, 0.2], atol=1e-15)
+        assert residual <= 1e-10
+
+    def test_uncertified_start_computes_power_bound_once(self, monkeypatch):
+        calls = []
+        original = subsolvers._power_lambda_max
+
+        def counting(m, iters=20):
+            calls.append(1)
+            return original(m, iters)
+
+        monkeypatch.setattr(subsolvers, "_power_lambda_max", counting)
+        sp = WcSubproblem(gram=np.diag([1.0, 4.0]), phi=np.zeros(2),
+                          r=np.full(2, 0.5), u=0.0)
+        lam, _ = solve_wc_subproblem(sp, warm_start=np.array([0.1, 0.9]))
+        np.testing.assert_allclose(lam.lam, [0.8, 0.2], atol=1e-9)
+        assert len(calls) == 1
+
+
+@st.composite
+def wc_instances(draw):
+    """Small simplex QPs: PSD Grams (rank-1 and opposed columns included),
+    random preferences, u = 0 or u > 0, and an optional warm start."""
+    s = draw(st.integers(2, 3))
+    rows = draw(st.integers(1, 4))
+    entry = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    cols = np.array(draw(st.lists(st.lists(entry, min_size=s, max_size=s),
+                                  min_size=rows, max_size=rows)))
+    if draw(st.booleans()):
+        # Column 1 points against column 0.
+        cols[:, 1] = -draw(st.floats(0.25, 4.0)) * cols[:, 0]
+    r = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=s, max_size=s)))
+    u = draw(st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
+    phi = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=s, max_size=s)))
+    warm = draw(st.one_of(
+        st.none(),
+        st.lists(st.floats(-1.0, 2.0), min_size=s, max_size=s).map(np.array),
+    ))
+    sp = WcSubproblem(gram=cols.T @ cols, phi=phi, r=r / r.sum(), u=u)
+    return sp, warm
+
+
+class TestSolveWcSubproblemProperties:
+    RESOLUTION = 1e-4
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(wc_instances())
+    def test_matches_grid_minimum_and_certifies(self, instance):
+        sp, warm = instance
+        s = sp.size
+        lam, residual = solve_wc_subproblem(sp, warm_start=warm)
+        scaled = sp.scaled_gram()
+        lin = sp.linear_term()
+        _, grid_min = brute_force_simplex_min(
+            lambda grid: np.einsum("ni,ij,nj->n", grid, scaled, grid) - grid @ lin,
+            s, self.RESOLUTION,
+        )
+        # A grid point lies within RESOLUTION of the minimizer in every
+        # coordinate, so the grid minimum exceeds the true one by at most
+        # the gradient bound times the l1 distance plus the curvature term.
+        grad_max = 2.0 * np.abs(scaled).max() + np.abs(lin).max()
+        slack = s * self.RESOLUTION * (grad_max + s * np.abs(scaled).max()) + 1e-12
+        value = sp.objective(lam.lam)
+        assert value <= grid_min + 1e-12 * max(1.0, grad_max)
+        assert value >= grid_min - slack
+        certify_tol = max(1e-10, 64.0 * np.finfo(float).eps * grad_max)
+        assert residual <= certify_tol
