@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -158,13 +159,37 @@ def _get(parser, path, section, key, cast, default=None, required=False):
         raise _config_error(path, section, key, f"invalid value '{raw}': {exc}")
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def cast(raw: str) -> int:
+        value = int(raw)
+        if value < minimum:
+            raise ValueError(f"must be at least {minimum}")
+        return value
+
+    return cast
+
+
+_dimension = _int_at_least(1)
+
+
 def _parse_vector(raw: str) -> np.ndarray:
-    return np.array([float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()])
+    return np.array([_finite(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()])
 
 
 def _parse_matrix(raw: str) -> np.ndarray:
     rows = [r for r in raw.split(";") if r.strip()]
-    return np.array([[float(tok) for tok in row.split(",")] for row in rows])
+    return np.array([[_finite(tok) for tok in row.split(",")] for row in rows])
+
+
+def _parse_rates(raw: str):
+    return DEFAULT_CORRUPTION_RATES if raw.strip() == "default" else tuple(_parse_vector(raw))
 
 
 def build_problem(parser: configparser.ConfigParser, path: str):
@@ -177,15 +202,15 @@ def build_problem(parser: configparser.ConfigParser, path: str):
     if not parser.has_section(section):
         raise _config_error(path, section, None, "missing section")
     family = _get(parser, path, section, "family", str, required=True)
-    seed = _get(parser, path, section, "seed", int, default=0)
+    seed = _get(parser, path, section, "seed", _int_at_least(0), default=0)
 
     if family == "quadratic":
-        p = _get(parser, path, section, "p", int, default=2)
-        q = _get(parser, path, section, "q", int, default=2)
-        s = _get(parser, path, section, "s", int, default=2)
-        hessian_scale = _get(parser, path, section, "hessian_scale", float, default=0.3)
-        coupling_scale = _get(parser, path, section, "coupling_scale", float, default=0.5)
-        target_scale = _get(parser, path, section, "target_scale", float, default=1.0)
+        p = _get(parser, path, section, "p", _dimension, default=2)
+        q = _get(parser, path, section, "q", _dimension, default=2)
+        s = _get(parser, path, section, "s", _dimension, default=2)
+        hessian_scale = _get(parser, path, section, "hessian_scale", _finite, default=0.3)
+        coupling_scale = _get(parser, path, section, "coupling_scale", _finite, default=0.5)
+        target_scale = _get(parser, path, section, "target_scale", _finite, default=1.0)
         spec = QuadraticBilevelSpec.random(
             p, q, s, seed,
             hessian_scale=hessian_scale,
@@ -218,15 +243,12 @@ def build_problem(parser: configparser.ConfigParser, path: str):
             "condition_number": spec.condition_number,
         }
     elif family == "hypercleaning":
-        feature_dim = _get(parser, path, section, "feature_dim", int, default=5)
-        n_train = _get(parser, path, section, "n_train", int, default=40)
-        n_val = _get(parser, path, section, "n_val", int, default=40)
-        rates_raw = _get(parser, path, section, "corruption_rates", str, default="default")
-        if rates_raw.strip() == "default":
-            rates = DEFAULT_CORRUPTION_RATES
-        else:
-            rates = tuple(_parse_vector(rates_raw))
-        reg_weight = _get(parser, path, section, "reg_weight", float, default=0.1)
+        feature_dim = _get(parser, path, section, "feature_dim", _dimension, default=5)
+        n_train = _get(parser, path, section, "n_train", _dimension, default=40)
+        n_val = _get(parser, path, section, "n_val", _dimension, default=40)
+        rates = _get(parser, path, section, "corruption_rates", _parse_rates,
+                     default=DEFAULT_CORRUPTION_RATES)
+        reg_weight = _get(parser, path, section, "reg_weight", _finite, default=0.1)
         try:
             spec = HypercleaningToySpec(
                 feature_dim=feature_dim,
@@ -263,7 +285,7 @@ def build_solver_config(parser: configparser.ConfigParser, path: str) -> SolverC
     section = "solver"
     kwargs = {}
     if parser.has_section(section):
-        for fields, cast in ((_SOLVER_INT_FIELDS, int), (_SOLVER_FLOAT_FIELDS, float)):
+        for fields, cast in ((_SOLVER_INT_FIELDS, int), (_SOLVER_FLOAT_FIELDS, _finite)):
             for key in fields:
                 value = _get(parser, path, section, key.lower(), cast)
                 if value is not None:
@@ -482,20 +504,26 @@ def parse_grid(spec: str, s_count: int) -> list:
         return [Preference.extreme(s_count, i) for i in range(s_count)]
     if spec == "uniform":
         return [Preference.uniform(s_count)]
-    if spec.startswith("r1="):
-        if s_count != 2:
-            raise ConfigFileError("'r1=' grids need a two-objective problem")
-        values = [float(tok) for tok in spec[3:].split(",") if tok.strip()]
-        return [Preference(np.array([v, 1.0 - v])) for v in values]
-    if spec.startswith("list:"):
-        prefs = []
-        for chunk in spec[5:].split(";"):
-            if chunk.strip():
-                prefs.append(Preference(_parse_vector(chunk)))
-        if not prefs:
-            raise ConfigFileError("empty preference list")
-        return prefs
-    raise ConfigFileError(f"unrecognized grid spec '{spec}'")
+    try:
+        if spec.startswith("r1="):
+            if s_count != 2:
+                raise ConfigFileError("'r1=' grids need a two-objective problem")
+            vectors = [np.array([v, 1.0 - v]) for v in _parse_vector(spec[3:])]
+        elif spec.startswith("list:"):
+            vectors = [_parse_vector(chunk) for chunk in spec[5:].split(";") if chunk.strip()]
+        else:
+            raise ConfigFileError(f"unrecognized grid spec '{spec}'")
+        prefs = [Preference(vector) for vector in vectors]
+    except ValueError as exc:
+        raise ConfigFileError(f"grid '{spec}': {exc}") from exc
+    if not prefs:
+        raise ConfigFileError("empty preference list")
+    for pref in prefs:
+        if len(pref) != s_count:
+            raise ConfigFileError(
+                f"grid '{spec}': expected {s_count} weights per preference, got {len(pref)}"
+            )
+    return prefs
 
 
 def cmd_sweep(args) -> int:

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -250,12 +251,13 @@ class SolverConfig:
                 raise ConfigurationError(f"batch size {name} must be at least 1")
         for name in ("alpha", "beta", "eta"):
             value = getattr(self, name)
-            if value is not None and not (value > 0.0):
-                raise ConfigurationError(f"step size {name} must be positive")
-        if self.u < 0.0:
-            raise ConfigurationError("u must be nonnegative")
-        if self.stop_tol < 0.0:
-            raise ConfigurationError("stop_tol must be nonnegative")
+            if value is not None and not (0.0 < value < math.inf):
+                raise ConfigurationError(f"step size {name} must be positive and finite")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
+        for name in ("u", "stop_tol"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ConfigurationError(f"{name} must be nonnegative and finite")
         if self.option not in _OPTIONS:
             raise ConfigurationError(f"option must be one of {_OPTIONS}")
 

@@ -3,7 +3,7 @@
 Conjugate gradient for SPD systems given as linear maps, exact Euclidean
 projection onto the probability simplex, and the simplex-constrained
 quadratic subproblem that blends a stationarity term with a preference
-alignment term.
+alignment term, solved exactly by a primal active-set method.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .core import (
 
 GRAM_SYMMETRY_TOL = 1e-10
 GRAM_EIGEN_SLACK = -1e-10
+KKT_TOL = 1e-10
+# Random instances up to S = 12 certify within 3.5 face solves per weight.
+FACE_SOLVES_PER_WEIGHT = 10
 
 
 def conjugate_gradient(
@@ -139,162 +142,114 @@ class WcSubproblem:
         return float(lam @ m @ lam - self.linear_term() @ lam)
 
 
-def _power_lambda_max(m: np.ndarray, iters: int = 20) -> float:
-    """Largest-eigenvalue estimate of a symmetric PSD matrix."""
-    v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
-    est = 0.0
-    for _ in range(iters):
-        w = m @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            # v lies in the null space; the power method cannot leave it.
-            return float(np.linalg.eigvalsh(m)[-1])
-        v = w / norm
-        est = float(v @ m @ v)
-    return est
-
-
 def _kkt_residual(grad: np.ndarray, lam: np.ndarray) -> float:
     """Distance from the simplex KKT conditions.
 
     Active coordinates must share a common multiplier; inactive ones must
     sit at or above it.
     """
-    active = lam > 0.0
-    g_active = grad[active]
+    g_active = grad[lam > 0.0]
     base = float(g_active.min())
-    residual = float(g_active.max()) - base
-    inactive = ~active
-    if np.any(inactive):
-        violation = base - float(grad[inactive].min())
-        residual = max(residual, violation)
-    return max(residual, 0.0)
+    return max(float(g_active.max()) - base, base - float(grad.min()))
 
 
-def _polish_active_set(
-    sp: WcSubproblem, active: np.ndarray
-) -> Optional[np.ndarray]:
-    """Exact minimizer on a candidate face, or ``None`` if infeasible.
+def _face_step(scaled: np.ndarray, grad: np.ndarray, free: np.ndarray,
+               floor: float) -> np.ndarray:
+    """Step from the current point to the QP minimizer on the face ``free``.
 
-    Solves the equality-constrained KKT system restricted to ``active``
-    with a least-squares solve so rank-deficient faces pick the minimum
-    norm multiplier.
+    Works in an orthonormal basis of the face's zero-sum directions (the
+    Householder reflection that swaps e_1 and -ones/sqrt(m), less its first
+    column), so the simplex constraint holds exactly and no multiplier enters
+    the solve; a one-weight face has no such direction and a zero step.
+    Eigen-directions of the reduced Hessian with curvature at rounding
+    level are flat: the objective falls linearly along them.  If the
+    gradient's flat part exceeds ``floor / 4`` the step follows it,
+    lengthened so that a unit step must leave the simplex; otherwise it is
+    the Newton step on the curved directions, and the flat part spreads the
+    face's gradient by at most ``floor / 2``.
     """
-    idx = np.nonzero(active)[0]
+    idx = np.flatnonzero(free)
     m = idx.size
-    if m == 0:
-        return None
-    scaled = sp.scaled_gram()[np.ix_(idx, idx)]
-    lin = sp.linear_term()[idx]
-    system = np.zeros((m + 1, m + 1))
-    system[:m, :m] = 2.0 * scaled
-    system[:m, m] = -1.0
-    system[m, :m] = 1.0
-    rhs = np.concatenate([lin, [1.0]])
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    lam_face = solution[:m]
-    if np.any(lam_face < -1e-12):
-        return None
-    lam = np.zeros(sp.size)
-    lam[idx] = np.maximum(lam_face, 0.0)
-    total = lam.sum()
-    if total <= 0.0:
-        return None
-    return lam / total
+    v = np.eye(m)[0] + 1.0 / math.sqrt(m)
+    basis = (np.eye(m) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
+    curvature, vectors = np.linalg.eigh(basis.T @ (2.0 * scaled[np.ix_(idx, idx)]) @ basis)
+    directions = basis @ vectors
+    slope = directions.T @ grad[idx]
+    flat = curvature <= m * np.finfo(float).eps * curvature.max(initial=0.0)
+    ray = directions[:, flat] @ -slope[flat]
+    reach = float(np.abs(ray).max(initial=0.0))
+    step = np.zeros(grad.size)
+    if reach > 0.25 * floor:
+        step[idx] = (2.0 / reach) * ray
+    else:
+        step[idx] = directions[:, ~flat] @ (-slope[~flat] / curvature[~flat])
+    return step
 
 
 def solve_wc_subproblem(
-    sp: WcSubproblem,
-    tol: float = 1e-10,
-    max_iters: int = 10_000,
-    warm_start: Optional[np.ndarray] = None,
-    history: Optional[list] = None,
+    sp: WcSubproblem, warm_start: Optional[np.ndarray] = None
 ) -> tuple[SimplexWeights, float]:
-    """Minimize the weighted subproblem over the simplex to KKT residual ``tol``.
+    """Minimize the weighted subproblem over the simplex to KKT residual ``KKT_TOL``.
 
-    Warm-started from the previous outer iteration; a start that already
-    certifies is returned after one projection.  Otherwise projected
-    gradient descent runs with a fixed step derived from a power-method
-    bound on the quadratic term, computed only when PGD runs.  Candidate
-    active sets found along the way are refined by an exact face solve so
-    optima are certified at tight tolerances; for small problems every face
-    is tried before giving up.  Raises
-    :class:`WcSolverError` with the best iterate when the budget runs out.
+    A warm start that already certifies is returned after one projection.
+    Otherwise a primal active-set method (Nocedal & Wright, *Numerical
+    Optimization*, 16.5) starts from the warm start's support.  Each step
+    moves to the minimizer of the current face, or stops at the boundary
+    and drops the blocking weight.  At a face minimizer the excluded weight
+    with the lowest gradient enters while its multiplier is negative beyond
+    the gradient's floating-point floor; otherwise the point is returned
+    once it certifies.  Raises :class:`WcSolverError` with the best iterate
+    if ``FACE_SOLVES_PER_WEIGHT`` face solves per weight do not certify.
 
     Certification is floored at the floating-point resolution of the
     objective gradient, so badly scaled instances certify at their
     attainable precision instead of failing; the returned residual is
     always the raw one.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     s = sp.size
     if warm_start is None:
         lam = np.full(s, 1.0 / s)
     else:
-        lam = project_simplex(warm_start).lam.copy()
-    if s == 1:
-        return SimplexWeights(np.ones(1)), 0.0
+        lam = project_simplex(warm_start).lam
 
     scaled = sp.scaled_gram()
     lin = sp.linear_term()
     grad_scale = 2.0 * float(np.abs(scaled).max(initial=0.0)) + float(np.abs(lin).max(initial=0.0))
-    certify_tol = max(tol, 64.0 * np.finfo(float).eps * grad_scale)
+    floor = 64.0 * np.finfo(float).eps * grad_scale
+    certify_tol = max(KKT_TOL, floor)
 
-    def grad(point):
-        return 2.0 * (scaled @ point) - lin
+    grad = 2.0 * (scaled @ lam) - lin
+    residual = _kkt_residual(grad, lam)
+    if residual <= certify_tol:
+        return SimplexWeights(lam), residual
 
-    best = lam
-    best_residual = _kkt_residual(grad(lam), lam)
-    if history is not None:
-        history.append(sp.objective(lam))
-    if best_residual <= certify_tol:
-        return SimplexWeights(best), best_residual
-
-    step = 1.0 / (2.0 * _power_lambda_max(scaled) + sp.u * float(np.linalg.norm(sp.r * sp.phi)) + 1e-12)
-    check_every = 25
-    for it in range(1, max_iters + 1):
-        lam = project_simplex(lam - step * grad(lam)).lam
-        if history is not None:
-            history.append(sp.objective(lam))
-        if it % check_every and it != max_iters:
+    best, best_residual = lam, residual
+    free = lam > 0.0
+    for _ in range(FACE_SOLVES_PER_WEIGHT * s):
+        step = _face_step(scaled, grad, free, floor)
+        shrinking = np.flatnonzero(step < 0.0)
+        ratios = lam[shrinking] / -step[shrinking]
+        alpha = float(ratios.min(initial=1.0))
+        lam = np.maximum(lam + alpha * step, 0.0)
+        if alpha < 1.0:
+            lam[shrinking[int(np.argmin(ratios))]] = 0.0
+        lam /= lam.sum()
+        grad = 2.0 * (scaled @ lam) - lin
+        free = lam > 0.0
+        if alpha < 1.0:
             continue
-        residual = _kkt_residual(grad(lam), lam)
+        residual = _kkt_residual(grad, lam)
         if residual < best_residual:
             best, best_residual = lam, residual
-        if residual <= certify_tol:
+        enter = int(np.argmin(grad))
+        if float(grad[free].min()) - grad[enter] > floor:
+            free[enter] = True
+        elif residual <= certify_tol:
             return SimplexWeights(lam), residual
-        # Exact solve on the current face; the face contains the iterate
-        # (up to coordinates below the activity threshold), so the face
-        # optimum cannot be meaningfully worse than the iterate.
-        polished = _polish_active_set(sp, lam > 1e-12)
-        if polished is not None and sp.objective(polished) <= sp.objective(lam) + 1e-15:
-            p_res = _kkt_residual(grad(polished), polished)
-            if p_res <= certify_tol:
-                if history is not None:
-                    history.append(sp.objective(polished))
-                return SimplexWeights(polished), p_res
-
-    if s <= 12:
-        # PGD stalled; enumerate faces (2^S - 1 exact solves) as a fallback.
-        candidates = []
-        for mask in range(1, 2**s):
-            active = np.array([(mask >> i) & 1 == 1 for i in range(s)])
-            polished = _polish_active_set(sp, active)
-            if polished is not None:
-                candidates.append(polished)
-        for candidate in sorted(candidates, key=sp.objective):
-            residual = _kkt_residual(grad(candidate), candidate)
-            if residual <= certify_tol:
-                if history is not None:
-                    history.append(sp.objective(candidate))
-                return SimplexWeights(candidate), residual
-            if residual < best_residual:
-                best, best_residual = candidate, residual
 
     raise WcSolverError(
-        f"simplex QP not certified to tol={tol:g} within {max_iters} iterations "
-        f"(best residual {best_residual:g})",
+        f"simplex QP not certified to tol={certify_tol:g} within "
+        f"{FACE_SOLVES_PER_WEIGHT * s} face solves (best residual {best_residual:g})",
         best_weights=SimplexWeights(best),
         residual=best_residual,
     )

@@ -126,6 +126,34 @@ run_json = {out}/run.json
                          "--set", "solvr.k=1"]) == 2
         assert "[solvr]: unknown section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, override", [
+        ("quadratic", "problem.p=0"),
+        ("quadratic", "problem.q=-1"),
+        ("quadratic", "problem.hessian_scale=nan"),
+        ("quadratic", "problem.seed=-1"),
+        ("quadratic", "solver.u=nan"),
+        ("quadratic", "solver.beta=inf"),
+        ("hypercleaning", "problem.feature_dim=0"),
+        ("hypercleaning", "problem.n_train=0"),
+        ("hypercleaning", "problem.corruption_rates=abc"),
+    ])
+    def test_out_of_domain_value_rejected(self, tmp_path, capsys, family, override):
+        # Values outside a key's domain are configuration errors that name
+        # the key, not tracebacks or runs on an empty variable.
+        out = tmp_path / "out"
+        if family == "quadratic":
+            config = write_config(tmp_path / "run.ini", QUADRATIC_CONFIG.format(out=out))
+        else:
+            config = str(HYPERCLEANING_INI)
+        outputs = ["--set", f"output.trace_csv={out}/trace.csv",
+                   "--set", f"output.run_json={out}/run.json"]
+        assert cli.main(["run", "--config", config, "--set", override] + outputs) == 2
+        section, key = override.split("=")[0].split(".")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}")
+        assert f"[{section}] {key}: invalid value" in err
+        assert not out.exists()
+
     def test_invalid_value_reports_line(self, tmp_path, capsys):
         config = write_config(tmp_path / "bad.ini", """
 [problem]
@@ -386,6 +414,19 @@ traces_dir = {out}/traces
         out = tmp_path / "out"
         config = write_config(tmp_path / "run.ini", QUADRATIC_CONFIG.format(out=out))
         assert cli.main(["sweep", "--config", config, "--grid", "bogus"]) == 2
+
+    @pytest.mark.parametrize("grid, message", [
+        ("r1=0,0.5", "strictly positive"),
+        ("r1=abc", "could not convert"),
+        ("list:0.5,0.5,0.1", "sum to 1"),
+        ("list:0.5,0.25,0.25", "expected 2 weights per preference, got 3"),
+    ])
+    def test_bad_grid_preference_exit_2(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "run.ini", QUADRATIC_CONFIG.format(out=out))
+        assert cli.main(["sweep", "--config", config, "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: grid '{grid}': ") and message in err
 
 
 class TestCmdVerify:

@@ -107,6 +107,8 @@ class TestSolverConfig:
         ("K", -1), ("D", 0), ("N", 0), ("Q", 0),
         ("T", 0), ("B", 0), ("u", -0.1), ("stop_tol", -1.0),
         ("alpha", 0.0), ("option", "lbfgs"),
+        ("u", np.nan), ("u", np.inf), ("stop_tol", np.nan), ("stop_tol", np.inf),
+        ("alpha", np.inf), ("beta", np.inf), ("eta", np.nan), ("seed", -1),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ConfigurationError):

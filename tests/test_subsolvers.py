@@ -196,14 +196,18 @@ class TestSolveWcSubproblem:
             assert np.abs(lam.lam - reference.lam).max() <= 1e-4
 
     def test_objective_nonincreasing(self):
+        # The result is no worse than the warm start it began from, nor than
+        # any vertex of the simplex.
         rng = np.random.default_rng(30)
         cols = rng.standard_normal((4, 3))
         sp = WcSubproblem(gram=cols.T @ cols, phi=rng.uniform(0, 3, 3),
                           r=np.array([0.5, 0.3, 0.2]), u=2.0)
-        history = []
-        solve_wc_subproblem(sp, warm_start=np.array([1.0, 0.0, 0.0]), history=history)
-        diffs = np.diff(history)
-        assert np.all(diffs <= 1e-12)
+        start = np.array([1.0, 0.0, 0.0])
+        lam, _ = solve_wc_subproblem(sp, warm_start=start)
+        value = sp.objective(lam.lam)
+        assert value <= sp.objective(start) + 1e-12
+        for vertex in np.eye(3):
+            assert value <= sp.objective(vertex) + 1e-12
 
     def test_scaling_invariance(self):
         # Scaling all columns by c scales the Gram by c^2 and the direction
@@ -247,19 +251,20 @@ class TestSolveWcSubproblem:
         np.testing.assert_allclose(lam.lam, start, atol=1e-12)
         assert residual == 0.0
 
-    def test_exhaustion_carries_best_iterate(self):
-        # Too many weights for the face-enumeration fallback and far too few
-        # iterations to converge: the solver must fail loudly with its best
-        # iterate attached.
-        rng = np.random.default_rng(33)
-        s = 13
-        cols = rng.standard_normal((s + 2, s))
-        sp = WcSubproblem(gram=cols.T @ cols, phi=np.zeros(s),
-                          r=np.full(s, 1.0 / s), u=0.0)
+    def test_exhaustion_carries_best_iterate(self, monkeypatch):
+        # A face solve that never moves cannot certify: the solver must fail
+        # loudly after its budget, with its best iterate attached.
+        def stuck(scaled, grad, free, tol):
+            return np.zeros(grad.size)
+
+        monkeypatch.setattr(subsolvers, "_face_step", stuck)
+        sp = WcSubproblem(gram=np.diag([1.0, 4.0, 2.0]), phi=np.zeros(3),
+                          r=np.full(3, 1 / 3), u=0.0)
+        start = np.array([0.1, 0.9, 0.0])
         with pytest.raises(WcSolverError) as info:
-            solve_wc_subproblem(sp, tol=1e-300, max_iters=3)
-        assert info.value.best_weights is not None
-        assert info.value.residual is not None
+            solve_wc_subproblem(sp, warm_start=start)
+        np.testing.assert_allclose(info.value.best_weights.lam, start, atol=1e-15)
+        assert info.value.residual > 1e-10
 
     def test_badly_scaled_instances_certify_at_resolution(self):
         # Columns at scale 1e3 push the gradient's floating-point floor past
@@ -275,56 +280,55 @@ class TestSolveWcSubproblem:
             assert residual <= max(1e-10, 64 * np.finfo(float).eps * scale)
 
     def test_opposed_columns_in_power_null_space(self):
-        # Opposed columns of equal scaled norm: the all-ones start of the
-        # power method lies in the scaled Gram's null space.  The step bound
-        # must still be the top eigenvalue, or PGD crawls to its budget.
+        # Opposed columns of equal scaled norm: the all-ones vector lies in
+        # the scaled Gram's null space.
         sp = WcSubproblem(gram=np.array([[1.0, -1.0], [-1.0, 1.0]]),
                           phi=np.ones(2), r=np.full(2, 0.5), u=0.0)
-        history = []
-        lam, residual = solve_wc_subproblem(sp, warm_start=np.array([0.9, 0.1]),
-                                            history=history)
+        lam, residual = solve_wc_subproblem(sp, warm_start=np.array([0.9, 0.1]))
         np.testing.assert_allclose(lam.lam, [0.5, 0.5], atol=1e-12)
         assert residual <= 1e-10
-        assert len(history) <= 30
 
-
-class TestLazyStepBound:
-    def test_certified_warm_start_skips_power_bound(self, monkeypatch):
-        def forbidden(m, iters=20):
-            raise AssertionError("step bound computed for a certified warm start")
-
-        monkeypatch.setattr(subsolvers, "_power_lambda_max", forbidden)
+    def test_certified_warm_start_returned_exactly(self, monkeypatch):
+        # A warm start that certifies is returned without a face solve.
+        calls = []
+        face_step = subsolvers._face_step
+        monkeypatch.setattr(subsolvers, "_face_step",
+                            lambda *args: calls.append(1) or face_step(*args))
         sp = WcSubproblem(gram=np.diag([1.0, 4.0]), phi=np.zeros(2),
                           r=np.full(2, 0.5), u=0.0)
         lam, residual = solve_wc_subproblem(sp, warm_start=np.array([0.8, 0.2]))
-        np.testing.assert_allclose(lam.lam, [0.8, 0.2], atol=1e-15)
+        np.testing.assert_array_equal(lam.lam, [0.8, 0.2])
         assert residual <= 1e-10
-
-    def test_uncertified_start_computes_power_bound_once(self, monkeypatch):
-        calls = []
-        original = subsolvers._power_lambda_max
-
-        def counting(m, iters=20):
-            calls.append(1)
-            return original(m, iters)
-
-        monkeypatch.setattr(subsolvers, "_power_lambda_max", counting)
-        sp = WcSubproblem(gram=np.diag([1.0, 4.0]), phi=np.zeros(2),
-                          r=np.full(2, 0.5), u=0.0)
+        assert not calls
         lam, _ = solve_wc_subproblem(sp, warm_start=np.array([0.1, 0.9]))
-        np.testing.assert_allclose(lam.lam, [0.8, 0.2], atol=1e-9)
-        assert len(calls) == 1
+        np.testing.assert_allclose(lam.lam, [0.8, 0.2], atol=1e-12)
+        assert calls
+
+    def test_cold_start_interior_optimum_at_scale(self):
+        # Columns of size 1e2 with a strong alignment term, started cold: the
+        # optimum is interior, at (19/54, 1/12, 61/108), and its gradient
+        # floor is above the absolute 1e-10.
+        cols = np.array([[100.0, 300.0], [-300.0, -200.0], [-200.0, 0.0]]).T
+        sp = WcSubproblem(gram=cols.T @ cols, phi=np.array([300.0, 300.0, 400.0]),
+                          r=np.array([0.3, 0.4, 0.3]), u=50.0)
+        lam, residual = solve_wc_subproblem(sp)
+        np.testing.assert_allclose(lam.lam, [19 / 54, 1 / 12, 61 / 108], atol=1e-12)
+        grad_max = 2.0 * np.abs(sp.scaled_gram()).max() + np.abs(sp.linear_term()).max()
+        assert residual <= 64 * np.finfo(float).eps * grad_max
 
 
 @st.composite
 def wc_instances(draw):
-    """Small simplex QPs: PSD Grams (rank-1 and opposed columns included),
-    random preferences, u = 0 or u > 0, and an optional warm start."""
-    s = draw(st.integers(2, 3))
+    """Simplex QPs with up to six weights: PSD Grams (rank-deficient and
+    opposed columns included) with column scales from 1e-3 to 1e3, random
+    preferences, u = 0 or u > 0, and an optional warm start."""
+    s = draw(st.integers(2, 6))
     rows = draw(st.integers(1, 4))
     entry = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
     cols = np.array(draw(st.lists(st.lists(entry, min_size=s, max_size=s),
                                   min_size=rows, max_size=rows)))
+    exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=s, max_size=s))
+    cols = cols * 10.0 ** np.array(exponents)
     if draw(st.booleans()):
         # Column 1 points against column 0.
         cols[:, 1] = -draw(st.floats(0.25, 4.0)) * cols[:, 0]
@@ -342,7 +346,7 @@ def wc_instances(draw):
 class TestSolveWcSubproblemProperties:
     RESOLUTION = 1e-4
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(wc_instances())
     def test_matches_grid_minimum_and_certifies(self, instance):
         sp, warm = instance
@@ -350,6 +354,11 @@ class TestSolveWcSubproblemProperties:
         lam, residual = solve_wc_subproblem(sp, warm_start=warm)
         scaled = sp.scaled_gram()
         lin = sp.linear_term()
+        grad_max = 2.0 * np.abs(scaled).max() + np.abs(lin).max()
+        certify_tol = max(1e-10, 64.0 * np.finfo(float).eps * grad_max)
+        assert residual <= certify_tol
+        if s > 3:
+            return
         _, grid_min = brute_force_simplex_min(
             lambda grid: np.einsum("ni,ij,nj->n", grid, scaled, grid) - grid @ lin,
             s, self.RESOLUTION,
@@ -357,10 +366,7 @@ class TestSolveWcSubproblemProperties:
         # A grid point lies within RESOLUTION of the minimizer in every
         # coordinate, so the grid minimum exceeds the true one by at most
         # the gradient bound times the l1 distance plus the curvature term.
-        grad_max = 2.0 * np.abs(scaled).max() + np.abs(lin).max()
         slack = s * self.RESOLUTION * (grad_max + s * np.abs(scaled).max()) + 1e-12
         value = sp.objective(lam.lam)
         assert value <= grid_min + 1e-12 * max(1.0, grad_max)
         assert value >= grid_min - slack
-        certify_tol = max(1e-10, 64.0 * np.finfo(float).eps * grad_max)
-        assert residual <= certify_tol
