@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Parses INI-style run configs with [problem]/[solver]/[preference]/[output]
-sections (unknown sections and keys are rejected), builds benchmark
-problems, executes runs and preference sweeps, and emits machine-readable
-traces (CSV) plus a JSON run record.  The verify command runs the check
+sections against one schema, ``_SCHEMA``, which gives every key its cast,
+domain and default: unknown sections and keys are rejected, and a value
+outside its domain is reported under its own key and line.  Builds
+benchmark problems, executes runs and preference sweeps, and emits
+machine-readable traces (CSV) plus a JSON run record.  The verify command runs the check
 registry of :mod:`mobilevel.checks`, the same one the acceptance suite
 drives: the quick entries by default, all of them with ``--full``.
 
@@ -17,8 +19,10 @@ import configparser
 import json
 import math
 import os
+import re
 import sys
 import time
+from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,16 +72,11 @@ def _find_line(path: str, section: str, key: Optional[str] = None) -> Optional[i
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
-            if in_section and key is not None:
-                return None
             in_section = stripped[1:-1].strip() == section
             if in_section and key is None:
                 return lineno
-            continue
-        if in_section and key is not None:
-            name = stripped.split("=", 1)[0].strip()
-            if name == key:
-                return lineno
+        elif in_section and re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
+            return lineno
     return None
 
 
@@ -98,10 +97,8 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.Config
     except configparser.Error as exc:
         raise ConfigFileError(f"{path}: {exc}") from exc
     for item in overrides:
-        if "=" not in item:
-            raise ConfigFileError(f"override '{item}' is not of the form section.key=value")
-        target, value = item.split("=", 1)
-        if "." not in target:
+        target, equals, value = item.partition("=")
+        if not equals or "." not in target:
             raise ConfigFileError(f"override '{item}' is not of the form section.key=value")
         section, key = (part.strip() for part in target.split(".", 1))
         if not parser.has_section(section):
@@ -111,54 +108,6 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.Config
     return parser
 
 
-# Keys each section accepts; every other key, and every other section, is
-# rejected.  [problem] also accepts the keys its family reads in
-# build_problem, and [solver] the fields build_solver_config reads.
-_SOLVER_INT_FIELDS = ("K", "D", "N", "Q", "T", "D_f", "D_g", "B", "seed")
-_SOLVER_FLOAT_FIELDS = ("alpha", "beta", "eta", "u", "stop_tol")
-_SECTION_KEYS = {
-    "problem": ("family", "seed", "x0", "y0"),
-    "solver": ("option",) + tuple(
-        key.lower() for key in _SOLVER_INT_FIELDS + _SOLVER_FLOAT_FIELDS
-    ),
-    "preference": ("vector", "pattern", "index"),
-    "output": ("trace_csv", "run_json", "summary_csv", "traces_dir"),
-}
-_FAMILY_KEYS = {
-    "quadratic": (
-        "p", "q", "s", "hessian_scale", "coupling_scale", "target_scale", "hessian", "coupling",
-    ),
-    "hypercleaning": ("feature_dim", "n_train", "n_val", "corruption_rates", "reg_weight"),
-}
-
-
-def _reject_unknown_keys(parser: configparser.ConfigParser, path: str) -> None:
-    family = parser.get("problem", "family", fallback=None)
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise _config_error(path, section, None, "unknown section")
-        allowed = _SECTION_KEYS[section]
-        if section == "problem":
-            if family not in _FAMILY_KEYS:
-                continue  # build_problem reports the missing or unknown family
-            allowed += _FAMILY_KEYS[family]
-        for key in parser.options(section):
-            if key not in allowed:
-                raise _config_error(path, section, key, "unknown key")
-
-
-def _get(parser, path, section, key, cast, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise _config_error(path, section, key, "missing required field")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (ValueError, ConfigFileError) as exc:
-        raise _config_error(path, section, key, f"invalid value '{raw}': {exc}")
-
-
 def _finite(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -166,17 +115,34 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
-    def cast(raw: str) -> int:
-        value = int(raw)
-        if value < minimum:
-            raise ValueError(f"must be at least {minimum}")
+def _where(parse: Callable[[str], object], ok: Callable[[object], bool], requirement: str):
+    """Cast that parses a raw value and requires ``ok(value)``."""
+
+    def cast(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"must be {requirement}")
         return value
 
     return cast
 
 
-_dimension = _int_at_least(1)
+_dimension = _where(int, lambda value: value >= 1, "at least 1")
+_count = _where(int, lambda value: value >= 0, "at least 0")
+# A scale of the random quadratic instance: bounded so that its matrices stay finite.
+_scale = _where(_finite, lambda value: abs(value) <= 1e100, "at most 1e100 in magnitude")
+
+
+def _checked(parse: Callable[[str], object], check: Callable[[object], object]):
+    """Cast that parses a raw value and hands it to ``check``, the domain
+    check of the class that owns the value, which raises ``ValueError``."""
+
+    def cast(raw: str):
+        value = parse(raw)
+        check(value)
+        return value
+
+    return cast
 
 
 def _parse_vector(raw: str) -> np.ndarray:
@@ -188,90 +154,170 @@ def _parse_matrix(raw: str) -> np.ndarray:
     return np.array([[_finite(tok) for tok in row.split(",")] for row in rows])
 
 
-def _parse_rates(raw: str):
-    return DEFAULT_CORRUPTION_RATES if raw.strip() == "default" else tuple(_parse_vector(raw))
+def _parse_rates(raw: str) -> tuple:
+    """Corruption rates, checked by HypercleaningToySpec itself."""
+    rates = DEFAULT_CORRUPTION_RATES if raw.strip() == "default" else _parse_vector(raw)
+    return HypercleaningToySpec(1, 1, 1, rates).corruption_rates
+
+
+def _preference(raw: str) -> Preference:
+    return Preference(_parse_vector(raw))
+
+
+# Named preference patterns, shared by [preference] pattern and --grid: each
+# maps the objective count S to its grid, one preference per index.
+_PATTERNS = {
+    "preferred": lambda s: [Preference.preferred(s, i) for i in range(s)],
+    "extreme": lambda s: [Preference.extreme(s, i) for i in range(s)],
+    "uniform": lambda s: [Preference.uniform(s)],
+}
+
+# The config vocabulary: (section, family) -> key -> (cast, default).  The
+# family None holds the keys every config accepts in that section; [problem]
+# also accepts the keys of the family it names.  Every other key, and every
+# other section, is rejected.  Each cast parses a raw value and enforces the
+# key's domain, so a bad value is reported under its own key and line.
+# [solver] keys are the SolverConfig fields (the INI key is the lowercased
+# name).  Checks that span keys (matrix and x0/y0 shapes, the preference
+# length and index) follow in the builders.
+_SCHEMA = {
+    ("problem", None): {
+        "family": (str, None),
+        "seed": (_count, 0),
+        "x0": (_parse_vector, None),
+        "y0": (_parse_vector, None),
+    },
+    ("problem", "quadratic"): {
+        "p": (_dimension, 2),
+        "q": (_dimension, 2),
+        "s": (_dimension, 2),
+        "hessian_scale": (_scale, 0.3),
+        "coupling_scale": (_scale, 0.5),
+        "target_scale": (_scale, 1.0),
+        "hessian": (_parse_matrix, None),
+        "coupling": (_parse_matrix, None),
+    },
+    ("problem", "hypercleaning"): {
+        "feature_dim": (_dimension, 5),
+        "n_train": (_dimension, 40),
+        "n_val": (_dimension, 40),
+        "corruption_rates": (_parse_rates, DEFAULT_CORRUPTION_RATES),
+        "reg_weight": (
+            _checked(_finite, lambda weight: HypercleaningToySpec(1, 1, 1, (0.0,), weight)),
+            0.1,
+        ),
+    },
+    ("solver", None): {
+        # SolverConfig checks each value and supplies the defaults.
+        field: (
+            _checked(parse, lambda value, field=field: SolverConfig(**{field: value})),
+            getattr(SolverConfig, field),
+        )
+        for field, parse in (
+            ("K", int), ("D", int), ("N", int), ("Q", int),
+            ("alpha", float), ("beta", float), ("eta", float), ("u", float),
+            ("option", str.lower), ("T", int), ("D_f", int), ("D_g", int), ("B", int),
+            ("seed", int), ("stop_tol", float),
+        )
+    },
+    ("preference", None): {
+        "vector": (_preference, None),
+        "pattern": (
+            _where(str.lower, lambda name: name == "none" or name in _PATTERNS,
+                   "one of none, " + ", ".join(_PATTERNS)),
+            None,
+        ),
+        "index": (_count, 0),
+    },
+    ("output", None): {
+        "trace_csv": (str, "trace.csv"),
+        "run_json": (str, "run.json"),
+        "summary_csv": (str, "summary.csv"),
+        "traces_dir": (str, "traces"),
+    },
+}
+
+
+def _keys(section: str, family: Optional[str] = None) -> dict:
+    """The schema entries ``section`` accepts, with ``family``'s in [problem]."""
+    return {**_SCHEMA[section, None], **_SCHEMA.get((section, family), {})}
+
+
+def _reject_unknown_keys(parser: configparser.ConfigParser, path: str) -> None:
+    family = parser.get("problem", "family", fallback=None)
+    for section in parser.sections():
+        if (section, None) not in _SCHEMA:
+            raise _config_error(path, section, None, "unknown section")
+        if section == "problem" and (family is None or (section, family) not in _SCHEMA):
+            continue  # build_problem reports the missing or unknown family
+        allowed = {key.lower() for key in _keys(section, family)}
+        for key in parser.options(section):
+            if key not in allowed:
+                raise _config_error(path, section, key, "unknown key")
+
+
+def _values(
+    parser: configparser.ConfigParser, path: str, section: str, family: Optional[str] = None
+) -> dict:
+    """Every schema key of ``section`` (and of ``family`` in [problem]),
+    cast and domain-checked; a key the config leaves out takes its default."""
+    values = {}
+    for key, (cast, default) in _keys(section, family).items():
+        name = key.lower()  # configparser lowercases INI keys
+        raw = parser.get(section, name, fallback=None)
+        try:
+            values[key] = default if raw is None else cast(raw)
+        except ValueError as exc:
+            raise _config_error(path, section, name, f"invalid value '{raw}': {exc}")
+    return values
 
 
 def build_problem(parser: configparser.ConfigParser, path: str):
     """Construct the benchmark problem named by the [problem] section.
 
     Returns ``(problem, kind, x0, y0, problem_summary)`` where ``kind`` is
-    ``deterministic`` or ``stochastic``.
+    ``deterministic`` or ``stochastic`` and the summary holds every
+    [problem] value but the initial points and explicit matrices.
     """
     section = "problem"
     if not parser.has_section(section):
         raise _config_error(path, section, None, "missing section")
-    family = _get(parser, path, section, "family", str, required=True)
-    seed = _get(parser, path, section, "seed", _int_at_least(0), default=0)
+    family = parser.get(section, "family", fallback=None)
+    if family is None:
+        raise _config_error(path, section, "family", "missing required field")
+    if (section, family) not in _SCHEMA:
+        raise _config_error(path, section, "family", f"unknown family '{family}'")
+    values = _values(parser, path, section, family)
+    arrays = ("x0", "y0", "hessian", "coupling")
+    summary = {key: value for key, value in values.items() if key not in arrays}
 
     if family == "quadratic":
-        p = _get(parser, path, section, "p", _dimension, default=2)
-        q = _get(parser, path, section, "q", _dimension, default=2)
-        s = _get(parser, path, section, "s", _dimension, default=2)
-        hessian_scale = _get(parser, path, section, "hessian_scale", _finite, default=0.3)
-        coupling_scale = _get(parser, path, section, "coupling_scale", _finite, default=0.5)
-        target_scale = _get(parser, path, section, "target_scale", _finite, default=1.0)
         spec = QuadraticBilevelSpec.random(
-            p, q, s, seed,
-            hessian_scale=hessian_scale,
-            coupling_scale=coupling_scale,
-            target_scale=target_scale,
+            values["p"], values["q"], values["s"], values["seed"],
+            hessian_scale=values["hessian_scale"],
+            coupling_scale=values["coupling_scale"],
+            target_scale=values["target_scale"],
         )
-        hessian = _get(parser, path, section, "hessian", _parse_matrix)
-        coupling = _get(parser, path, section, "coupling", _parse_matrix)
-        if hessian is not None or coupling is not None:
-            try:
-                spec = QuadraticBilevelSpec(
-                    dim_x=p,
-                    dim_y=q,
-                    num_objectives=s,
-                    hessian=spec.hessian if hessian is None else hessian,
-                    coupling=spec.coupling if coupling is None else coupling,
-                    x_targets=spec.x_targets,
-                    y_targets=spec.y_targets,
-                    seed=seed,
-                )
-            except Exception as exc:
-                key = "hessian" if hessian is not None else "coupling"
-                raise _config_error(path, section, key, str(exc))
+        # An explicit matrix is checked against p, q and the other matrix
+        # when it replaces the random one, so each error names its matrix.
+        for key in ("hessian", "coupling"):
+            if values[key] is not None:
+                try:
+                    spec = replace(spec, **{key: values[key]})
+                except ValueError as exc:
+                    raise _config_error(path, section, key, str(exc))
         problem, _ = make_quadratic(spec)
         kind = "deterministic"
-        summary = {
-            "family": family, "p": p, "q": q, "s": s, "seed": seed,
-            "hessian_scale": hessian_scale, "coupling_scale": coupling_scale,
-            "target_scale": target_scale,
-            "condition_number": spec.condition_number,
-        }
-    elif family == "hypercleaning":
-        feature_dim = _get(parser, path, section, "feature_dim", _dimension, default=5)
-        n_train = _get(parser, path, section, "n_train", _dimension, default=40)
-        n_val = _get(parser, path, section, "n_val", _dimension, default=40)
-        rates = _get(parser, path, section, "corruption_rates", _parse_rates,
-                     default=DEFAULT_CORRUPTION_RATES)
-        reg_weight = _get(parser, path, section, "reg_weight", _finite, default=0.1)
-        try:
-            spec = HypercleaningToySpec(
-                feature_dim=feature_dim,
-                n_train=n_train,
-                n_val=n_val,
-                corruption_rates=rates,
-                reg_weight=reg_weight,
-                seed=seed,
-            )
-        except Exception as exc:
-            raise _config_error(path, section, "corruption_rates", str(exc))
+        summary["condition_number"] = spec.condition_number
+    else:
+        # The family's keys are the spec's fields.
+        spec = HypercleaningToySpec(
+            **{key: values[key] for key in _SCHEMA[section, family]}, seed=values["seed"]
+        )
         problem, _ = make_hypercleaning_toy(spec)
         kind = "stochastic"
-        summary = {
-            "family": family, "feature_dim": feature_dim, "n_train": n_train,
-            "n_val": n_val, "corruption_rates": list(rates),
-            "reg_weight": reg_weight, "seed": seed,
-        }
-    else:
-        raise _config_error(path, section, "family", f"unknown family '{family}'")
 
-    x0 = _get(parser, path, section, "x0", _parse_vector)
-    y0 = _get(parser, path, section, "y0", _parse_vector)
+    x0, y0 = values["x0"], values["y0"]
     x0 = np.zeros(problem.dim_x) if x0 is None else x0
     y0 = np.zeros(problem.dim_y) if y0 is None else y0
     if x0.shape != (problem.dim_x,):
@@ -282,21 +328,7 @@ def build_problem(parser: configparser.ConfigParser, path: str):
 
 
 def build_solver_config(parser: configparser.ConfigParser, path: str) -> SolverConfig:
-    section = "solver"
-    kwargs = {}
-    if parser.has_section(section):
-        for fields, cast in ((_SOLVER_INT_FIELDS, int), (_SOLVER_FLOAT_FIELDS, _finite)):
-            for key in fields:
-                value = _get(parser, path, section, key.lower(), cast)
-                if value is not None:
-                    kwargs[key] = value
-        option = _get(parser, path, section, "option", str)
-        if option is not None:
-            kwargs["option"] = option.lower()
-    try:
-        return SolverConfig(**kwargs)
-    except ConfigurationError as exc:
-        raise _config_error(path, section, None, str(exc))
+    return SolverConfig(**_values(parser, path, "solver"))
 
 
 def _reject_cg_keys(parser: configparser.ConfigParser, path: str) -> None:
@@ -315,42 +347,29 @@ def build_preference(
     parser: configparser.ConfigParser, path: str, s_count: int
 ) -> Optional[Preference]:
     """Preference from the [preference] section; ``None`` selects the
-    non-preference variant."""
+    non-preference variant.  ``index`` picks from the pattern's grid."""
     section = "preference"
     if not parser.has_section(section):
         raise _config_error(path, section, None, "missing section")
-    vector = _get(parser, path, section, "vector", _parse_vector)
-    pattern = _get(parser, path, section, "pattern", str)
+    values = _values(parser, path, section)
+    vector, pattern = values["vector"], values["pattern"]
     if (vector is None) == (pattern is None):
         raise _config_error(
             path, section, None, "give exactly one of 'vector' or 'pattern'"
         )
     if vector is not None:
-        if vector.size != s_count:
+        if len(vector) != s_count:
             raise _config_error(
                 path, section, "vector",
-                f"expected {s_count} components, got {vector.size}",
+                f"expected {s_count} components, got {len(vector)}",
             )
-        try:
-            return Preference(vector)
-        except ValueError as exc:
-            raise _config_error(path, section, "vector", str(exc))
-    pattern = pattern.strip().lower()
+        return vector
     if pattern == "none":
         return None
-    if pattern == "uniform":
-        return Preference.uniform(s_count)
-    index = _get(parser, path, section, "index", int, default=0)
-    if not (0 <= index < s_count):
-        raise _config_error(path, section, "index", f"index must be in [0, {s_count})")
-    if pattern == "preferred":
-        return Preference.preferred(s_count, index)
-    if pattern == "extreme":
-        return Preference.extreme(s_count, index)
-    raise _config_error(
-        path, section, "pattern",
-        "pattern must be 'preferred', 'extreme', 'uniform', or 'none'",
-    )
+    grid = _PATTERNS[pattern](s_count)
+    if values["index"] >= len(grid):
+        raise _config_error(path, section, "index", f"index must be in [0, {len(grid)})")
+    return grid[values["index"]]
 
 
 def trace_csv_text(trace: RunTrace, s_count: int) -> str:
@@ -410,13 +429,8 @@ def run_record(
     """The JSON run record; ``option`` is ``trace.estimator``, and a
     stochastic run, which has no CG budget, leaves out ``N``."""
     counters = trace.counters
-    solver = {
-        "K": config.K, "D": config.D, "N": config.N, "Q": config.Q,
-        "alpha": config.alpha, "beta": config.beta, "eta": config.eta,
-        "u": config.u, "option": trace.estimator,
-        "T": config.T, "D_f": config.D_f, "D_g": config.D_g, "B": config.B,
-        "seed": config.seed, "stop_tol": config.stop_tol,
-    }
+    solver = {field: getattr(config, field) for field in _SCHEMA["solver", None]}
+    solver["option"] = trace.estimator
     if trace.estimator == "stochastic":
         del solver["N"]
     return {
@@ -454,14 +468,9 @@ def cmd_run(args) -> int:
             _reject_cg_keys(parser, args.config)
         config = build_solver_config(parser, args.config)
         preference = build_preference(parser, args.config, problem.num_objectives)
-        trace_path = _get(parser, args.config, "output", "trace_csv", str, default="trace.csv")
-        json_path = _get(parser, args.config, "output", "run_json", str, default="run.json")
-    except (ConfigFileError, ConfigurationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    started = time.perf_counter()
-    try:
+        output = _values(parser, args.config, "output")
+        trace_path, json_path = output["trace_csv"], output["run_json"]
+        started = time.perf_counter()
         trace = _execute(problem, kind, config, preference, x0, y0)
     except RunFailure as failure:
         if failure.trace is not None:
@@ -498,22 +507,17 @@ def parse_grid(spec: str, s_count: int) -> list:
     weight), or ``list:w1,...,wS;w1,...,wS;...`` (explicit vectors).
     """
     spec = spec.strip()
-    if spec == "preferred":
-        return [Preference.preferred(s_count, i) for i in range(s_count)]
-    if spec == "extreme":
-        return [Preference.extreme(s_count, i) for i in range(s_count)]
-    if spec == "uniform":
-        return [Preference.uniform(s_count)]
+    if spec in _PATTERNS:
+        return _PATTERNS[spec](s_count)
     try:
         if spec.startswith("r1="):
             if s_count != 2:
                 raise ConfigFileError("'r1=' grids need a two-objective problem")
-            vectors = [np.array([v, 1.0 - v]) for v in _parse_vector(spec[3:])]
+            prefs = [Preference(np.array([v, 1.0 - v])) for v in _parse_vector(spec[3:])]
         elif spec.startswith("list:"):
-            vectors = [_parse_vector(chunk) for chunk in spec[5:].split(";") if chunk.strip()]
+            prefs = [_preference(chunk) for chunk in spec[5:].split(";") if chunk.strip()]
         else:
             raise ConfigFileError(f"unrecognized grid spec '{spec}'")
-        prefs = [Preference(vector) for vector in vectors]
     except ValueError as exc:
         raise ConfigFileError(f"grid '{spec}': {exc}") from exc
     if not prefs:
@@ -532,17 +536,11 @@ def cmd_sweep(args) -> int:
         problem, kind, x0, y0, summary = build_problem(parser, args.config)
         config = build_solver_config(parser, args.config)
         preferences = parse_grid(args.grid, problem.num_objectives)
-        summary_path = _get(parser, args.config, "output", "summary_csv", str, default="summary.csv")
-        traces_dir = _get(parser, args.config, "output", "traces_dir", str, default="traces")
-    except (ConfigFileError, ConfigurationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if kind != "deterministic":
-        print("config error: sweeps need a deterministic problem", file=sys.stderr)
-        return EXIT_CONFIG
-
-    started = time.perf_counter()
-    try:
+        output = _values(parser, args.config, "output")
+        summary_path, traces_dir = output["summary_csv"], output["traces_dir"]
+        if kind != "deterministic":
+            raise ConfigFileError("sweeps need a deterministic problem")
+        started = time.perf_counter()
         result = pareto_sweep(problem, config, preferences, x0, y0)
     except (ConfigurationError, ConfigFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -312,9 +312,6 @@ class OracleCounters:
     def as_tuple(self) -> tuple:
         return (self.gc_f, self.gc_g, self.jv_g, self.hv_g)
 
-    def __ge__(self, other: "OracleCounters") -> bool:
-        return all(a >= b for a, b in zip(self.as_tuple(), other.as_tuple()))
-
 
 @dataclass(frozen=True)
 class AnalyticReference:
@@ -542,7 +539,6 @@ class IterationRecord:
     counters: OracleCounters
     true_d_norm_sq: Optional[float] = None
     hypergrads: Optional[np.ndarray] = None
-    rng_state: Optional[dict] = None
 
 
 @dataclass(frozen=True)

@@ -72,13 +72,12 @@ class _CgNsStep:
         self.warm_v = [None] * s_count
 
     def lower(self, oracles, x, y_start):
-        """Returns ``(y_D, rng_state)``; there is no generator here."""
         config = self.config
         self.result = lower_level_solve(
             oracles, x, y_start, config.D, config.alpha,
             keep_trajectory=config.option == "ns",
         )
-        return self.result.y_final, None
+        return self.result.y_final
 
     def hypergradients(self, oracles, x):
         matrix, self.warm_v = build_hypergradient_matrix(
@@ -98,14 +97,11 @@ class _SampledNeumannStep:
         self.rng = np.random.default_rng(config.seed)
 
     def lower(self, oracles, x, y_start):
-        """Returns ``(y_D, rng_state)``, the state taken before the solve so
-        that any iterate can be replayed exactly from its record."""
         config = self.config
-        rng_state = self.rng.bit_generator.state
         self.y_d = stochastic_lower_solve(
             oracles, x, y_start, config.D, config.alpha, config.T, self.rng
         )
-        return self.y_d, rng_state
+        return self.y_d
 
     def hypergradients(self, oracles, x):
         return build_hypergradient_matrix_stochastic(
@@ -133,7 +129,7 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
 
     for k in range(config.K):
         try:
-            y_prev, rng_state = step.lower(oracles, x, y_prev)
+            y_prev = step.lower(oracles, x, y_prev)
             matrix = step.hypergradients(oracles, x)
             subproblem = WcSubproblem(
                 gram=matrix.gram(), phi=matrix.phi_values, r=weight_vec, u=config.u
@@ -163,7 +159,6 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
                 counters=counters.snapshot(),
                 true_d_norm_sq=true_d_norm_sq,
                 hypergrads=matrix.grads if config.record_hypergrads else None,
-                rng_state=rng_state,
             )
         )
         if d_norm_sq == 0.0:
@@ -219,9 +214,9 @@ def run_stochastic(
 ) -> RunTrace:
     """Preference-guided stochastic run with shrinking Hessian batches.
 
-    Requires ``problem.constants.mu_g`` for the batch-size schedule.  The
-    generator state is recorded per iteration so any iterate can be
-    replayed exactly.
+    Requires ``problem.constants.mu_g`` for the batch-size schedule.  One
+    generator seeded with ``config.seed`` makes every draw, so the first k
+    records of a run do not depend on ``K``.
     """
     _check_inputs(problem, x0, y0, r)
     if problem.constants is None:

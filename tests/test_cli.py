@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mobilevel import checks, cli
+from mobilevel import Preference, SolverConfig, checks, cli
 
-HYPERCLEANING_INI = Path(__file__).resolve().parent.parent / "configs" / "hypercleaning.ini"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+HYPERCLEANING_INI = CONFIGS / "hypercleaning.ini"
 
 
 def write_config(path, text):
@@ -154,6 +158,31 @@ run_json = {out}/run.json
         assert f"[{section}] {key}: invalid value" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config_name, override", [
+        ("hypercleaning.ini", "problem.reg_weight=0"),
+        ("hypercleaning.ini", "problem.corruption_rates=0.5,1.5"),
+        ("quadratic_preferred.ini", "solver.k=-1"),
+        ("quadratic_preferred.ini", "solver.option=bogus"),
+        ("quadratic_preferred.ini", "solver.n=0"),
+    ])
+    def test_domain_error_names_key_and_line(self, tmp_path, capsys, config_name, override):
+        # The error names the key whose value is out of its domain, at the
+        # line of the config file that sets it.
+        config = CONFIGS / config_name
+        target, value = override.split("=")
+        section, key = target.split(".")
+        lines = config.read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
+        out = tmp_path / "out"
+        outputs = ["--set", f"output.trace_csv={out}/trace.csv",
+                   "--set", f"output.run_json={out}/run.json"]
+        assert cli.main(["run", "--config", str(config), "--set", override] + outputs) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: {config}:{line}: [{section}] {key}: invalid value '{value}': "
+        )
+        assert not out.exists()
+
     def test_invalid_value_reports_line(self, tmp_path, capsys):
         config = write_config(tmp_path / "bad.ini", """
 [problem]
@@ -168,6 +197,16 @@ pattern = uniform
         assert cli.main(["run", "--config", config]) == 2
         err = capsys.readouterr().err
         assert "bad.ini:6" in err and "k" in err
+
+    @pytest.mark.parametrize("setting", ["K = -1", "k: -1"])
+    def test_any_key_spelling_reports_line(self, tmp_path, capsys, setting):
+        # configparser lowercases keys and also takes ':' for '=', so both
+        # settings are [solver] k, and the error finds the line of either.
+        text = QUADRATIC_CONFIG.format(out=tmp_path / "out").replace("k = 40", setting)
+        config = write_config(tmp_path / "run.ini", text)
+        line = text.splitlines().index(setting) + 1
+        assert cli.main(["run", "--config", config]) == 2
+        assert f"{config}:{line}: [solver] k: invalid value '-1'" in capsys.readouterr().err
 
     def test_missing_preference_section_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "bad.ini", """
@@ -309,6 +348,285 @@ run_json = {out}/run.json
         assert len(rows) == 10
         # Stochastic traces have no ground-truth direction column values.
         assert all(row["true_d_norm_sq"] is None for row in rows)
+
+
+# The keys each section accepts, as of the separate key tables the schema
+# replaced; [problem] adds the keys of its family.
+ACCEPTED_KEYS = {
+    "problem": {"family", "seed", "x0", "y0"},
+    "quadratic": {
+        "p", "q", "s", "hessian_scale", "coupling_scale", "target_scale", "hessian", "coupling",
+    },
+    "hypercleaning": {"feature_dim", "n_train", "n_val", "corruption_rates", "reg_weight"},
+    "solver": {
+        "option", "k", "d", "n", "q", "t", "d_f", "d_g", "b", "seed",
+        "alpha", "beta", "eta", "u", "stop_tol",
+    },
+    "preference": {"vector", "pattern", "index"},
+    "output": {"trace_csv", "run_json", "summary_csv", "traces_dir"},
+}
+
+
+def fmt_vector(values):
+    return ", ".join(format(float(v), ".17g") for v in values)
+
+
+def ini_text(sections):
+    """INI text of ``{section: {key: value}}``; floats as ``.17g``."""
+    blocks = []
+    for section, values in sections.items():
+        lines = [f"[{section}]"]
+        for key, value in values.items():
+            if isinstance(value, float):
+                value = format(value, ".17g")
+            elif isinstance(value, np.ndarray) and value.ndim == 2:
+                value = "; ".join(fmt_vector(row) for row in value)
+            elif isinstance(value, (np.ndarray, tuple)):
+                value = fmt_vector(value)
+            lines.append(f"{key} = {value}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+@pytest.fixture(scope="module")
+def schema_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("schema")
+
+
+# The scalar [problem] values a config that leaves them out runs with.
+PROBLEM_DEFAULTS = {
+    "quadratic": {
+        "seed": 0, "p": 2, "q": 2, "s": 2,
+        "hessian_scale": 0.3, "coupling_scale": 0.5, "target_scale": 1.0,
+    },
+    "hypercleaning": {
+        "seed": 0, "feature_dim": 5, "n_train": 40, "n_val": 40,
+        "corruption_rates": (0.0, 0.15, 0.3, 0.45, 0.6), "reg_weight": 0.1,
+    },
+}
+
+
+def finite_floats(low=None, high=None):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def quadratic_problems(draw):
+    """In-domain [problem] values of the quadratic family; any key may be
+    left out.  An explicit hessian is strictly diagonally dominant (its
+    diagonal is at least 2q - 1, its off-diagonal row sums at most
+    2(q - 1)), hence SPD."""
+    p, q, s = (draw(st.integers(1, 4)) for _ in range(3))
+    values = {"family": "quadratic"}
+    for key, dim in zip("pqs", (p, q, s)):
+        if dim != 2 or draw(st.booleans()):
+            values[key] = dim
+    scale = finite_floats(-1e100, 1e100)
+    optional = {
+        "seed": st.integers(0, 2**63),
+        "hessian_scale": scale, "coupling_scale": scale, "target_scale": scale,
+        "x0": st.lists(finite_floats(), min_size=p, max_size=p).map(np.array),
+        "y0": st.lists(finite_floats(), min_size=q, max_size=q).map(np.array),
+        "coupling": st.lists(finite_floats(-1e3, 1e3), min_size=q * p, max_size=q * p)
+        .map(lambda flat: np.array(flat).reshape(q, p)),
+        "hessian": st.lists(finite_floats(-1.0, 1.0), min_size=q * q, max_size=q * q)
+        .map(lambda flat: np.array(flat).reshape(q, q))
+        .map(lambda m: m + m.T + (2.0 * q + 1.0) * np.eye(q)),
+    }
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            values[key] = draw(strategy)
+    return values
+
+
+@st.composite
+def hypercleaning_problems(draw):
+    """In-domain [problem] values of the hyper-cleaning family."""
+    values = {"family": "hypercleaning"}
+    optional = {
+        "seed": st.integers(0, 2**63),
+        "feature_dim": st.integers(1, 3),
+        "n_train": st.integers(1, 4),
+        "n_val": st.integers(1, 4),
+        "corruption_rates": st.one_of(
+            st.just("default"),
+            st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3).map(tuple),
+        ),
+        "reg_weight": st.floats(0.0, 1e6, exclude_min=True),
+    }
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            values[key] = draw(strategy)
+    return values
+
+
+SOLVER_VALUES = {
+    "K": st.integers(0, 10**9),
+    **{field: st.integers(1, 10**9) for field in ("D", "N", "Q", "T", "D_f", "D_g", "B")},
+    "seed": st.integers(0, 2**63),
+    **{field: st.floats(0.0, exclude_min=True, allow_infinity=False)
+       for field in ("alpha", "beta", "eta")},
+    **{field: finite_floats(0.0) for field in ("u", "stop_tol")},
+    "option": st.sampled_from(["cg", "ns", "CG", "Ns"]),
+}
+OUTPUT_PATH = st.text("abcxyz019/._-", min_size=1, max_size=12).filter(lambda t: t.strip() == t)
+
+
+@st.composite
+def preference_sections(draw):
+    """A [preference] section for S objectives and the preference it names."""
+    s = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.floats(1.0, 100.0), min_size=s, max_size=s)))
+        vector = weights / weights.sum()
+        return s, {"vector": vector}, vector
+    pattern = draw(st.sampled_from(["none", "preferred", "extreme", "uniform"]))
+    section = {"pattern": pattern}
+    index = draw(st.integers(0, s - 1)) if pattern in ("preferred", "extreme") else 0
+    if index or draw(st.booleans()):
+        section["index"] = index
+    expected = {
+        "none": lambda: None,
+        "preferred": lambda: Preference.preferred(s, index).r,
+        "extreme": lambda: Preference.extreme(s, index).r,
+        "uniform": lambda: Preference.uniform(s).r,
+    }[pattern]()
+    return s, section, expected
+
+
+# Out-of-domain raw values of every numeric key.
+NOT_A_DIMENSION = st.one_of(st.integers(max_value=0).map(str), st.just("1.5"))
+NEGATIVE = st.integers(max_value=-1).map(str)
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+NOT_POSITIVE = st.one_of(NON_FINITE, finite_floats(high=0.0).map(repr))
+NEGATIVE_FLOAT = st.one_of(NON_FINITE, finite_floats(high=-1e-300).map(repr))
+HUGE = st.one_of(NON_FINITE, finite_floats(1e100).filter(lambda v: v > 1e100).map(repr),
+                 finite_floats(high=-1e100).filter(lambda v: v < -1e100).map(repr))
+WITH_NAN = st.integers(0, 3).map(lambda i: ", ".join(["0"] * i + ["nan"]))
+BAD_RATES = st.one_of(st.floats(1.0, 10.0), st.floats(-10.0, 0.0, exclude_max=True)).map(
+    lambda rate: f"0.5, {rate!r}")
+OUT_OF_DOMAIN = [
+    ("quadratic", "problem", "seed", NEGATIVE),
+    *(("quadratic", "problem", key, NOT_A_DIMENSION) for key in ("p", "q", "s")),
+    *(("quadratic", "problem", key, HUGE)
+      for key in ("hessian_scale", "coupling_scale", "target_scale")),
+    *(("quadratic", "problem", key, WITH_NAN) for key in ("x0", "y0", "hessian", "coupling")),
+    *(("hypercleaning", "problem", key, NOT_A_DIMENSION)
+      for key in ("feature_dim", "n_train", "n_val")),
+    ("hypercleaning", "problem", "reg_weight", NOT_POSITIVE),
+    ("hypercleaning", "problem", "corruption_rates", BAD_RATES),
+    ("quadratic", "solver", "k", NEGATIVE),
+    ("quadratic", "solver", "seed", NEGATIVE),
+    *(("quadratic", "solver", key, NOT_A_DIMENSION)
+      for key in ("d", "n", "q", "t", "d_f", "d_g", "b")),
+    *(("quadratic", "solver", key, NOT_POSITIVE) for key in ("alpha", "beta", "eta")),
+    *(("quadratic", "solver", key, NEGATIVE_FLOAT) for key in ("u", "stop_tol")),
+    ("quadratic", "preference", "index", NEGATIVE),
+]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("family", ["quadratic", "hypercleaning"])
+    def test_accepted_key_set(self, tmp_path, family):
+        # The schema accepts exactly the keys of the tables it replaced, and
+        # a config that sets all of them loads.
+        expected = {section: ACCEPTED_KEYS[section]
+                    for section in ("solver", "preference", "output")}
+        expected["problem"] = ACCEPTED_KEYS["problem"] | ACCEPTED_KEYS[family]
+        for section, keys in expected.items():
+            assert {key.lower() for key in cli._keys(section, family)} == keys
+        text = ini_text({
+            section: {key: family if key == "family" else "1" for key in sorted(keys)}
+            for section, keys in expected.items()
+        })
+        parser = cli.load_config(write_config(tmp_path / "all.ini", text))
+        assert {section: set(parser.options(section)) for section in parser.sections()} == expected
+        other = ({"quadratic", "hypercleaning"} - {family}).pop()
+        for key in ACCEPTED_KEYS[other]:
+            with pytest.raises(cli.ConfigFileError, match=rf"\[problem\] {key}: unknown key"):
+                cli.load_config(str(tmp_path / "all.ini"), [f"problem.{key}=1"])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.one_of(quadratic_problems(), hypercleaning_problems()),
+           st.fixed_dictionaries({}, optional=SOLVER_VALUES),
+           preference_sections(),
+           st.fixed_dictionaries({}, optional={
+               key: OUTPUT_PATH for key in ("trace_csv", "run_json", "summary_csv", "traces_dir")
+           }))
+    def test_values_read_back(self, schema_dir, problem_values, solver_values,
+                              preference, output_values):
+        # Every in-domain value written to a config is read back exactly by
+        # the builders; a key left out takes its default.
+        s_count, preference_values, expected_preference = preference
+        solver_ini = {field.lower(): value for field, value in solver_values.items()}
+        path = write_config(schema_dir / "drawn.ini", ini_text({
+            "problem": problem_values, "solver": solver_ini,
+            "preference": preference_values, "output": output_values,
+        }))
+        parser = cli.load_config(path)
+
+        problem, kind, x0, y0, summary = cli.build_problem(parser, path)
+        family = problem_values["family"]
+        for key, default in PROBLEM_DEFAULTS[family].items():
+            value = problem_values.get(key, default)
+            if value == "default":
+                value = default
+            assert summary[key] == value, key
+        for key, got, dim in (("x0", x0, problem.dim_x), ("y0", y0, problem.dim_y)):
+            expected = problem_values.get(key, np.zeros(dim))
+            assert np.array_equal(got, expected) and got.shape == (dim,)
+        if "hessian" in problem_values:
+            eye = np.eye(problem.dim_y)
+            assert np.array_equal(problem.ll_hvp(x0, y0, eye), problem_values["hessian"])
+        if "coupling" in problem_values:
+            eye = np.eye(problem.dim_y)
+            assert np.array_equal(-problem.ll_jvp(x0, y0, eye), problem_values["coupling"].T)
+
+        expected_solver = {field: value.lower() if field == "option" else value
+                           for field, value in solver_values.items()}
+        assert cli.build_solver_config(parser, path) == SolverConfig(**expected_solver)
+
+        got = cli.build_preference(parser, path, s_count)
+        if expected_preference is None:
+            assert got is None
+        else:
+            assert np.array_equal(got.r, expected_preference)
+
+        defaults = {"trace_csv": "trace.csv", "run_json": "run.json",
+                    "summary_csv": "summary.csv", "traces_dir": "traces"}
+        assert cli._values(parser, path, "output") == {**defaults, **output_values}
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda s: st.lists(
+        st.lists(st.floats(1.0, 100.0), min_size=s, max_size=s), min_size=1, max_size=5)))
+    def test_list_grid_round_trip(self, rows):
+        vectors = [np.array(row) / sum(row) for row in rows]
+        spec = "list:" + "; ".join(fmt_vector(vector) for vector in vectors)
+        prefs = cli.parse_grid(spec, len(rows[0]))
+        assert len(prefs) == len(vectors)
+        for pref, vector in zip(prefs, vectors):
+            assert np.array_equal(pref.r, vector)
+
+    @pytest.mark.parametrize(
+        "family, section, key, raw_values", OUT_OF_DOMAIN,
+        ids=[f"{family}-{section}.{key}" for family, section, key, _ in OUT_OF_DOMAIN],
+    )
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_out_of_domain_value_names_key(self, schema_dir, family, section, key,
+                                           raw_values, data):
+        raw = data.draw(raw_values)
+        config = CONFIGS / ("quadratic_preferred.ini" if family == "quadratic"
+                            else "hypercleaning.ini")
+        out = schema_dir / f"{section}.{key}"
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = cli.main(["run", "--config", str(config), "--set", f"{section}.{key}={raw}",
+                             "--set", f"output.trace_csv={out}/trace.csv",
+                             "--set", f"output.run_json={out}/run.json"])
+        err = stderr.getvalue()
+        assert code == 2, err
+        assert f"[{section}] {key}: invalid value '{raw}': " in err
+        assert not out.exists()
 
 
 class TestCmdSweep:

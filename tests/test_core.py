@@ -146,9 +146,6 @@ class TestOracleCounters:
         assert snap.gc_f == 0
         assert counters.as_tuple() == (3, 0, 0, 0)
 
-    def test_ordering(self):
-        assert OracleCounters(1, 1, 1, 1) >= OracleCounters()
-
 
 @pytest.fixture(scope="module")
 def quadratic():

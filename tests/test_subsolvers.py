@@ -81,6 +81,36 @@ class TestConjugateGradient:
         assert len(calls) == 3
 
 
+def bisection_threshold(z):
+    """Sort-free reference: bisect on theta, where sum(max(z - theta, 0))
+    falls from at least S (theta = min z - 1) to 0 (theta = max z), down
+    to adjacent floats."""
+    lo, hi = z.min() - 1.0, z.max()
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if np.maximum(z - mid, 0.0).sum() >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@st.composite
+def simplex_inputs(draw):
+    """Vectors of 1 to 12 entries at scales from 1e-6 to 1e6; entries
+    drawn from a short pool give ties, and a last entry within 1e-9 of the
+    threshold of the others sits at the edge of the support."""
+    s = draw(st.integers(1, 12))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    pool = draw(st.lists(unit, min_size=1, max_size=3))
+    entries = draw(st.lists(st.one_of(unit, st.sampled_from(pool)), min_size=s, max_size=s))
+    z = np.array(entries) * 10.0 ** draw(st.floats(-6.0, 6.0))
+    if s > 1 and draw(st.booleans()):
+        z[-1] = bisection_threshold(z[:-1]) + draw(st.floats(-1e-9, 1e-9))
+    return z
+
+
 class TestProjectSimplex:
     def test_feasible_point_unchanged(self):
         w = project_simplex(np.array([0.2, 0.3, 0.5]))
@@ -132,6 +162,16 @@ class TestProjectSimplex:
             dist = np.sum((grid - z[None, :]) ** 2, axis=1)
             best = grid[int(np.argmin(dist))]
             assert np.abs(w - best).max() <= 0.08
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(simplex_inputs())
+    def test_matches_threshold_bisection(self, z):
+        # The projection is max(z - theta, 0) for the theta at which the
+        # entries sum to one; bisection finds that theta without sorting.
+        expected = np.maximum(z - bisection_threshold(z), 0.0)
+        got = project_simplex(z).lam
+        assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(z).max())
+
 
 
 class TestWcSubproblem:
