@@ -183,6 +183,7 @@ class ProblemConstants:
         The bound is L + (2L^2 + tau*M^2)/mu + (rho*L*M + L^3 + tau*L*M)/mu^2
         + rho*L^2*M/mu^3.  Terms multiplied by ``M`` vanish when both
         ``tau`` and ``rho`` are zero, so ``M`` is only required otherwise.
+        A bound that overflows the float range is not derivable either.
         """
         if self.L is None or self.tau is None or self.rho is None:
             return None
@@ -190,12 +191,16 @@ class ProblemConstants:
         if (tau > 0.0 or rho > 0.0) and self.M is None:
             return None
         M = 0.0 if self.M is None else self.M
-        return (
-            L
-            + (2.0 * L**2 + tau * M**2) / mu
-            + (rho * L * M + L**3 + tau * L * M) / mu**2
-            + rho * L**2 * M / mu**3
-        )
+        try:
+            bound = (
+                L
+                + (2.0 * L**2 + tau * M**2) / mu
+                + (rho * L * M + L**3 + tau * L * M) / mu**2
+                + rho * L**2 * M / mu**3
+            )
+        except OverflowError:
+            return None
+        return bound if math.isfinite(bound) else None
 
     def default_ll_step(self) -> Optional[float]:
         return None if self.L is None else 1.0 / self.L
@@ -352,15 +357,22 @@ class DeterministicOracles:
 
 @dataclass(frozen=True)
 class Batch:
-    """A seeded draw of sample indices for one oracle purpose."""
+    """A seeded draw of sample indices for one oracle purpose.
+
+    ``indices`` is stored read-only: an int64 array that already is
+    read-only is kept as given (the sampler hands out views of one frozen
+    array), anything else is copied and frozen.
+    """
 
     purpose: str
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        idx = self.indices
+        if not isinstance(idx, np.ndarray) or idx.dtype != np.int64 or idx.flags.writeable:
+            idx = np.array(idx, dtype=np.int64)
+            idx.setflags(write=False)
+            object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
         return self.indices.size
@@ -388,18 +400,41 @@ class StochasticOracles:
     constants: Optional[ProblemConstants] = None
     reference: Optional[AnalyticReference] = None
 
-    def sample(self, purpose: str, size: int, rng: np.random.Generator) -> Batch:
-        """Draw ``size`` indices without replacement; full batch when size >= n.
+    def sample(
+        self, purpose: str, sizes: Sequence[int], rng: np.random.Generator
+    ) -> tuple[Batch, ...]:
+        """One batch per entry of ``sizes``, all drawn by one generator call.
 
-        Two calls with identical generator state and purpose return
-        identical batches.
+        Each batch holds ``size`` distinct indices in ``[0, n)``, sorted,
+        drawn uniformly without replacement from the purpose's population
+        ``n``; the batches of one call are independent.  A size of at least
+        ``n`` gives the full batch ``arange(n)`` and draws nothing.  The m
+        smaller sizes share one ``rng.random((m, n))`` key matrix, and row
+        i keeps the indices of its ``size`` smallest keys.  So a call whose
+        sizes are all full leaves ``rng`` untouched, and two calls with
+        identical generator state, purpose and sizes return identical
+        batches.
         """
-        if size < 1:
+        if any(size < 1 for size in sizes):
             raise ConfigurationError("batch size must be at least 1")
         n = self.dataset_sizes[purpose]
-        if size >= n:
-            return Batch(purpose, np.arange(n))
-        return Batch(purpose, np.sort(rng.choice(n, size=size, replace=False)))
+        partial = [size for size in sizes if size < n]
+        if partial:
+            m = len(partial)
+            order = rng.random((m, n)).argsort(axis=1)
+            keep = np.empty((m, n), dtype=bool)
+            keep[np.arange(m)[:, None], order] = np.arange(n) < np.array(partial)[:, None]
+            drawn = keep.nonzero()[1]  # row by row, ascending within each row
+            drawn.setflags(write=False)
+        batches = []
+        start = 0
+        for size in sizes:
+            if size >= n:
+                batches.append(self.full_batch(purpose))
+            else:
+                batches.append(Batch(purpose, drawn[start:start + size]))
+                start += size
+        return tuple(batches)
 
     def full_batch(self, purpose: str) -> Batch:
         return Batch(purpose, np.arange(self.dataset_sizes[purpose]))

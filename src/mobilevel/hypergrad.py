@@ -7,7 +7,10 @@ solve of that system at the final lower iterate, and a truncated-series
 estimator that walks the lower-level trajectory backwards applying one
 damping factor (I - alpha * H) per recorded point.  A third routine forms
 the Hessian-inverse product stochastically with exponentially shrinking
-sample batches.
+sample batches.  The stochastic routines make one sampler call per purpose:
+the lower solve draws all its step batches before the first step, and one
+outer iteration's hypergradient draws its Jacobian batch, its Hessian
+batches and its upper batches with one call each.
 
 Oracle-call budgets are exact by construction: a lower solve of D steps
 costs D gradient calls; the series estimator costs one upper gradient pair,
@@ -218,19 +221,20 @@ def build_hypergradient_matrix_stochastic(
 ) -> HypergradientMatrix:
     """Sampled hypergradient columns for one outer iteration.
 
-    Draws one Jacobian batch and one set of shrinking Hessian batches shared
-    by all objectives, then one upper-level batch per objective.  The
-    Hessian-inverse product is seeded from the sampled upper gradient, so
-    no warm start is carried across iterations.
+    Makes three sampler calls, in this order: the Jacobian batch and the Q
+    shrinking Hessian batches, both shared by all objectives, then the S
+    upper-level batches, one per objective.  The Hessian-inverse product is
+    seeded from the sampled upper gradient, so no warm start is carried
+    across iterations.
     """
-    jac_batch = oracles.sample(JACOBIAN, config.D_g, rng)
+    (jac_batch,) = oracles.sample(JACOBIAN, [config.D_g], rng)
     sizes = neumann_batch_sizes(config.B, config.Q, config.eta, mu_g)
-    hess_batches = [oracles.sample(HESSIAN, size, rng) for size in sizes]
+    hess_batches = oracles.sample(HESSIAN, sizes, rng)
     s_count = oracles.num_objectives
+    ul_batches = oracles.sample(UL_BATCH, [config.D_f] * s_count, rng)
     cols = np.empty((oracles.dim_x, s_count))
     phi = np.empty(s_count)
-    for s in range(s_count):
-        ul_batch = oracles.sample(UL_BATCH, config.D_f, rng)
+    for s, ul_batch in enumerate(ul_batches):
         v0 = oracles.ul_grad_y(s, x, y_d, ul_batch)
         v_q = stochastic_hvp_neumann(
             oracles, x, y_d, v0, config.Q, config.eta, hess_batches
@@ -251,10 +255,18 @@ def stochastic_lower_solve(
     batch_size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Stochastic gradient descent on the lower objective, one batch per step."""
+    """Stochastic gradient descent on the lower objective, one batch per step.
+
+    The ``steps`` batches are drawn by one sampler call before the first
+    step.
+    """
+    if step_size <= 0.0:
+        raise ValueError("step_size must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    batches = oracles.sample(LL_STEP, [batch_size] * steps, rng)
     y = np.array(y_init, dtype=float)
-    for t in range(1, steps + 1):
-        batch = oracles.sample(LL_STEP, batch_size, rng)
+    for t, batch in enumerate(batches, 1):
         y = y - step_size * oracles.ll_grad_y(x, y, batch)
         if not np.isfinite(y).all():
             raise DivergenceError(f"lower-level iterate diverged at step {t}")

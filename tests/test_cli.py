@@ -298,6 +298,40 @@ family = quadratic
         text = (out / "trace.csv").read_text()
         assert text.startswith("k,phi_1")
 
+    @pytest.mark.parametrize("option", ["cg", "ns"])
+    @pytest.mark.parametrize(
+        "scale", ["0", "1e-3", "0.1", "1", "10", "1e3", "1e12", "1e60", "1e100"]
+    )
+    def test_condition_sweep(self, tmp_path, capsys, option, scale):
+        # The shipped quadratic with its default steps over the in-domain
+        # range of hessian_scale: each run completes with finite output, or
+        # fails with a typed error (exit 2 for a config error, exit 1 for a
+        # RunFailure, which writes its partial trace); never a traceback or
+        # a silent NaN.  From 1e60 the smoothness bound behind the default
+        # beta overflows, which is a config error.
+        out = tmp_path / "out"
+        code = cli.main([
+            "run", "--config", str(CONFIGS / "quadratic_preferred.ini"),
+            "--set", f"problem.hessian_scale={scale}", "--set", f"solver.option={option}",
+            "--set", f"output.trace_csv={out}/trace.csv",
+            "--set", f"output.run_json={out}/run.json",
+        ])
+        err = capsys.readouterr().err
+        if scale in ("1e60", "1e100"):
+            assert code == 2
+        if code == 0:
+            record = json.loads((out / "run.json").read_text())
+            rows = cli.parse_trace_csv((out / "trace.csv").read_text())
+            assert len(rows) == record["iterations"] == 500
+            finals = record["final_x"] + record["final_y"] + record["final_phi"]
+            assert np.isfinite(finals + [record["final_d_norm_sq"]]).all()
+            assert all(np.isfinite(v) for row in rows for v in row.values() if v is not None)
+        elif code == 2:
+            assert err.startswith("config error:")
+        else:
+            assert code == 1 and err.startswith("run failed:")
+            assert (out / "trace.csv").exists()
+
     def test_nonpreference_pattern(self, tmp_path):
         out = tmp_path / "out"
         config = write_config(

@@ -6,17 +6,22 @@ from mobilevel import (
     DeterministicOracles,
     HESSIAN,
     InvalidProblemError,
+    JACOBIAN,
+    LL_STEP,
     OracleCounters,
     Preference,
     ProblemConstants,
     QuadraticBilevelSpec,
     SimplexWeights,
     SolverConfig,
+    StochasticOracles,
+    UL_BATCH,
     counted_oracles,
     make_quadratic,
     validate_problem,
     wrap_deterministic,
 )
+from mobilevel.core import PURPOSES
 
 
 class TestPreference:
@@ -87,6 +92,18 @@ class TestProblemConstants:
     def test_smoothness_upper_unknown(self):
         assert ProblemConstants(mu_g=0.5, L=2.0).smoothness_upper() is None
         assert ProblemConstants(mu_g=0.5, L=2.0, tau=1.0, rho=0.0).smoothness_upper() is None
+
+    @pytest.mark.parametrize("mu_g, l_bound", [
+        (0.5, 1e103), (0.5, 1e120), (0.5, 1e200), (1e-20, 1e100),
+    ])
+    def test_smoothness_upper_overflow_not_derivable(self, mu_g, l_bound):
+        # L**3 raises OverflowError from about L = 1e103 and L**2 from about
+        # 1e155; at L = 1e100 and mu = 1e-20 the division yields inf instead.
+        constants = ProblemConstants(mu_g=mu_g, L=l_bound, tau=0.0, rho=0.0)
+        assert constants.smoothness_upper() is None
+        assert constants.default_ul_step(0.8) is None
+        with pytest.raises(ConfigurationError, match="beta"):
+            SolverConfig().resolved(constants, r_max=0.8)
 
     def test_default_steps(self):
         constants = ProblemConstants(mu_g=0.5, L=2.0, tau=0.0, rho=0.0)
@@ -235,10 +252,97 @@ class TestStochasticWrapper:
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(0)
         rng_b.bit_generator.state = state
-        a = stochastic.sample("ll_step", 1, rng_a)
-        b = stochastic.sample("ll_step", 1, rng_b)
+        (a,) = stochastic.sample("ll_step", [1], rng_a)
+        (b,) = stochastic.sample("ll_step", [1], rng_b)
         assert a.purpose == b.purpose
         assert np.array_equal(a.indices, b.indices)
+
+
+def _sampling_problem(n):
+    """A stochastic bundle with population ``n`` for every purpose; only
+    its sampler is exercised."""
+    return StochasticOracles(
+        num_objectives=1, dim_x=1, dim_y=1,
+        dataset_sizes={purpose: n for purpose in PURPOSES},
+        ul_value=None, ul_grad_x=None, ul_grad_y=None,
+        ll_grad_y=None, ll_hvp=None, ll_jvp=None,
+    )
+
+
+class TestSample:
+    def test_batches_distinct_sorted_in_range(self):
+        n = 40
+        problem = _sampling_problem(n)
+        sizes = [32] * 50 + [1, 7, 39]
+        batches = problem.sample(LL_STEP, sizes, np.random.default_rng(3))
+        assert [len(batch) for batch in batches] == sizes
+        for batch in batches:
+            idx = batch.indices
+            assert batch.purpose == LL_STEP
+            assert idx.dtype == np.int64 and not idx.flags.writeable
+            assert np.all(np.diff(idx) > 0)  # sorted, hence distinct
+            assert idx[0] >= 0 and idx[-1] < n
+
+    def test_inclusion_frequencies_uniform(self):
+        # Each index of a uniform size-k draw out of n is included with
+        # probability k/n.  Over m independent draws the inclusion counts
+        # have mean E = m k/n and covariance E (1 - k/n) n/(n-1) (I - 11'/n)
+        # (the counts of one draw sum to k), so
+        #   sum_i (count_i - E)^2 / E / (1 - k/n) * (n-1)/n
+        # is chi-square with n - 1 = 19 degrees of freedom in the limit.
+        # Threshold: its 1 - 1e-4 quantile, 50.8, so a correct sampler fails
+        # at a given seed with probability about 1e-4.
+        n, k, draws = 20, 6, 20_000
+        problem = _sampling_problem(n)
+        batches = problem.sample(UL_BATCH, [k] * draws, np.random.default_rng(11))
+        counts = np.bincount(np.concatenate([b.indices for b in batches]), minlength=n)
+        expected = draws * k / n
+        chi2 = float(np.sum((counts - expected) ** 2)) / (expected * (1.0 - k / n))
+        chi2 *= (n - 1) / n
+        assert chi2 < 50.8
+
+    def test_full_sizes_return_arange(self):
+        n = 10
+        problem = _sampling_problem(n)
+        batches = problem.sample(HESSIAN, [3, 10, 25, 9, 10], np.random.default_rng(0))
+        for position in (1, 2, 4):
+            np.testing.assert_array_equal(batches[position].indices, np.arange(n))
+        assert [len(batch) for batch in batches] == [3, 10, 10, 9, 10]
+
+    def test_all_full_draws_nothing(self, quadratic):
+        # wrap_deterministic has one pseudo-sample per purpose, so its
+        # batches are full and the stochastic loop leaves the stream alone.
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        for problem, sizes in (
+            (_sampling_problem(5), [5, 7, 100]),
+            (wrap_deterministic(quadratic[1]), [1, 1, 32]),
+        ):
+            n = problem.dataset_sizes[JACOBIAN]
+            for batch in problem.sample(JACOBIAN, sizes, rng):
+                np.testing.assert_array_equal(batch.indices, np.arange(n))
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("sizes", [[0], [4, 0, 4], [-1], [5, 0]])
+    def test_size_below_one_rejected(self, sizes):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError):
+            _sampling_problem(5).sample(LL_STEP, sizes, rng)
+        assert rng.bit_generator.state == state
+
+    def test_equal_states_equal_batches(self):
+        problem = _sampling_problem(40)
+        sizes = [32, 8, 40, 17]
+        rng_a = np.random.default_rng(5)
+        rng_b = np.random.default_rng(0)
+        rng_b.bit_generator.state = rng_a.bit_generator.state
+        a = problem.sample(HESSIAN, sizes, rng_a)
+        b = problem.sample(HESSIAN, sizes, rng_b)
+        assert [batch.purpose for batch in a] == [batch.purpose for batch in b]
+        for batch_a, batch_b in zip(a, b):
+            np.testing.assert_array_equal(batch_a.indices, batch_b.indices)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestCountedOracles:

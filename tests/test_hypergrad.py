@@ -89,6 +89,25 @@ class TestLowerLevelSolve:
         ):
             stochastic_lower_solve(problem, np.zeros(1), np.array([1e290]), 10, 1e10, 1, rng)
 
+    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("steps, step_size, message", [
+        (0, 0.3, "steps"),  # would return y_init unchanged
+        (3, -1.0, "step_size"),  # gradient ascent: y = 1 would become 27
+        (3, 0.0, "step_size"),
+    ])
+    def test_rejects_bad_steps(self, stochastic, steps, step_size, message):
+        # Both lower solves take the same arguments and reject the same values.
+        problem = scalar_problem(2.0, 1.0, 0.0)
+        x, y0 = np.zeros(1), np.ones(1)
+        with pytest.raises(ValueError, match=message):
+            if stochastic:
+                stochastic_lower_solve(
+                    wrap_deterministic(problem), x, y0, steps, step_size, 1,
+                    np.random.default_rng(0),
+                )
+            else:
+                lower_level_solve(problem, x, y0, steps, step_size)
+
     def test_trajectory_layout(self, quadratic):
         _, problem, constants = quadratic
         result = lower_level_solve(
@@ -345,7 +364,7 @@ class TestStochasticHvp:
         rng = np.random.default_rng(9)
         draws = []
         for _ in range(200):
-            batches = [st.sample(HESSIAN, 12, rng) for _ in range(q_steps)]
+            batches = st.sample(HESSIAN, [12] * q_steps, rng)
             draws.append(
                 stochastic_hvp_neumann(st, np.zeros(1), np.zeros(q), v0, q_steps, eta, batches)
             )

@@ -80,6 +80,37 @@ class TestConjugateGradient:
             conjugate_gradient(inf_on_third, np.array([1.0, -2.0, 0.5]), np.zeros(3), 5)
         assert len(calls) == 3
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_application_count_property(self, data):
+        # Random SPD maps H = (sM)'(sM) + eps I with q <= 12, s = 10^[-3, 3];
+        # zero, random and exact-solution starts, zero and nonzero right-hand
+        # sides (a zero residual must not end the loop early), and budgets
+        # from 1 to q + 3 (past convergence).  The map is applied exactly
+        # `applications` times and the output stays finite.
+        q = data.draw(st.integers(1, 12), label="q")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scale = 10.0 ** data.draw(st.floats(-3.0, 3.0), label="log10 scale")
+        m = scale * rng.standard_normal((q, q))
+        a = m.T @ m + data.draw(st.sampled_from([1e-6, 1e-2, 1.0]), label="eps") * np.eye(q)
+        b = rng.standard_normal(q) if data.draw(st.booleans(), label="nonzero b") else np.zeros(q)
+        start = data.draw(st.sampled_from(["zero", "random", "solution"]), label="start")
+        v0 = {
+            "zero": np.zeros(q),
+            "random": rng.standard_normal(q),
+            "solution": np.linalg.solve(a, b),
+        }[start]
+        budget = data.draw(st.integers(1, q + 3), label="applications")
+        calls = []
+
+        def apply_a(w):
+            calls.append(1)
+            return a @ w
+
+        v, res = conjugate_gradient(apply_a, b, v0, budget)
+        assert len(calls) == budget
+        assert np.isfinite(v).all() and np.isfinite(res)
+
 
 def bisection_threshold(z):
     """Sort-free reference: bisect on theta, where sum(max(z - theta, 0))
