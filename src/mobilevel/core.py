@@ -355,24 +355,66 @@ class DeterministicOracles:
     reference: Optional[AnalyticReference] = None
 
 
+# Populations up to this size are sampled by sorting random keys, larger ones
+# by one ``Generator.choice`` per batch: the keys cost O(n log n) per batch
+# but no per-call overhead.  On x86_64 with NumPy 2.4 the two break even
+# near n = 400, for batch sizes from 32 to 0.8 n.
+_KEYS_MAX_N = 256
+# Keys drawn per generator call, so a key matrix takes about 1 MB at most.
+_KEYS_PER_CHUNK = 1 << 16
+
+
+def _draw_sorted(n: int, sizes: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
+    """Uniform draws without replacement from ``range(n)``, one per size < n.
+
+    Each draw is a sorted, read-only int64 array.  For ``n`` up to
+    ``_KEYS_MAX_N`` the draws share ``rng.random((m, n))`` key matrices of at
+    most ``_KEYS_PER_CHUNK`` keys, and row i keeps the indices of its
+    ``sizes[i]`` smallest keys.  Chunking consumes the generator exactly as
+    one matrix would, so the draws do not depend on the chunk size.  Larger
+    populations take one ``rng.choice`` per draw, O(size) for small sizes.
+    """
+    if n > _KEYS_MAX_N:
+        draws = [np.sort(rng.choice(n, size, replace=False)) for size in sizes]
+        for draw in draws:
+            draw.setflags(write=False)
+        return draws
+    draws = []
+    rows = _KEYS_PER_CHUNK // n
+    for first in range(0, len(sizes), rows):
+        chunk = sizes[first:first + rows]
+        m = len(chunk)
+        order = rng.random((m, n)).argsort(axis=1)
+        keep = np.empty((m, n), dtype=bool)
+        keep[np.arange(m)[:, None], order] = np.arange(n) < np.array(chunk)[:, None]
+        kept = keep.nonzero()[1]  # row by row, ascending within each row
+        kept.setflags(write=False)
+        start = 0
+        for size in chunk:
+            draws.append(kept[start:start + size])
+            start += size
+    return draws
+
+
 @dataclass(frozen=True)
 class Batch:
-    """A seeded draw of sample indices for one oracle purpose.
-
-    ``indices`` is stored read-only: an int64 array that already is
-    read-only is kept as given (the sampler hands out views of one frozen
-    array), anything else is copied and frozen.
-    """
+    """A seeded draw of sample indices for one oracle purpose."""
 
     purpose: str
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = self.indices
-        if not isinstance(idx, np.ndarray) or idx.dtype != np.int64 or idx.flags.writeable:
-            idx = np.array(idx, dtype=np.int64)
-            idx.setflags(write=False)
-            object.__setattr__(self, "indices", idx)
+        idx = np.array(self.indices, dtype=np.int64)
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+
+    @classmethod
+    def _owned(cls, purpose: str, indices: np.ndarray) -> Batch:
+        """Wrap a read-only int64 array that only the sampler holds, uncopied."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "purpose", purpose)
+        object.__setattr__(batch, "indices", indices)
+        return batch
 
     def __len__(self) -> int:
         return self.indices.size
@@ -403,38 +445,25 @@ class StochasticOracles:
     def sample(
         self, purpose: str, sizes: Sequence[int], rng: np.random.Generator
     ) -> tuple[Batch, ...]:
-        """One batch per entry of ``sizes``, all drawn by one generator call.
+        """One batch per entry of ``sizes``, drawn together in one call.
 
         Each batch holds ``size`` distinct indices in ``[0, n)``, sorted,
         drawn uniformly without replacement from the purpose's population
         ``n``; the batches of one call are independent.  A size of at least
-        ``n`` gives the full batch ``arange(n)`` and draws nothing.  The m
-        smaller sizes share one ``rng.random((m, n))`` key matrix, and row
-        i keeps the indices of its ``size`` smallest keys.  So a call whose
-        sizes are all full leaves ``rng`` untouched, and two calls with
-        identical generator state, purpose and sizes return identical
-        batches.
+        ``n`` gives the full batch ``arange(n)`` and draws nothing, so a
+        call whose sizes are all full leaves ``rng`` untouched.  Two calls
+        with identical generator state, purpose and sizes return identical
+        batches.  See :func:`_draw_sorted` for how the smaller sizes are
+        drawn.
         """
         if any(size < 1 for size in sizes):
             raise ConfigurationError("batch size must be at least 1")
         n = self.dataset_sizes[purpose]
-        partial = [size for size in sizes if size < n]
-        if partial:
-            m = len(partial)
-            order = rng.random((m, n)).argsort(axis=1)
-            keep = np.empty((m, n), dtype=bool)
-            keep[np.arange(m)[:, None], order] = np.arange(n) < np.array(partial)[:, None]
-            drawn = keep.nonzero()[1]  # row by row, ascending within each row
-            drawn.setflags(write=False)
-        batches = []
-        start = 0
-        for size in sizes:
-            if size >= n:
-                batches.append(self.full_batch(purpose))
-            else:
-                batches.append(Batch(purpose, drawn[start:start + size]))
-                start += size
-        return tuple(batches)
+        drawn = iter(_draw_sorted(n, [size for size in sizes if size < n], rng))
+        return tuple(
+            self.full_batch(purpose) if size >= n else Batch._owned(purpose, next(drawn))
+            for size in sizes
+        )
 
     def full_batch(self, purpose: str) -> Batch:
         return Batch(purpose, np.arange(self.dataset_sizes[purpose]))

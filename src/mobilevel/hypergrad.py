@@ -70,8 +70,8 @@ def lower_level_solve(
     keep_trajectory: bool = False,
 ) -> LowerSolveResult:
     """Run ``steps`` gradient-descent steps on the lower objective in y."""
-    if step_size <= 0.0:
-        raise ValueError("step_size must be positive")
+    if not 0.0 < step_size < math.inf:
+        raise ValueError("step_size must be positive and finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     y = np.array(y_init, dtype=float)
@@ -260,8 +260,8 @@ def stochastic_lower_solve(
     The ``steps`` batches are drawn by one sampler call before the first
     step.
     """
-    if step_size <= 0.0:
-        raise ValueError("step_size must be positive")
+    if not 0.0 < step_size < math.inf:
+        raise ValueError("step_size must be positive and finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     batches = oracles.sample(LL_STEP, [batch_size] * steps, rng)

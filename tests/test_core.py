@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from mobilevel import (
     validate_problem,
     wrap_deterministic,
 )
+from mobilevel import core
 from mobilevel.core import PURPOSES
 
 
@@ -269,11 +272,16 @@ def _sampling_problem(n):
     )
 
 
+# Populations on both sides of the sampler's switch from sorted keys to one
+# Generator.choice per batch.
+_BOTH_METHODS = pytest.mark.parametrize("n", [40, core._KEYS_MAX_N + 1, 100_000])
+
+
 class TestSample:
-    def test_batches_distinct_sorted_in_range(self):
-        n = 40
+    @_BOTH_METHODS
+    def test_batches_distinct_sorted_in_range(self, n):
         problem = _sampling_problem(n)
-        sizes = [32] * 50 + [1, 7, 39]
+        sizes = [32] * 50 + [1, 7, 39, n - 1]
         batches = problem.sample(LL_STEP, sizes, np.random.default_rng(3))
         assert [len(batch) for batch in batches] == sizes
         for batch in batches:
@@ -283,7 +291,8 @@ class TestSample:
             assert np.all(np.diff(idx) > 0)  # sorted, hence distinct
             assert idx[0] >= 0 and idx[-1] < n
 
-    def test_inclusion_frequencies_uniform(self):
+    @pytest.mark.parametrize("keys_max_n", [core._KEYS_MAX_N, 0])
+    def test_inclusion_frequencies_uniform(self, monkeypatch, keys_max_n):
         # Each index of a uniform size-k draw out of n is included with
         # probability k/n.  Over m independent draws the inclusion counts
         # have mean E = m k/n and covariance E (1 - k/n) n/(n-1) (I - 11'/n)
@@ -291,7 +300,9 @@ class TestSample:
         #   sum_i (count_i - E)^2 / E / (1 - k/n) * (n-1)/n
         # is chi-square with n - 1 = 19 degrees of freedom in the limit.
         # Threshold: its 1 - 1e-4 quantile, 50.8, so a correct sampler fails
-        # at a given seed with probability about 1e-4.
+        # at a given seed with probability about 1e-4.  keys_max_n = 0 sends
+        # the same population through one Generator.choice per batch.
+        monkeypatch.setattr(core, "_KEYS_MAX_N", keys_max_n)
         n, k, draws = 20, 6, 20_000
         problem = _sampling_problem(n)
         batches = problem.sample(UL_BATCH, [k] * draws, np.random.default_rng(11))
@@ -301,13 +312,13 @@ class TestSample:
         chi2 *= (n - 1) / n
         assert chi2 < 50.8
 
-    def test_full_sizes_return_arange(self):
-        n = 10
+    @_BOTH_METHODS
+    def test_full_sizes_return_arange(self, n):
         problem = _sampling_problem(n)
-        batches = problem.sample(HESSIAN, [3, 10, 25, 9, 10], np.random.default_rng(0))
+        batches = problem.sample(HESSIAN, [3, n, n + 15, n - 1, n], np.random.default_rng(0))
         for position in (1, 2, 4):
             np.testing.assert_array_equal(batches[position].indices, np.arange(n))
-        assert [len(batch) for batch in batches] == [3, 10, 10, 9, 10]
+        assert [len(batch) for batch in batches] == [3, n, n, n - 1, n]
 
     def test_all_full_draws_nothing(self, quadratic):
         # wrap_deterministic has one pseudo-sample per purpose, so its
@@ -316,6 +327,7 @@ class TestSample:
         state = rng.bit_generator.state
         for problem, sizes in (
             (_sampling_problem(5), [5, 7, 100]),
+            (_sampling_problem(1000), [1000, 1001]),
             (wrap_deterministic(quadratic[1]), [1, 1, 32]),
         ):
             n = problem.dataset_sizes[JACOBIAN]
@@ -331,9 +343,10 @@ class TestSample:
             _sampling_problem(5).sample(LL_STEP, sizes, rng)
         assert rng.bit_generator.state == state
 
-    def test_equal_states_equal_batches(self):
-        problem = _sampling_problem(40)
-        sizes = [32, 8, 40, 17]
+    @_BOTH_METHODS
+    def test_equal_states_equal_batches(self, n):
+        problem = _sampling_problem(n)
+        sizes = [32, 8, n, 17]
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(0)
         rng_b.bit_generator.state = rng_a.bit_generator.state
@@ -343,6 +356,43 @@ class TestSample:
         for batch_a, batch_b in zip(a, b):
             np.testing.assert_array_equal(batch_a.indices, batch_b.indices)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_key_chunks_do_not_change_draws(self, monkeypatch):
+        # Chunks of the key matrix consume the stream as one matrix does.
+        problem = _sampling_problem(40)
+        sizes = [32] * 7 + [40] + [5] * 6
+        rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
+        whole = problem.sample(LL_STEP, sizes, rng_a)
+        monkeypatch.setattr(core, "_KEYS_PER_CHUNK", 3 * 40)
+        chunked = problem.sample(LL_STEP, sizes, rng_b)
+        for batch_a, batch_b in zip(whole, chunked, strict=True):
+            np.testing.assert_array_equal(batch_a.indices, batch_b.indices)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("n, sizes", [
+        (100_000, [32] * 20),  # one (20, n) key matrix would take 34 MB
+        (core._KEYS_MAX_N, [1] * 10_000),  # unchunked keys would take 43 MB
+    ])
+    def test_memory_bounded_by_batches(self, n, sizes):
+        problem, rng = _sampling_problem(n), np.random.default_rng(7)
+        problem.sample(LL_STEP, sizes[:1], rng)  # first-call allocations
+        tracemalloc.start()
+        try:
+            problem.sample(LL_STEP, sizes, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_constructor_copies_read_only_view(self):
+        # A read-only view of a writeable array is still copied, so the
+        # batch cannot change after it is built.
+        source = np.arange(5)
+        view = source.view()
+        view.setflags(write=False)
+        batch = core.Batch(LL_STEP, view)
+        source[0] = 9
+        assert batch.indices[0] == 0 and not batch.indices.flags.writeable
 
 
 class TestCountedOracles:

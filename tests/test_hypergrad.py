@@ -94,6 +94,8 @@ class TestLowerLevelSolve:
         (0, 0.3, "steps"),  # would return y_init unchanged
         (3, -1.0, "step_size"),  # gradient ascent: y = 1 would become 27
         (3, 0.0, "step_size"),
+        (3, float("nan"), "step_size"),  # diverged at step 1 instead
+        (3, float("inf"), "step_size"),
     ])
     def test_rejects_bad_steps(self, stochastic, steps, step_size, message):
         # Both lower solves take the same arguments and reject the same values.
