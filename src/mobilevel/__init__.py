@@ -46,7 +46,6 @@ from .subsolvers import (
     solve_wc_subproblem,
 )
 from .hypergrad import (
-    LowerSolveResult,
     build_hypergradient_matrix,
     build_hypergradient_matrix_stochastic,
     hypergrad_cg,

@@ -196,10 +196,10 @@ def _criterion_1():
         spec = QuadraticBilevelSpec.random(p, q, s_count, seed=seed, hessian_scale=0.25)
         problem, constants = make_quadratic(spec)
         x = rng.standard_normal(p)
-        lower = lower_level_solve(problem, x, np.zeros(q), 400, 1.0 / constants.L)
+        y_d = lower_level_solve(problem, x, np.zeros(q), 400, 1.0 / constants.L)
         analytic = problem.reference.grad_phi(x)
         for s in range(s_count):
-            grad, _ = hypergrad_cg(problem, x, lower.y_final, s, None, q)
+            grad, _ = hypergrad_cg(problem, x, y_d, s, None, q)
             rel = np.linalg.norm(grad - analytic[:, s])
             rel /= np.linalg.norm(analytic[:, s])
             _require(rel <= 1e-6, f"problem {seed} column {s}: CG relative error {rel:.2e}")
@@ -223,10 +223,11 @@ def _criterion_2():
     y0 = np.full(5, 3.0)
     errors = []
     for depth in (8, 16, 32, 64):
-        lower = lower_level_solve(problem, x, y0, depth, alpha, keep_trajectory=True)
+        trajectory = []
+        lower_level_solve(problem, x, y0, depth, alpha, trajectory)
         worst = 0.0
         for s in range(2):
-            grad = hypergrad_ns(problem, x, lower, s, alpha)
+            grad = hypergrad_ns(problem, x, trajectory, s, alpha)
             truth = problem.reference.grad_phi(x)[:, s]
             worst = max(worst, float(np.linalg.norm(grad - truth)))
         errors.append(worst)

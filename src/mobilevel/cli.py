@@ -172,14 +172,27 @@ _PATTERNS = {
     "uniform": lambda s: [Preference.uniform(s)],
 }
 
+
+def _solver_fields(*fields) -> dict:
+    """SolverConfig fields: SolverConfig checks each value and supplies the defaults."""
+    return {
+        field: (
+            _checked(parse, lambda value, field=field: SolverConfig(**{field: value})),
+            getattr(SolverConfig, field),
+        )
+        for field, parse in fields
+    }
+
+
 # The config vocabulary: (section, family) -> key -> (cast, default).  The
 # family None holds the keys every config accepts in that section; [problem]
-# also accepts the keys of the family it names.  Every other key, and every
-# other section, is rejected.  Each cast parses a raw value and enforces the
-# key's domain, so a bad value is reported under its own key and line.
-# [solver] keys are the SolverConfig fields (the INI key is the lowercased
-# name).  Checks that span keys (matrix and x0/y0 shapes, the preference
-# length and index) follow in the builders.
+# and [solver] also accept (or override) the keys of the family [problem]
+# names.  Every other key, and every other section, is rejected.  Each cast
+# parses a raw value and enforces the key's domain, so a bad value is
+# reported under its own key and line.  [solver] keys are the SolverConfig
+# fields a run of the family reads (the INI key is the lowercased name).
+# Checks that span keys (matrix and x0/y0 shapes, the preference length and
+# index) follow in the builders.
 _SCHEMA = {
     ("problem", None): {
         "family": (str, None),
@@ -207,18 +220,17 @@ _SCHEMA = {
             0.1,
         ),
     },
-    ("solver", None): {
-        # SolverConfig checks each value and supplies the defaults.
-        field: (
-            _checked(parse, lambda value, field=field: SolverConfig(**{field: value})),
-            getattr(SolverConfig, field),
-        )
-        for field, parse in (
-            ("K", int), ("D", int), ("N", int), ("Q", int),
-            ("alpha", float), ("beta", float), ("eta", float), ("u", float),
-            ("option", str.lower), ("T", int), ("D_f", int), ("D_g", int), ("B", int),
-            ("seed", int), ("stop_tol", float),
-        )
+    ("solver", None): _solver_fields(
+        ("K", int), ("D", int), ("alpha", float), ("beta", float), ("u", float),
+        ("option", str.lower), ("seed", int), ("stop_tol", float),
+    ),
+    ("solver", "quadratic"): _solver_fields(("N", int)),
+    ("solver", "hypercleaning"): {
+        **_solver_fields(
+            ("Q", int), ("eta", float), ("T", int), ("D_f", int), ("D_g", int), ("B", int)
+        ),
+        # A stochastic run has one estimator, the sampled Neumann recursion.
+        "option": (_where(str.lower, lambda name: name == "ns", "'ns'"), "ns"),
     },
     ("preference", None): {
         "vector": (_preference, None),
@@ -239,16 +251,17 @@ _SCHEMA = {
 
 
 def _keys(section: str, family: Optional[str] = None) -> dict:
-    """The schema entries ``section`` accepts, with ``family``'s in [problem]."""
+    """The schema entries ``section`` accepts, with ``family``'s own."""
     return {**_SCHEMA[section, None], **_SCHEMA.get((section, family), {})}
 
 
 def _reject_unknown_keys(parser: configparser.ConfigParser, path: str) -> None:
     family = parser.get("problem", "family", fallback=None)
+    known_family = family is not None and ("problem", family) in _SCHEMA
     for section in parser.sections():
         if (section, None) not in _SCHEMA:
             raise _config_error(path, section, None, "unknown section")
-        if section == "problem" and (family is None or (section, family) not in _SCHEMA):
+        if section in ("problem", "solver") and not known_family:
             continue  # build_problem reports the missing or unknown family
         allowed = {key.lower() for key in _keys(section, family)}
         for key in parser.options(section):
@@ -259,8 +272,8 @@ def _reject_unknown_keys(parser: configparser.ConfigParser, path: str) -> None:
 def _values(
     parser: configparser.ConfigParser, path: str, section: str, family: Optional[str] = None
 ) -> dict:
-    """Every schema key of ``section`` (and of ``family`` in [problem]),
-    cast and domain-checked; a key the config leaves out takes its default."""
+    """Every schema key of ``section`` and of ``family`` there, cast and
+    domain-checked; a key the config leaves out takes its default."""
     values = {}
     for key, (cast, default) in _keys(section, family).items():
         name = key.lower()  # configparser lowercases INI keys
@@ -328,19 +341,8 @@ def build_problem(parser: configparser.ConfigParser, path: str):
 
 
 def build_solver_config(parser: configparser.ConfigParser, path: str) -> SolverConfig:
-    return SolverConfig(**_values(parser, path, "solver"))
-
-
-def _reject_cg_keys(parser: configparser.ConfigParser, path: str) -> None:
-    """A stochastic run has one estimator, the sampled Neumann recursion:
-    reject the [solver] keys that would select or size another one."""
-    if parser.has_option("solver", "n"):
-        raise _config_error(path, "solver", "n", "a stochastic run has no CG budget")
-    option = parser.get("solver", "option", fallback="ns").strip().lower()
-    if option != "ns":
-        raise _config_error(
-            path, "solver", "option", f"a stochastic run takes option 'ns', not '{option}'"
-        )
+    """The [solver] values of the family [problem] names; call after build_problem."""
+    return SolverConfig(**_values(parser, path, "solver", parser.get("problem", "family")))
 
 
 def build_preference(
@@ -426,13 +428,14 @@ def run_record(
     problem_summary: dict,
     preference: Optional[Preference],
 ) -> dict:
-    """The JSON run record; ``option`` is ``trace.estimator``, and a
-    stochastic run, which has no CG budget, leaves out ``N``."""
+    """The JSON run record; its solver block holds the family's [solver] keys
+    of ``config``, which must be ``trace.config``, and ``option`` names
+    ``trace.estimator``."""
+    if config != trace.config:
+        raise ValueError("config differs from trace.config, the config the loop ran")
     counters = trace.counters
-    solver = {field: getattr(config, field) for field in _SCHEMA["solver", None]}
+    solver = {key: getattr(config, key) for key in _keys("solver", problem_summary["family"])}
     solver["option"] = trace.estimator
-    if trace.estimator == "stochastic":
-        del solver["N"]
     return {
         "problem": problem_summary,
         "solver": solver,
@@ -464,8 +467,6 @@ def cmd_run(args) -> int:
     try:
         parser = load_config(args.config, args.set or [])
         problem, kind, x0, y0, summary = build_problem(parser, args.config)
-        if kind == "stochastic":
-            _reject_cg_keys(parser, args.config)
         config = build_solver_config(parser, args.config)
         preference = build_preference(parser, args.config, problem.num_objectives)
         output = _values(parser, args.config, "output")

@@ -224,8 +224,9 @@ class SolverConfig:
     at run start; there are no silent numeric defaults.  ``K`` may be zero
     (an empty run); all other iteration counts are at least one.  Every
     lower solve and every CG column warm-starts from its previous outer
-    iterate; a CG column spends exactly ``N`` Hessian-vector products.
-    The stochastic loop reads neither ``option`` nor ``N``.
+    iterate; a CG column spends exactly ``N`` Hessian-vector products.  A
+    deterministic run reads ``option`` and ``N``; the stochastic loop reads
+    ``Q``, ``eta``, ``T``, ``D_f``, ``D_g`` and ``B`` instead.
     """
 
     K: int = 100
@@ -269,7 +270,8 @@ class SolverConfig:
     def resolved(
         self, constants: Optional[ProblemConstants], r_max: float = 1.0
     ) -> "SolverConfig":
-        """Fill missing step sizes from problem constants, or fail loudly."""
+        """Fill missing step sizes from problem constants, or fail loudly for
+        ``alpha`` and ``beta``; ``validate_stochastic`` checks ``eta``."""
         alpha, beta, eta = self.alpha, self.beta, self.eta
         if alpha is None and constants is not None:
             alpha = constants.default_ll_step()
@@ -277,7 +279,7 @@ class SolverConfig:
             beta = constants.default_ul_step(r_max)
         if eta is None and constants is not None:
             eta = constants.default_ll_step()
-        missing = [n for n, v in (("alpha", alpha), ("beta", beta), ("eta", eta)) if v is None]
+        missing = [n for n, v in (("alpha", alpha), ("beta", beta)) if v is None]
         if missing:
             raise ConfigurationError(
                 "step sizes not set and not derivable from problem constants: "
@@ -288,7 +290,9 @@ class SolverConfig:
     def validate_stochastic(self, mu_g: float) -> None:
         """Check the shrinking-batch feasibility bound B*Q*(1-eta*mu)^(Q-1) >= 1."""
         if self.eta is None:
-            raise ConfigurationError("eta must be resolved before a stochastic run")
+            raise ConfigurationError(
+                "step size not set and not derivable from problem constants: eta"
+            )
         floor = self.B * self.Q * (1.0 - self.eta * mu_g) ** (self.Q - 1)
         if floor < 1.0:
             raise ConfigurationError(

@@ -8,9 +8,9 @@ estimator that walks the lower-level trajectory backwards applying one
 damping factor (I - alpha * H) per recorded point.  A third routine forms
 the Hessian-inverse product stochastically with exponentially shrinking
 sample batches.  The stochastic routines make one sampler call per purpose:
-the lower solve draws all its step batches before the first step, and one
-outer iteration's hypergradient draws its Jacobian batch, its Hessian
-batches and its upper batches with one call each.
+the lower solve draws its step batches a block of up to ``LL_BLOCK`` steps
+at a time, and one outer iteration's hypergradient draws its Jacobian
+batch, its Hessian batches and its upper batches with one call each.
 
 Oracle-call budgets are exact by construction: a lower solve of D steps
 costs D gradient calls; the series estimator costs one upper gradient pair,
@@ -22,7 +22,6 @@ starts spend one of the N applications on the initial residual).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,23 +41,7 @@ from .core import (
 )
 from .subsolvers import conjugate_gradient
 
-
-@dataclass(frozen=True)
-class LowerSolveResult:
-    """Output of the inner gradient descent on the lower-level objective."""
-
-    y_final: np.ndarray
-    trajectory: Optional[list]
-    steps_taken: int
-
-    def __post_init__(self):
-        if self.trajectory is not None:
-            if len(self.trajectory) != self.steps_taken + 1:
-                raise ValueError("trajectory must hold steps_taken + 1 points")
-            if self.trajectory[-1] is not self.y_final and not np.array_equal(
-                self.trajectory[-1], self.y_final
-            ):
-                raise ValueError("trajectory must end at y_final")
+LL_BLOCK = 1024  # lower SGD steps per sampler call: bounds the batches held at once
 
 
 def lower_level_solve(
@@ -67,22 +50,24 @@ def lower_level_solve(
     y_init: np.ndarray,
     steps: int,
     step_size: float,
-    keep_trajectory: bool = False,
-) -> LowerSolveResult:
-    """Run ``steps`` gradient-descent steps on the lower objective in y."""
+    trajectory: Optional[list] = None,
+) -> np.ndarray:
+    """Run ``steps`` gradient-descent steps on the lower objective in y; a
+    ``trajectory`` list receives ``y_init`` and every iterate."""
     if not 0.0 < step_size < math.inf:
         raise ValueError("step_size must be positive and finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     y = np.array(y_init, dtype=float)
-    trajectory = [y.copy()] if keep_trajectory else None
+    if trajectory is not None:
+        trajectory.append(y)
     for t in range(1, steps + 1):
         y = y - step_size * oracles.ll_grad_y(x, y)
         if not np.isfinite(y).all():
             raise DivergenceError(f"lower-level iterate diverged at step {t}")
         if trajectory is not None:
-            trajectory.append(y.copy())
-    return LowerSolveResult(y_final=y, trajectory=trajectory, steps_taken=steps)
+            trajectory.append(y)
+    return y
 
 
 def hypergrad_cg(
@@ -112,7 +97,7 @@ def hypergrad_cg(
 def hypergrad_ns(
     oracles: DeterministicOracles,
     x: np.ndarray,
-    lower_result: LowerSolveResult,
+    trajectory: Sequence[np.ndarray],
     s: int,
     alpha: float,
 ) -> np.ndarray:
@@ -123,11 +108,11 @@ def hypergrad_ns(
     ``(I - alpha * H)`` at that same point.  Summing the contributions and
     scaling by ``alpha`` telescopes to the Hessian-inverse product in the
     limit (for a constant Hessian the sum is the truncated geometric
-    series alpha * sum_m (I - alpha H)^m).
+    series alpha * sum_m (I - alpha H)^m).  ``trajectory`` is the lower
+    solve's, ending at the final iterate.
     """
-    if lower_result.trajectory is None:
-        raise ValueError("trajectory required; rerun the lower solve with keep_trajectory")
-    trajectory = lower_result.trajectory
+    if not trajectory:
+        raise ValueError("trajectory must hold at least the final lower iterate")
     y_d = trajectory[-1]
     w = oracles.ul_grad_y(s, x, y_d)
     total = np.zeros(oracles.dim_x)
@@ -184,14 +169,15 @@ def stochastic_hvp_neumann(
 def build_hypergradient_matrix(
     oracles: DeterministicOracles,
     x: np.ndarray,
-    lower_result: LowerSolveResult,
+    trajectory: Sequence[np.ndarray],
     config: SolverConfig,
     warm_v: Sequence[Optional[np.ndarray]],
 ) -> tuple[HypergradientMatrix, list]:
     """One estimated hypergradient column per objective, via the configured option.
 
-    Under the cg option column ``s`` warm-starts from ``warm_v[s]`` (``None``
-    for a zero start).  Returns the matrix together with the per-objective
+    ``trajectory`` ends at the final lower iterate, the only one the cg
+    option reads.  Under the cg option column ``s`` warm-starts from
+    ``warm_v[s]`` (``None`` for a zero start).  Returns the matrix together with the per-objective
     CG iterates for warm starting the next outer iteration (``None``
     entries under the series option).  ``config.alpha`` must already be
     resolved.
@@ -199,14 +185,14 @@ def build_hypergradient_matrix(
     s_count = oracles.num_objectives
     cols = np.empty((oracles.dim_x, s_count))
     phi = np.empty(s_count)
-    y_d = lower_result.y_final
+    y_d = trajectory[-1]
     new_warm: list = [None] * s_count
     for s in range(s_count):
         phi[s] = oracles.ul_value(s, x, y_d)
         if config.option == "cg":
             grad, new_warm[s] = hypergrad_cg(oracles, x, y_d, s, warm_v[s], config.N)
         else:
-            grad = hypergrad_ns(oracles, x, lower_result, s, config.alpha)
+            grad = hypergrad_ns(oracles, x, trajectory, s, config.alpha)
         cols[:, s] = grad
     return HypergradientMatrix(grads=cols, phi_values=phi), new_warm
 
@@ -257,17 +243,19 @@ def stochastic_lower_solve(
 ) -> np.ndarray:
     """Stochastic gradient descent on the lower objective, one batch per step.
 
-    The ``steps`` batches are drawn by one sampler call before the first
-    step.
+    One sampler call draws the batches of up to ``LL_BLOCK`` steps; the
+    sampler consumes ``rng`` in order, so they do not depend on the block.
     """
     if not 0.0 < step_size < math.inf:
         raise ValueError("step_size must be positive and finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    batches = oracles.sample(LL_STEP, [batch_size] * steps, rng)
     y = np.array(y_init, dtype=float)
-    for t, batch in enumerate(batches, 1):
-        y = y - step_size * oracles.ll_grad_y(x, y, batch)
-        if not np.isfinite(y).all():
-            raise DivergenceError(f"lower-level iterate diverged at step {t}")
+    for first in range(0, steps, LL_BLOCK):
+        block = min(LL_BLOCK, steps - first)
+        batches = oracles.sample(LL_STEP, [batch_size] * block, rng)
+        for t, batch in enumerate(batches, first + 1):
+            y = y - step_size * oracles.ll_grad_y(x, y, batch)
+            if not np.isfinite(y).all():
+                raise DivergenceError(f"lower-level iterate diverged at step {t}")
     return y

@@ -73,15 +73,15 @@ class _CgNsStep:
 
     def lower(self, oracles, x, y_start):
         config = self.config
-        self.result = lower_level_solve(
-            oracles, x, y_start, config.D, config.alpha,
-            keep_trajectory=config.option == "ns",
-        )
-        return self.result.y_final
+        # The series walks every lower iterate; cg reads only the last.
+        self.trajectory = [] if config.option == "ns" else None
+        y = lower_level_solve(oracles, x, y_start, config.D, config.alpha, self.trajectory)
+        self.trajectory = self.trajectory or [y]
+        return y
 
     def hypergradients(self, oracles, x):
         matrix, self.warm_v = build_hypergradient_matrix(
-            oracles, x, self.result, self.config, self.warm_v
+            oracles, x, self.trajectory, self.config, self.warm_v
         )
         return matrix
 

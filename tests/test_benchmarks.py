@@ -180,8 +180,8 @@ class TestHypercleaningToy:
         rng = np.random.default_rng(2)
         x = 0.3 * rng.standard_normal(problem.dim_x)
         det = problem.deterministic()
-        lower = lower_level_solve(det, x, np.zeros(problem.dim_y), 500, 1.0 / constants.L)
-        grad, _ = hypergrad_cg(det, x, lower.y_final, 1, None, problem.dim_y)
+        y_d = lower_level_solve(det, x, np.zeros(problem.dim_y), 500, 1.0 / constants.L)
+        grad, _ = hypergrad_cg(det, x, y_d, 1, None, problem.dim_y)
         fd = finite_diff_hypergrad(problem, x, 1)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-30)
         assert rel <= 1e-3

@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobilevel import Preference, SolverConfig, checks, cli
+from mobilevel import Preference, SolverConfig, checks, cli, run_deterministic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 HYPERCLEANING_INI = CONFIGS / "hypercleaning.ini"
@@ -121,6 +122,43 @@ run_json = {out}/run.json
         line = text.splitlines().index(f"[{section}]") + 2
         assert cli.main(["run", "--config", config]) == 2
         assert f"{config}:{line}: [{section}] {key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["q", "t", "d_f", "d_g", "b", "eta"])
+    def test_stochastic_keys_unknown_to_quadratic(self, tmp_path, capsys, key):
+        # A deterministic run reads none of the sampled Neumann settings, so
+        # a quadratic config rejects each of them, from --set and from the file.
+        out = tmp_path / "out"
+        text = QUADRATIC_CONFIG.format(out=out)
+        config = write_config(tmp_path / "run.ini", text)
+        assert cli.main(["run", "--config", config, "--set", f"solver.{key}=5"]) == 2
+        assert f"{config}: [solver] {key}: unknown key" in capsys.readouterr().err
+        text = text.replace("[solver]\n", f"[solver]\n{key} = 5\n")
+        config = write_config(tmp_path / "run.ini", text)
+        line = text.splitlines().index("[solver]") + 2
+        assert cli.main(["run", "--config", config]) == 2
+        assert f"{config}:{line}: [solver] {key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, message", [
+        ("", "[problem] family: missing required field"),
+        ("family = quadratc", "[problem] family: unknown family 'quadratc'"),
+    ])
+    def test_family_reported_before_solver_keys(self, tmp_path, capsys, family, message):
+        # Which [solver] keys are known depends on the family, so a missing
+        # or unknown family is the error, not a key it would reject.
+        config = write_config(tmp_path / "run.ini", f"""
+[problem]
+{family}
+
+[solver]
+q = 3
+n = 3
+
+[preference]
+pattern = uniform
+""")
+        assert cli.main(["run", "--config", config]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_section_and_override_rejected(self, quadratic_config, capsys):
         config, _ = quadratic_config
@@ -267,18 +305,19 @@ family = quadratic
         assert ok, detail
 
     def test_stochastic_rejects_cg_keys(self, tmp_path, capsys):
-        # The stochastic loop has one estimator: it takes no CG budget and
-        # no option but ns, and its record names the estimator it ran.
+        # The stochastic loop has one estimator: its family knows no CG
+        # budget and no option but ns, and its record names the estimator
+        # it ran.
         config = str(HYPERCLEANING_INI)
         out = tmp_path / "out"
         outputs = ["--set", f"output.trace_csv={out}/trace.csv",
                    "--set", f"output.run_json={out}/run.json", "--set", "solver.k=2"]
         assert cli.main(["run", "--config", config, "--set", "solver.n=7"] + outputs) == 2
-        assert f"{config}: [solver] n: a stochastic run has no CG budget" in (
-            capsys.readouterr().err)
+        assert f"{config}: [solver] n: unknown key" in capsys.readouterr().err
         line = HYPERCLEANING_INI.read_text().splitlines().index("option = ns") + 1
         assert cli.main(["run", "--config", config, "--set", "solver.option=cg"] + outputs) == 2
-        assert f"{config}:{line}: [solver] option: " in capsys.readouterr().err
+        assert f"{config}:{line}: [solver] option: invalid value 'cg': must be 'ns'" in (
+            capsys.readouterr().err)
         assert cli.main(["run", "--config", config] + outputs) == 0
         solver = json.loads((out / "run.json").read_text())["solver"]
         assert solver["option"] == "stochastic" and "N" not in solver
@@ -290,13 +329,44 @@ family = quadratic
             code = cli.main([
                 "run", "--config", config,
                 "--set", "solver.alpha=1e9", "--set", "solver.beta=0.1",
-                "--set", "solver.eta=0.1", "--set", "problem.y0=1,1,1",
+                "--set", "problem.y0=1,1,1",
             ])
         assert code == 1
         assert "run failed" in capsys.readouterr().err
         # The partial trace file exists (header-only: the failure hit k = 0).
         text = (out / "trace.csv").read_text()
         assert text.startswith("k,phi_1")
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda path: path.name)
+    def test_shipped_config_records_its_family_keys(self, tmp_path, config):
+        # Every shipped config runs, and its record's solver block holds
+        # exactly the [solver] keys of its problem family.
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--config", str(config), "--set", "solver.k=2",
+            "--set", f"output.trace_csv={out}/trace.csv",
+            "--set", f"output.run_json={out}/run.json",
+        ]) == 0
+        record = json.loads((out / "run.json").read_text())
+        family = record["problem"]["family"]
+        assert {key.lower() for key in record["solver"]} == section_keys("solver", family)
+        assert record["solver"]["K"] == record["iterations"] == 2
+
+    def test_record_refuses_config_loop_did_not_run(self, quadratic_config):
+        # The record's solver block is the config the loop ran; a different
+        # config passed beside the trace is an error, not a second source.
+        path, _ = quadratic_config
+        parser = cli.load_config(path, ["solver.k=2"])
+        problem, _, x0, y0, summary = cli.build_problem(parser, path)
+        config = cli.build_solver_config(parser, path)
+        preference = cli.build_preference(parser, path, problem.num_objectives)
+        trace = run_deterministic(problem, config, preference, x0, y0)
+        record = cli.run_record(trace, trace.config, summary, preference)
+        assert trace.config.alpha is not None
+        assert record["solver"]["alpha"] == trace.config.alpha
+        for other in (config, replace(trace.config, N=7)):
+            with pytest.raises(ValueError, match="trace.config"):
+                cli.run_record(trace, other, summary, preference)
 
     @pytest.mark.parametrize("option", ["cg", "ns"])
     @pytest.mark.parametrize(
@@ -384,21 +454,32 @@ run_json = {out}/run.json
         assert all(row["true_d_norm_sq"] is None for row in rows)
 
 
-# The keys each section accepts, as of the separate key tables the schema
-# replaced; [problem] adds the keys of its family.
+# The keys each section accepts in every config.
 ACCEPTED_KEYS = {
     "problem": {"family", "seed", "x0", "y0"},
-    "quadratic": {
-        "p", "q", "s", "hessian_scale", "coupling_scale", "target_scale", "hessian", "coupling",
-    },
-    "hypercleaning": {"feature_dim", "n_train", "n_val", "corruption_rates", "reg_weight"},
-    "solver": {
-        "option", "k", "d", "n", "q", "t", "d_f", "d_g", "b", "seed",
-        "alpha", "beta", "eta", "u", "stop_tol",
-    },
+    "solver": {"option", "k", "d", "seed", "alpha", "beta", "u", "stop_tol"},
     "preference": {"vector", "pattern", "index"},
     "output": {"trace_csv", "run_json", "summary_csv", "traces_dir"},
 }
+# The keys each problem family adds: its instance, and the settings of the
+# estimator it runs (cg or ns; the sampled Neumann recursion).
+FAMILY_KEYS = {
+    "quadratic": {
+        "problem": {
+            "p", "q", "s", "hessian_scale", "coupling_scale", "target_scale", "hessian",
+            "coupling",
+        },
+        "solver": {"n"},
+    },
+    "hypercleaning": {
+        "problem": {"feature_dim", "n_train", "n_val", "corruption_rates", "reg_weight"},
+        "solver": {"q", "t", "d_f", "d_g", "b", "eta"},
+    },
+}
+
+
+def section_keys(section, family):
+    return ACCEPTED_KEYS[section] | FAMILY_KEYS[family].get(section, set())
 
 
 def fmt_vector(values):
@@ -494,14 +575,28 @@ def hypercleaning_problems(draw):
     return values
 
 
-SOLVER_VALUES = {
+STEP = st.floats(0.0, exclude_min=True, allow_infinity=False)
+COMMON_SOLVER_VALUES = {
     "K": st.integers(0, 10**9),
-    **{field: st.integers(1, 10**9) for field in ("D", "N", "Q", "T", "D_f", "D_g", "B")},
+    "D": st.integers(1, 10**9),
     "seed": st.integers(0, 2**63),
-    **{field: st.floats(0.0, exclude_min=True, allow_infinity=False)
-       for field in ("alpha", "beta", "eta")},
+    "alpha": STEP,
+    "beta": STEP,
     **{field: finite_floats(0.0) for field in ("u", "stop_tol")},
-    "option": st.sampled_from(["cg", "ns", "CG", "Ns"]),
+}
+# In-domain SolverConfig values of the [solver] keys each family reads.
+SOLVER_VALUES = {
+    "quadratic": {
+        **COMMON_SOLVER_VALUES,
+        "N": st.integers(1, 10**9),
+        "option": st.sampled_from(["cg", "ns", "CG", "Ns"]),
+    },
+    "hypercleaning": {
+        **COMMON_SOLVER_VALUES,
+        **{field: st.integers(1, 10**9) for field in ("Q", "T", "D_f", "D_g", "B")},
+        "eta": STEP,
+        "option": st.sampled_from(["ns", "NS", "Ns"]),
+    },
 }
 OUTPUT_PATH = st.text("abcxyz019/._-", min_size=1, max_size=12).filter(lambda t: t.strip() == t)
 
@@ -539,6 +634,14 @@ HUGE = st.one_of(NON_FINITE, finite_floats(1e100).filter(lambda v: v > 1e100).ma
 WITH_NAN = st.integers(0, 3).map(lambda i: ", ".join(["0"] * i + ["nan"]))
 BAD_RATES = st.one_of(st.floats(1.0, 10.0), st.floats(-10.0, 0.0, exclude_max=True)).map(
     lambda rate: f"0.5, {rate!r}")
+# Every numeric [solver] key, under each family.
+SOLVER_OUT_OF_DOMAIN = {
+    "k": NEGATIVE,
+    "seed": NEGATIVE,
+    **{key: NOT_A_DIMENSION for key in ("d", "n", "q", "t", "d_f", "d_g", "b")},
+    **{key: NOT_POSITIVE for key in ("alpha", "beta", "eta")},
+    **{key: NEGATIVE_FLOAT for key in ("u", "stop_tol")},
+}
 OUT_OF_DOMAIN = [
     ("quadratic", "problem", "seed", NEGATIVE),
     *(("quadratic", "problem", key, NOT_A_DIMENSION) for key in ("p", "q", "s")),
@@ -549,12 +652,8 @@ OUT_OF_DOMAIN = [
       for key in ("feature_dim", "n_train", "n_val")),
     ("hypercleaning", "problem", "reg_weight", NOT_POSITIVE),
     ("hypercleaning", "problem", "corruption_rates", BAD_RATES),
-    ("quadratic", "solver", "k", NEGATIVE),
-    ("quadratic", "solver", "seed", NEGATIVE),
-    *(("quadratic", "solver", key, NOT_A_DIMENSION)
-      for key in ("d", "n", "q", "t", "d_f", "d_g", "b")),
-    *(("quadratic", "solver", key, NOT_POSITIVE) for key in ("alpha", "beta", "eta")),
-    *(("quadratic", "solver", key, NEGATIVE_FLOAT) for key in ("u", "stop_tol")),
+    *((family, "solver", key, raw_values)
+      for family in FAMILY_KEYS for key, raw_values in SOLVER_OUT_OF_DOMAIN.items()),
     ("quadratic", "preference", "index", NEGATIVE),
 ]
 
@@ -562,11 +661,10 @@ OUT_OF_DOMAIN = [
 class TestSchema:
     @pytest.mark.parametrize("family", ["quadratic", "hypercleaning"])
     def test_accepted_key_set(self, tmp_path, family):
-        # The schema accepts exactly the keys of the tables it replaced, and
-        # a config that sets all of them loads.
-        expected = {section: ACCEPTED_KEYS[section]
-                    for section in ("solver", "preference", "output")}
-        expected["problem"] = ACCEPTED_KEYS["problem"] | ACCEPTED_KEYS[family]
+        # The schema accepts exactly the common keys and the family's, a
+        # config that sets all of them loads, and the other family's are
+        # unknown.
+        expected = {section: section_keys(section, family) for section in ACCEPTED_KEYS}
         for section, keys in expected.items():
             assert {key.lower() for key in cli._keys(section, family)} == keys
         text = ini_text({
@@ -576,21 +674,24 @@ class TestSchema:
         parser = cli.load_config(write_config(tmp_path / "all.ini", text))
         assert {section: set(parser.options(section)) for section in parser.sections()} == expected
         other = ({"quadratic", "hypercleaning"} - {family}).pop()
-        for key in ACCEPTED_KEYS[other]:
-            with pytest.raises(cli.ConfigFileError, match=rf"\[problem\] {key}: unknown key"):
-                cli.load_config(str(tmp_path / "all.ini"), [f"problem.{key}=1"])
+        for section, keys in FAMILY_KEYS[other].items():
+            for key in sorted(keys - expected[section]):
+                with pytest.raises(cli.ConfigFileError,
+                                   match=rf"\[{section}\] {key}: unknown key"):
+                    cli.load_config(str(tmp_path / "all.ini"), [f"{section}.{key}=1"])
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.one_of(quadratic_problems(), hypercleaning_problems()),
-           st.fixed_dictionaries({}, optional=SOLVER_VALUES),
+    @given(st.one_of(quadratic_problems(), hypercleaning_problems()).flatmap(
+               lambda problem: st.tuples(st.just(problem), st.fixed_dictionaries(
+                   {}, optional=SOLVER_VALUES[problem["family"]]))),
            preference_sections(),
            st.fixed_dictionaries({}, optional={
                key: OUTPUT_PATH for key in ("trace_csv", "run_json", "summary_csv", "traces_dir")
            }))
-    def test_values_read_back(self, schema_dir, problem_values, solver_values,
-                              preference, output_values):
+    def test_values_read_back(self, schema_dir, problem_and_solver, preference, output_values):
         # Every in-domain value written to a config is read back exactly by
         # the builders; a key left out takes its default.
+        problem_values, solver_values = problem_and_solver
         s_count, preference_values, expected_preference = preference
         solver_ini = {field.lower(): value for field, value in solver_values.items()}
         path = write_config(schema_dir / "drawn.ini", ini_text({
@@ -616,8 +717,10 @@ class TestSchema:
             eye = np.eye(problem.dim_y)
             assert np.array_equal(-problem.ll_jvp(x0, y0, eye), problem_values["coupling"].T)
 
-        expected_solver = {field: value.lower() if field == "option" else value
-                           for field, value in solver_values.items()}
+        # The hyper-cleaning family runs one estimator, and its option says so.
+        expected_solver = {"option": "ns"} if family == "hypercleaning" else {}
+        expected_solver.update({field: value.lower() if field == "option" else value
+                                for field, value in solver_values.items()})
         assert cli.build_solver_config(parser, path) == SolverConfig(**expected_solver)
 
         got = cli.build_preference(parser, path, s_count)
@@ -659,7 +762,11 @@ class TestSchema:
                              "--set", f"output.run_json={out}/run.json"])
         err = stderr.getvalue()
         assert code == 2, err
-        assert f"[{section}] {key}: invalid value '{raw}': " in err
+        # A key the family does not read is unknown, whatever its value.
+        if key in section_keys(section, family):
+            assert f"[{section}] {key}: invalid value '{raw}': " in err
+        else:
+            assert f"[{section}] {key}: unknown key" in err
         assert not out.exists()
 
 

@@ -145,6 +145,13 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError):
             SolverConfig().resolved(None)
 
+    def test_resolved_leaves_eta_to_stochastic_runs(self):
+        # Only the stochastic loop reads eta, so only it refuses a missing one.
+        resolved = SolverConfig(alpha=0.5, beta=0.05).resolved(None)
+        assert resolved.eta is None
+        with pytest.raises(ConfigurationError, match="not derivable .*: eta$"):
+            resolved.validate_stochastic(1.0)
+
     def test_explicit_steps_win(self):
         constants = ProblemConstants(mu_g=0.5, L=2.0, tau=0.0, rho=0.0)
         resolved = SolverConfig(alpha=0.1, beta=0.2, eta=0.3).resolved(constants)

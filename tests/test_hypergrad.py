@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from mobilevel import (
     OracleCounters,
     QuadraticBilevelSpec,
     SolverConfig,
+    StochasticOracles,
     build_hypergradient_matrix,
     build_hypergradient_matrix_stochastic,
     counted_oracles,
@@ -21,8 +23,9 @@ from mobilevel import (
     stochastic_hvp_neumann,
     wrap_deterministic,
     HESSIAN,
+    LL_STEP,
 )
-from mobilevel.hypergrad import stochastic_lower_solve
+from mobilevel.hypergrad import LL_BLOCK, stochastic_lower_solve
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +51,30 @@ def scalar_problem(h, b, c):
     )
 
 
+def _lower_sgd_problem(n, seen=None):
+    """Stochastic bundle with population ``n`` whose lower gradient is y;
+    ``seen`` receives the indices of every lower batch.  Only the lower
+    solve is exercised."""
+
+    def ll_grad_y(x, y, batch):
+        if seen is not None:
+            seen.append(batch.indices)
+        return y
+
+    return StochasticOracles(
+        num_objectives=1, dim_x=1, dim_y=1, dataset_sizes={LL_STEP: n},
+        ul_value=None, ul_grad_x=None, ul_grad_y=None,
+        ll_grad_y=ll_grad_y, ll_hvp=None, ll_jvp=None,
+    )
+
+
 class TestLowerLevelSolve:
     def test_fixed_point_unchanged(self, quadratic):
         spec, problem, constants = quadratic
         x = np.array([0.4, -1.0, 0.3])
         y_star = problem.reference.y_star(x)
-        result = lower_level_solve(problem, x, y_star, 5, 1.0 / constants.L)
-        assert np.abs(result.y_final - y_star).max() <= 1e-14
+        y = lower_level_solve(problem, x, y_star, 5, 1.0 / constants.L)
+        assert np.abs(y - y_star).max() <= 1e-14
 
     @pytest.mark.parametrize("depth", [8, 16, 32])
     def test_linear_contraction(self, quadratic, depth):
@@ -63,16 +83,16 @@ class TestLowerLevelSolve:
         x = np.array([1.0, 0.5, -0.2])
         y_star = problem.reference.y_star(x)  # direct solve of H y = C x
         y0 = np.full(4, 2.0)
-        result = lower_level_solve(problem, x, y0, depth, alpha)
+        y = lower_level_solve(problem, x, y0, depth, alpha)
         bound = (1.0 - alpha * constants.mu_g) ** depth * np.linalg.norm(y0 - y_star)
-        assert np.linalg.norm(result.y_final - y_star) <= bound + 1e-12
+        assert np.linalg.norm(y - y_star) <= bound + 1e-12
 
     def test_zero_gradient_single_step(self):
         problem = scalar_problem(2.0, 1.0, 0.0)
         x = np.array([2.0])
         y_star = np.array([1.0])  # h y = b x  =>  y = x/2
-        result = lower_level_solve(problem, x, y_star, 1, 0.3)
-        np.testing.assert_array_equal(result.y_final, y_star)
+        y = lower_level_solve(problem, x, y_star, 1, 0.3)
+        np.testing.assert_array_equal(y, y_star)
 
     def test_divergence_names_step(self):
         problem = scalar_problem(2.0, 1.0, 0.0)
@@ -88,6 +108,35 @@ class TestLowerLevelSolve:
             DivergenceError, match=r"^lower-level iterate diverged at step 2$"
         ):
             stochastic_lower_solve(problem, np.zeros(1), np.array([1e290]), 10, 1e10, 1, rng)
+
+    @pytest.mark.parametrize("n", [40, 1000])  # key matrices, one choice per batch
+    def test_stochastic_blocks_consume_stream_as_one_call(self, n):
+        # The lower solve draws its batches a block at a time; across a
+        # block boundary the batches and the generator state equal those of
+        # one sampler call for every step.
+        seen = []
+        problem = _lower_sgd_problem(n, seen)
+        steps = 2 * LL_BLOCK + 5
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        stochastic_lower_solve(problem, np.zeros(1), np.ones(1), steps, 0.5, 32, rng_a)
+        whole = problem.sample(LL_STEP, [32] * steps, rng_b)
+        assert len(seen) == steps
+        for indices, batch in zip(seen, whole):
+            np.testing.assert_array_equal(indices, batch.indices)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_stochastic_memory_bounded_in_steps(self):
+        # 100,000 steps hold one block of batches, not 100,000 batches
+        # (about 70 MB when drawn at once).
+        problem, rng = _lower_sgd_problem(40), np.random.default_rng(9)
+        stochastic_lower_solve(problem, np.zeros(1), np.ones(1), 2, 0.5, 32, rng)
+        tracemalloc.start()
+        try:
+            stochastic_lower_solve(problem, np.zeros(1), np.ones(1), 100_000, 0.5, 32, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("stochastic", [False, True])
     @pytest.mark.parametrize("steps, step_size, message", [
@@ -112,11 +161,12 @@ class TestLowerLevelSolve:
 
     def test_trajectory_layout(self, quadratic):
         _, problem, constants = quadratic
-        result = lower_level_solve(
-            problem, np.zeros(3), np.ones(4), 6, 0.5, keep_trajectory=True
-        )
-        assert len(result.trajectory) == 7
-        assert np.array_equal(result.trajectory[-1], result.y_final)
+        trajectory = []
+        y = lower_level_solve(problem, np.zeros(3), np.ones(4), 6, 0.5, trajectory)
+        assert len(trajectory) == 7
+        assert np.array_equal(trajectory[0], np.ones(4))
+        assert trajectory[-1] is y
+        assert np.array_equal(y, lower_level_solve(problem, np.zeros(3), np.ones(4), 6, 0.5))
 
     def test_counts_gradient_calls(self, quadratic):
         _, problem, _ = quadratic
@@ -139,10 +189,10 @@ class TestHypergradCg:
     def test_matches_analytic_after_deep_solve(self, quadratic):
         spec, problem, constants = quadratic
         x = np.array([1.0, -0.3, 0.4])
-        lower = lower_level_solve(problem, x, np.zeros(4), 200, 1.0 / constants.L)
+        y_d = lower_level_solve(problem, x, np.zeros(4), 200, 1.0 / constants.L)
         analytic = problem.reference.grad_phi(x)
         for s in range(3):
-            grad, _ = hypergrad_cg(problem, x, lower.y_final, s, None, 4)
+            grad, _ = hypergrad_cg(problem, x, y_d, s, None, 4)
             rel = np.linalg.norm(grad - analytic[:, s]) / np.linalg.norm(analytic[:, s])
             assert rel <= 1e-6
 
@@ -177,15 +227,15 @@ class TestHypergradNs:
         spec, problem, constants = quadratic
         x = np.array([0.2, 0.1, -0.5])
         zeroed = replace(problem, ul_grad_y=lambda s, x, y: np.zeros(4))
-        lower = lower_level_solve(zeroed, x, np.zeros(4), 10, 0.5, keep_trajectory=True)
-        grad = hypergrad_ns(zeroed, x, lower, 0, 0.5)
-        np.testing.assert_array_equal(grad, problem.ul_grad_x(0, x, lower.y_final))
+        trajectory = []
+        y_d = lower_level_solve(zeroed, x, np.zeros(4), 10, 0.5, trajectory)
+        grad = hypergrad_ns(zeroed, x, trajectory, 0, 0.5)
+        np.testing.assert_array_equal(grad, problem.ul_grad_x(0, x, y_d))
 
     def test_requires_trajectory(self, quadratic):
         _, problem, _ = quadratic
-        lower = lower_level_solve(problem, np.zeros(3), np.zeros(4), 5, 0.5)
         with pytest.raises(ValueError, match="trajectory"):
-            hypergrad_ns(problem, np.zeros(3), lower, 0, 0.5)
+            hypergrad_ns(problem, np.zeros(3), [], 0, 0.5)
 
     @pytest.mark.parametrize("depth", [5, 20, 60])
     def test_scalar_geometric_series(self, depth):
@@ -198,8 +248,9 @@ class TestHypergradNs:
         problem = scalar_problem(h, b, c)
         x = np.array([1.3])
         y_star = np.array([b / h * x[0]])
-        lower = lower_level_solve(problem, x, y_star, depth, alpha, keep_trajectory=True)
-        grad = hypergrad_ns(problem, x, lower, 0, alpha)
+        trajectory = []
+        lower_level_solve(problem, x, y_star, depth, alpha, trajectory)
+        grad = hypergrad_ns(problem, x, trajectory, 0, alpha)
         analytic = (b / h) * ((b / h) * x[0] - c)
         cap = abs((b / h) * (y_star[0] - c)) * (1.0 - alpha * h) ** depth
         assert abs(grad[0] - analytic) <= cap + 1e-15
@@ -208,10 +259,11 @@ class TestHypergradNs:
         spec, problem, constants = quadratic
         alpha = 1.0 / constants.L
         x = np.array([0.7, -0.8, 0.1])
-        lower = lower_level_solve(problem, x, np.zeros(4), 200, alpha, keep_trajectory=True)
+        trajectory = []
+        y_d = lower_level_solve(problem, x, np.zeros(4), 200, alpha, trajectory)
         for s in range(3):
-            ns = hypergrad_ns(problem, x, lower, s, alpha)
-            cg, _ = hypergrad_cg(problem, x, lower.y_final, s, None, 4)
+            ns = hypergrad_ns(problem, x, trajectory, s, alpha)
+            cg, _ = hypergrad_cg(problem, x, y_d, s, None, 4)
             assert np.linalg.norm(ns - cg) <= 1e-5
 
     def test_call_budget(self, quadratic):
@@ -219,10 +271,9 @@ class TestHypergradNs:
         counters = OracleCounters()
         counted = counted_oracles(problem, counters)
         depth = 7
-        lower = lower_level_solve(
-            counted, np.zeros(3), np.zeros(4), depth, 0.5, keep_trajectory=True
-        )
-        hypergrad_ns(counted, np.zeros(3), lower, 0, 0.5)
+        trajectory = []
+        lower_level_solve(counted, np.zeros(3), np.zeros(4), depth, 0.5, trajectory)
+        hypergrad_ns(counted, np.zeros(3), trajectory, 0, 0.5)
         assert counters.as_tuple() == (2, depth, depth + 1, depth + 1)
 
     def test_bias_decays_at_contraction_rate(self):
@@ -236,10 +287,11 @@ class TestHypergradNs:
         y0 = np.full(5, 3.0)
         errors = []
         for depth in (8, 16, 32, 64):
-            lower = lower_level_solve(problem, x, y0, depth, alpha, keep_trajectory=True)
+            trajectory = []
+            lower_level_solve(problem, x, y0, depth, alpha, trajectory)
             worst = 0.0
             for s in range(2):
-                grad = hypergrad_ns(problem, x, lower, s, alpha)
+                grad = hypergrad_ns(problem, x, trajectory, s, alpha)
                 worst = max(
                     worst,
                     float(np.linalg.norm(grad - problem.reference.grad_phi(x)[:, s])),
@@ -256,9 +308,9 @@ class TestFiniteDifferenceConsistency:
         spec, problem, constants = quadratic
         rng = np.random.default_rng(3)
         x = rng.standard_normal(3)
-        lower = lower_level_solve(problem, x, np.zeros(4), 400, 1.0 / constants.L)
+        y_d = lower_level_solve(problem, x, np.zeros(4), 400, 1.0 / constants.L)
         for s in range(3):
-            cg, _ = hypergrad_cg(problem, x, lower.y_final, s, None, 4)
+            cg, _ = hypergrad_cg(problem, x, y_d, s, None, 4)
             fd = finite_diff_hypergrad(problem, x, s, h=1e-5, ll_tol=1e-12)
             assert np.abs(cg - fd).max() <= 1e-4
 
@@ -383,12 +435,12 @@ class TestBuildMatrix:
         config = SolverConfig(D=30, N=4, option="cg", alpha=1.0 / constants.L,
                               beta=0.1, eta=0.1)
         x = np.array([0.5, -0.5, 1.0])
-        lower = lower_level_solve(problem, x, np.zeros(4), 30, config.alpha)
-        matrix, warm = build_hypergradient_matrix(problem, x, lower, config, [None])
-        grad, v = hypergrad_cg(problem, x, lower.y_final, 0, None, 4)
+        y_d = lower_level_solve(problem, x, np.zeros(4), 30, config.alpha)
+        matrix, warm = build_hypergradient_matrix(problem, x, [y_d], config, [None])
+        grad, v = hypergrad_cg(problem, x, y_d, 0, None, 4)
         np.testing.assert_array_equal(matrix.grads[:, 0], grad)
         np.testing.assert_array_equal(warm[0], v)
-        assert matrix.phi_values[0] == problem.ul_value(0, x, lower.y_final)
+        assert matrix.phi_values[0] == problem.ul_value(0, x, y_d)
 
     def test_three_objectives_match_analytic(self):
         spec = QuadraticBilevelSpec.random(4, 5, 3, seed=3, hessian_scale=0.25)
@@ -396,8 +448,8 @@ class TestBuildMatrix:
         config = SolverConfig(D=200, N=5, option="cg", alpha=1.0 / constants.L,
                               beta=0.1, eta=0.1)
         x = np.array([1.0, 0.2, -0.7, 0.4])
-        lower = lower_level_solve(problem, x, np.zeros(5), 200, config.alpha)
-        matrix, _ = build_hypergradient_matrix(problem, x, lower, config, [None] * 3)
+        y_d = lower_level_solve(problem, x, np.zeros(5), 200, config.alpha)
+        matrix, _ = build_hypergradient_matrix(problem, x, [y_d], config, [None] * 3)
         analytic = problem.reference.grad_phi(x)
         for s in range(3):
             rel = np.linalg.norm(matrix.grads[:, s] - analytic[:, s])
@@ -412,11 +464,11 @@ class TestBuildMatrix:
         config = SolverConfig(D=200, N=4, Q=200, option="cg", alpha=alpha,
                               beta=0.1, eta=alpha)
         x = np.array([0.8, -0.1, 0.6])
-        lower = lower_level_solve(problem, x, np.zeros(4), 200, alpha)
-        det_matrix, _ = build_hypergradient_matrix(problem, x, lower, config, [None] * 2)
+        y_d = lower_level_solve(problem, x, np.zeros(4), 200, alpha)
+        det_matrix, _ = build_hypergradient_matrix(problem, x, [y_d], config, [None] * 2)
         rng = np.random.default_rng(0)
         st_matrix = build_hypergradient_matrix_stochastic(
-            stochastic, x, lower.y_final, config, rng, constants.mu_g
+            stochastic, x, y_d, config, rng, constants.mu_g
         )
         assert np.abs(st_matrix.grads - det_matrix.grads).max() <= 1e-4
         np.testing.assert_allclose(st_matrix.phi_values, det_matrix.phi_values, atol=1e-12)

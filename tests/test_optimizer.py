@@ -117,6 +117,17 @@ class TestRunDeterministic:
         effective = replace(config, K=trace.iterations)
         assert trace.counters.as_tuple() == expected_counters(effective, 2, "cg").as_tuple()
 
+    def test_explicit_steps_need_no_constants(self, two_objective):
+        # A deterministic run reads alpha and beta, never eta: with both
+        # given it needs no problem constants.
+        _, problem, _ = two_objective
+        config = SolverConfig(K=3, D=8, N=3, alpha=0.5, beta=0.05)
+        trace = run_deterministic(
+            replace(problem, constants=None), config, Preference.uniform(2),
+            np.zeros(3), np.zeros(4),
+        )
+        assert trace.iterations == 3 and trace.config.eta is None
+
     def test_replay_bitwise(self, two_objective):
         _, problem, _ = two_objective
         config = SolverConfig(K=12, D=10, N=3, option="cg", u=0.5, seed=77)
