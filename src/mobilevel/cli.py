@@ -349,7 +349,8 @@ def build_preference(
     parser: configparser.ConfigParser, path: str, s_count: int
 ) -> Optional[Preference]:
     """Preference from the [preference] section; ``None`` selects the
-    non-preference variant.  ``index`` picks from the pattern's grid."""
+    non-preference variant.  ``index`` picks from the pattern's grid and is
+    rejected next to ``vector``."""
     section = "preference"
     if not parser.has_section(section):
         raise _config_error(path, section, None, "missing section")
@@ -360,6 +361,10 @@ def build_preference(
             path, section, None, "give exactly one of 'vector' or 'pattern'"
         )
     if vector is not None:
+        if parser.has_option(section, "index"):
+            raise _config_error(
+                path, section, "index", "applies only with 'pattern', not with 'vector'"
+            )
         if len(vector) != s_count:
             raise _config_error(
                 path, section, "vector",
@@ -536,6 +541,8 @@ def cmd_sweep(args) -> int:
         parser = load_config(args.config, args.set or [])
         problem, kind, x0, y0, summary = build_problem(parser, args.config)
         config = build_solver_config(parser, args.config)
+        # The grid replaces [preference], whose values are still checked.
+        _values(parser, args.config, "preference")
         preferences = parse_grid(args.grid, problem.num_objectives)
         output = _values(parser, args.config, "output")
         summary_path, traces_dir = output["summary_csv"], output["traces_dir"]

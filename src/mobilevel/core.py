@@ -316,7 +316,7 @@ class OracleCounters:
     hv_g: int = 0
 
     def snapshot(self) -> "OracleCounters":
-        return replace(self)
+        return OracleCounters(self.gc_f, self.gc_g, self.jv_g, self.hv_g)
 
     def as_tuple(self) -> tuple:
         return (self.gc_f, self.gc_g, self.jv_g, self.hv_g)

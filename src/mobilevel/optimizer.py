@@ -25,6 +25,7 @@ from .core import (
     Preference,
     RunFailure,
     RunTrace,
+    SimplexWeights,
     SolverConfig,
     StochasticOracles,
     counted_oracles,
@@ -123,7 +124,7 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
     s_count = problem.num_objectives
     x = np.array(x0, dtype=float)
     y_prev = np.array(y0, dtype=float)
-    lam = np.full(s_count, 1.0 / s_count)
+    weights = SimplexWeights(np.full(s_count, 1.0 / s_count))
     records: list = []
     termination = TERM_COMPLETED
 
@@ -134,8 +135,8 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
             subproblem = WcSubproblem(
                 gram=matrix.gram(), phi=matrix.phi_values, r=weight_vec, u=config.u
             )
-            weights, _ = solve_wc_subproblem(subproblem, warm_start=lam)
-            lam = weights.lam
+            # A certified warm start comes back as the same object.
+            weights, _ = solve_wc_subproblem(subproblem, warm_start=weights)
         except Exception as exc:  # noqa: BLE001 - wrap with the partial trace
             raise RunFailure(
                 f"run aborted at iteration {k}: {exc}",
@@ -144,6 +145,7 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
                 ),
             ) from exc
 
+        lam = weights.lam
         direction = matrix.grads @ (weight_vec * lam)
         d_norm_sq = float(direction @ direction)
         true_d_norm_sq = None

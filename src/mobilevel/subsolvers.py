@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +44,7 @@ def conjugate_gradient(
         raise ValueError("applications must be at least 1")
     b = np.asarray(b, dtype=float)
     v = np.array(v0, dtype=float)
-    if np.any(v != 0.0):
+    if v.any():
         r = b - apply_A(v)
         applications -= 1
     else:
@@ -52,7 +52,6 @@ def conjugate_gradient(
     if not np.isfinite(r).all():
         raise NumericalBreakdownError("non-finite residual at iteration 0")
     rr = float(r @ r)
-    res = np.sqrt(rr)
     p = r.copy()
     for i in range(applications):
         ap = apply_A(p)
@@ -67,10 +66,9 @@ def conjugate_gradient(
         rr_new = float(r @ r)
         if not math.isfinite(rr_new):
             raise NumericalBreakdownError(f"non-finite residual at iteration {i + 1}")
-        res = np.sqrt(rr_new)
         p = r + (rr_new / rr if rr > 0.0 else 0.0) * p
         rr = rr_new
-    return v, res
+    return v, math.sqrt(rr)
 
 
 def project_simplex(z: np.ndarray) -> SimplexWeights:
@@ -187,13 +185,17 @@ def _face_step(scaled: np.ndarray, grad: np.ndarray, free: np.ndarray,
 
 
 def solve_wc_subproblem(
-    sp: WcSubproblem, warm_start: Optional[np.ndarray] = None
+    sp: WcSubproblem, warm_start: np.ndarray | SimplexWeights | None = None
 ) -> tuple[SimplexWeights, float]:
     """Minimize the weighted subproblem over the simplex to KKT residual ``KKT_TOL``.
 
-    A warm start that already certifies is returned after one projection.
+    The start is the uniform weights when ``warm_start`` is None, its
+    weights as they are when it is a :class:`SimplexWeights`, and its
+    projection onto the simplex when it is an array.  A start that already
+    certifies costs one KKT check and is returned as is, so a certified
+    ``SimplexWeights`` warm start comes back as the same object.
     Otherwise a primal active-set method (Nocedal & Wright, *Numerical
-    Optimization*, 16.5) starts from the warm start's support.  Each step
+    Optimization*, 16.5) starts from the start's support.  Each step
     moves to the minimizer of the current face, or stops at the boundary
     and drops the blocking weight.  At a face minimizer the excluded weight
     with the lowest gradient enters while its multiplier is negative beyond
@@ -208,9 +210,10 @@ def solve_wc_subproblem(
     """
     s = sp.size
     if warm_start is None:
-        lam = np.full(s, 1.0 / s)
-    else:
-        lam = project_simplex(warm_start).lam
+        warm_start = SimplexWeights(np.full(s, 1.0 / s))
+    elif not isinstance(warm_start, SimplexWeights):
+        warm_start = project_simplex(warm_start)
+    lam = warm_start.lam
 
     scaled = sp.scaled_gram()
     lin = sp.linear_term()
@@ -221,7 +224,7 @@ def solve_wc_subproblem(
     grad = 2.0 * (scaled @ lam) - lin
     residual = _kkt_residual(grad, lam)
     if residual <= certify_tol:
-        return SimplexWeights(lam), residual
+        return warm_start, residual
 
     best, best_residual = lam, residual
     free = lam > 0.0

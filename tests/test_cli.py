@@ -322,6 +322,25 @@ family = quadratic
         solver = json.loads((out / "run.json").read_text())["solver"]
         assert solver["option"] == "stochastic" and "N" not in solver
 
+    def test_index_rejected_next_to_vector(self, tmp_path, capsys):
+        # index picks from a pattern's grid; next to a vector it would be
+        # accepted and unused, so it is an error at its line.
+        out = tmp_path / "out"
+        text = QUADRATIC_CONFIG.format(out=out).replace(
+            "pattern = preferred", "vector = 0.7, 0.3")
+        config = write_config(tmp_path / "run.ini", text)
+        line = text.splitlines().index("index = 0") + 1
+        assert cli.main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config}:{line}: [preference] index: applies only with 'pattern'")
+        hypercleaning = str(HYPERCLEANING_INI)
+        assert cli.main(["run", "--config", hypercleaning, "--set", "solver.k=2",
+                         "--set", "preference.index=3",
+                         "--set", f"output.trace_csv={out}/trace.csv",
+                         "--set", f"output.run_json={out}/run.json"]) == 2
+        assert f"{hypercleaning}: [preference] index: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_failure_exit_1_with_partial_trace(self, tmp_path, capsys):
         out = tmp_path / "out"
         config = write_config(tmp_path / "run.ini", QUADRATIC_CONFIG.format(out=out))
@@ -868,6 +887,24 @@ traces_dir = {out}/traces
         assert (out / "summary.csv").read_bytes() == first_summary
         for name, blob in first.items():
             assert (out / "traces" / name).read_bytes() == blob
+
+    @pytest.mark.parametrize("override", ["preference.pattern=bogus", "preference.index=-4"])
+    def test_preference_values_checked(self, tmp_path, capsys, override):
+        # The grid replaces [preference], but its values are checked as in
+        # run, each error at the line of the shipped config that sets it.
+        config = CONFIGS / "quadratic_preferred.ini"
+        target, value = override.split("=")
+        key = target.split(".")[1]
+        lines = config.read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config), "--grid", "preferred",
+                         "--set", "solver.k=2", "--set", override,
+                         "--set", f"output.summary_csv={out}/summary.csv",
+                         "--set", f"output.traces_dir={out}/traces"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config}:{line}: [preference] {key}: invalid value '{value}': ")
+        assert not out.exists()
 
     def test_bad_grid_spec(self, tmp_path, capsys):
         out = tmp_path / "out"

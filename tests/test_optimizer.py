@@ -1,8 +1,10 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mobilevel import cli, optimizer, subsolvers
 from mobilevel import (
     ConfigurationError,
     Preference,
@@ -19,6 +21,9 @@ from mobilevel import (
     run_stochastic,
     wrap_deterministic,
 )
+
+
+QUADRATIC_INI = str(Path(__file__).resolve().parent.parent / "configs" / "quadratic_preferred.ini")
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +147,39 @@ class TestRunDeterministic:
             assert np.array_equal(a.weights.lam, b.weights.lam)
             assert a.d_norm_sq == b.d_norm_sq
             assert a.true_d_norm_sq == b.true_d_norm_sq
+
+
+class TestWarmWeights:
+    @pytest.mark.parametrize("option", ["cg", "ns"])
+    def test_certified_weights_pass_through(self, monkeypatch, option):
+        # The loop hands each QP the previous SimplexWeights: nothing is
+        # projected, and an iteration whose warm start certifies (no face
+        # solve) records the very weights object of the iteration before.
+        parser = cli.load_config(QUADRATIC_INI, ["solver.k=20", f"solver.option={option}"])
+        problem, _, x0, y0, _ = cli.build_problem(parser, QUADRATIC_INI)
+        config = cli.build_solver_config(parser, QUADRATIC_INI)
+        preference = cli.build_preference(parser, QUADRATIC_INI, problem.num_objectives)
+        projections, face_solves, certified = [], [], []
+        project, face_step = subsolvers.project_simplex, subsolvers._face_step
+        monkeypatch.setattr(subsolvers, "project_simplex",
+                            lambda z: projections.append(1) or project(z))
+        monkeypatch.setattr(subsolvers, "_face_step",
+                            lambda *args: face_solves.append(1) or face_step(*args))
+        solve = optimizer.solve_wc_subproblem
+
+        def recording_solve(sp, warm_start):
+            before = len(face_solves)
+            result = solve(sp, warm_start=warm_start)
+            certified.append(len(face_solves) == before)
+            return result
+
+        monkeypatch.setattr(optimizer, "solve_wc_subproblem", recording_solve)
+        records = run_deterministic(problem, config, preference, x0, y0).records
+        assert not projections
+        # The uniform start moves to a vertex once; every later QP certifies.
+        assert certified == [False] + [True] * 19
+        for k in range(1, 20):
+            assert records[k].weights is records[k - 1].weights
 
 
 class TestDescentProperties:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mobilevel import subsolvers
 from mobilevel import (
     NumericalBreakdownError,
+    SimplexWeights,
     WcSolverError,
     WcSubproblem,
     brute_force_min_norm,
@@ -79,6 +80,34 @@ class TestConjugateGradient:
                            match=r"^non-finite map output at iteration 3$"):
             conjugate_gradient(inf_on_third, np.array([1.0, -2.0, 0.5]), np.zeros(3), 5)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("start", ["zero", "warm"])
+    @pytest.mark.parametrize("applications", [1, 2, 4, 7])
+    def test_residual_is_final_recurrence_residual(self, start, applications):
+        # The returned residual is sqrt(r @ r) of the last recurrence
+        # residual, and v the last iterate, bit for bit: checked against the
+        # textbook Hestenes-Stiefel recurrence (no breakdown on this map).
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((5, 5))
+        a = m.T @ m + 0.1 * np.eye(5)
+        b = rng.standard_normal(5)
+        v0 = np.zeros(5) if start == "zero" else rng.standard_normal(5)
+        v, res = conjugate_gradient(lambda w: a @ w, b, v0, applications)
+
+        ref = v0.copy()
+        r = b - a @ ref if start == "warm" else b.copy()
+        p = r.copy()
+        rr = float(r @ r)
+        for _ in range(applications - (start == "warm")):
+            ap = a @ p
+            step = rr / float(p @ ap)
+            ref += step * p
+            r -= step * ap
+            rr_new = float(r @ r)
+            p = r + (rr_new / rr) * p
+            rr = rr_new
+        assert res == np.sqrt(float(r @ r))
+        np.testing.assert_array_equal(v, ref)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.data())
@@ -375,6 +404,23 @@ class TestSolveWcSubproblem:
         np.testing.assert_allclose(lam.lam, [0.8, 0.2], atol=1e-12)
         assert calls
 
+    def test_certified_simplex_weights_returned_by_identity(self, monkeypatch):
+        # A SimplexWeights warm start is used as it is: one that certifies
+        # comes back as the same object, with no projection.
+        projections = []
+        project = subsolvers.project_simplex
+        monkeypatch.setattr(subsolvers, "project_simplex",
+                            lambda z: projections.append(1) or project(z))
+        sp = WcSubproblem(gram=np.diag([1.0, 4.0]), phi=np.zeros(2),
+                          r=np.full(2, 0.5), u=0.0)
+        warm = SimplexWeights(np.array([0.8, 0.2]))
+        lam, residual = solve_wc_subproblem(sp, warm_start=warm)
+        assert lam is warm
+        assert residual <= 1e-10
+        lam, _ = solve_wc_subproblem(sp, warm_start=SimplexWeights(np.array([0.1, 0.9])))
+        np.testing.assert_allclose(lam.lam, [0.8, 0.2], atol=1e-12)
+        assert not projections
+
     def test_cold_start_interior_optimum_at_scale(self):
         # Columns of size 1e2 with a strong alignment term, started cold: the
         # optimum is interior, at (19/54, 1/12, 61/108), and its gradient
@@ -441,3 +487,32 @@ class TestSolveWcSubproblemProperties:
         value = sp.objective(lam.lam)
         assert value <= grid_min + 1e-12 * max(1.0, grad_max)
         assert value >= grid_min - slack
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(wc_instances(), st.data())
+    def test_simplex_weights_start_matches_array_twin(self, instance, data):
+        # A SimplexWeights warm start skips the projection its array twin
+        # goes through.  Where that projection returns the start unchanged
+        # (vertices, projection outputs) the two solves agree bit for bit.
+        # Elsewhere it moves weights by rounding errors and may lift zeros
+        # to ~1e-17, so a QP with several minimizers (a singular Gram) can
+        # end at another one: both certify, and a point with KKT residual
+        # rho is within 2 rho of the minimum, so their values agree.
+        sp, _ = instance
+        # Normalized by a division, as the active-set method leaves its
+        # weights: the sum may miss one by a rounding error.
+        w = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                                        min_size=sp.size, max_size=sp.size)))
+        w[data.draw(st.integers(0, sp.size - 1))] += 0.5
+        warm = SimplexWeights(w / w.sum())
+        twin, twin_residual = solve_wc_subproblem(sp, warm_start=warm.lam)
+        lam, residual = solve_wc_subproblem(sp, warm_start=warm)
+        if np.array_equal(project_simplex(warm.lam).lam, warm.lam):
+            np.testing.assert_array_equal(lam.lam, twin.lam)
+            assert residual == twin_residual
+            return
+        grad_max = 2.0 * np.abs(sp.scaled_gram()).max() + np.abs(sp.linear_term()).max()
+        certify_tol = max(1e-10, 64.0 * np.finfo(float).eps * grad_max)
+        assert max(residual, twin_residual) <= certify_tol
+        assert abs(sp.objective(lam.lam) - sp.objective(twin.lam)) <= (
+            2.0 * certify_tol + 1e-12 * max(1.0, grad_max))
