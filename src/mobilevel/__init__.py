@@ -11,7 +11,6 @@ alignment, enabling systematic Pareto front exploration.
 
 from .core import (
     AnalyticReference,
-    Batch,
     ConfigurationError,
     DeterministicOracles,
     DivergenceError,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     AnalyticReference,
-    Batch,
     DeterministicOracles,
     InvalidProblemError,
     OracleFailureError,
@@ -306,8 +305,7 @@ def make_hypercleaning_toy(
     def _logits(x):
         return x.reshape(s_count, n_tr)
 
-    def ll_grad_y(x, y, batch: Batch):
-        idx = batch.indices
+    def ll_grad_y(x, y, idx):
         b = idx.size
         w_all = _models(y)
         sw = _sigmoid(_logits(x)[:, idx])
@@ -317,8 +315,7 @@ def make_hypercleaning_toy(
         grads = np.einsum("sb,sbd->sd", resid, features) / (s_count * b)
         return (grads + reg * w_all).reshape(dim_y)
 
-    def ll_hvp(x, y, v, batch: Batch):
-        idx = batch.indices
+    def ll_hvp(x, y, v, idx):
         b = idx.size
         w_all = _models(y)
         v_all = _models(np.asarray(v, dtype=float))
@@ -330,8 +327,7 @@ def make_hypercleaning_toy(
         out = np.einsum("sb,sbd->sd", curv * fv, features) / (s_count * b)
         return (out + reg * v_all).reshape(dim_y)
 
-    def ll_jvp(x, y, v, batch: Batch):
-        idx = batch.indices
+    def ll_jvp(x, y, v, idx):
         b = idx.size
         w_all = _models(y)
         v_all = _models(np.asarray(v, dtype=float))
@@ -352,14 +348,13 @@ def make_hypercleaning_toy(
         # log(1 + exp(z)) - t z, computed stably
         return np.logaddexp(0.0, z) - t * z
 
-    def ul_value(s, x, y, batch: Batch):
-        return float(np.mean(_val_loss_terms(s, y, batch.indices)))
+    def ul_value(s, x, y, idx):
+        return float(np.mean(_val_loss_terms(s, y, idx)))
 
-    def ul_grad_x(s, x, y, batch: Batch):
+    def ul_grad_x(s, x, y, idx):
         return np.zeros(dim_x)
 
-    def ul_grad_y(s, x, y, batch: Batch):
-        idx = batch.indices
+    def ul_grad_y(s, x, y, idx):
         w_s = _models(y)[s]
         mu = _sigmoid(x_val[s, idx, :] @ w_s)
         grad = (mu - t_val[s, idx]) @ x_val[s, idx, :] / idx.size

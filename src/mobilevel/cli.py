@@ -80,15 +80,27 @@ def _find_line(path: str, section: str, key: Optional[str] = None) -> Optional[i
     return None
 
 
-def _config_error(path: str, section: str, key: Optional[str], message: str) -> ConfigFileError:
-    lineno = _find_line(path, section, key)
-    where = f"{path}:{lineno}" if lineno else path
+def _config_error(
+    parser: configparser.ConfigParser, path: str, section: str, key: Optional[str], message: str
+) -> ConfigFileError:
+    """Error at the ``--set`` that gave the key its value (or added the
+    section), else at its file line."""
+    override = parser.overrides.get((section, key))
+    if override:
+        where = f"--set {override}"
+    else:
+        lineno = _find_line(path, section, key)
+        where = f"{path}:{lineno}" if lineno else path
     field = f"[{section}] {key}" if key else f"[{section}]"
     return ConfigFileError(f"{where}: {field}: {message}")
 
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # Values are read literally: no '%' interpolation.
+    parser = configparser.ConfigParser(interpolation=None)
+    # (section, key) -> the override item that set the key, or with key None
+    # the one that added the section.
+    parser.overrides = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -103,7 +115,9 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.Config
         section, key = (part.strip() for part in target.split(".", 1))
         if not parser.has_section(section):
             parser.add_section(section)
+            parser.overrides[section, None] = item
         parser.set(section, key, value.strip())
+        parser.overrides[section, parser.optionxform(key)] = item
     _reject_unknown_keys(parser, path)
     return parser
 
@@ -260,13 +274,13 @@ def _reject_unknown_keys(parser: configparser.ConfigParser, path: str) -> None:
     known_family = family is not None and ("problem", family) in _SCHEMA
     for section in parser.sections():
         if (section, None) not in _SCHEMA:
-            raise _config_error(path, section, None, "unknown section")
+            raise _config_error(parser, path, section, None, "unknown section")
         if section in ("problem", "solver") and not known_family:
             continue  # build_problem reports the missing or unknown family
         allowed = {key.lower() for key in _keys(section, family)}
         for key in parser.options(section):
             if key not in allowed:
-                raise _config_error(path, section, key, "unknown key")
+                raise _config_error(parser, path, section, key, "unknown key")
 
 
 def _values(
@@ -281,7 +295,7 @@ def _values(
         try:
             values[key] = default if raw is None else cast(raw)
         except ValueError as exc:
-            raise _config_error(path, section, name, f"invalid value '{raw}': {exc}")
+            raise _config_error(parser, path, section, name, f"invalid value '{raw}': {exc}")
     return values
 
 
@@ -294,12 +308,12 @@ def build_problem(parser: configparser.ConfigParser, path: str):
     """
     section = "problem"
     if not parser.has_section(section):
-        raise _config_error(path, section, None, "missing section")
+        raise _config_error(parser, path, section, None, "missing section")
     family = parser.get(section, "family", fallback=None)
     if family is None:
-        raise _config_error(path, section, "family", "missing required field")
+        raise _config_error(parser, path, section, "family", "missing required field")
     if (section, family) not in _SCHEMA:
-        raise _config_error(path, section, "family", f"unknown family '{family}'")
+        raise _config_error(parser, path, section, "family", f"unknown family '{family}'")
     values = _values(parser, path, section, family)
     arrays = ("x0", "y0", "hessian", "coupling")
     summary = {key: value for key, value in values.items() if key not in arrays}
@@ -318,7 +332,7 @@ def build_problem(parser: configparser.ConfigParser, path: str):
                 try:
                     spec = replace(spec, **{key: values[key]})
                 except ValueError as exc:
-                    raise _config_error(path, section, key, str(exc))
+                    raise _config_error(parser, path, section, key, str(exc))
         problem, _ = make_quadratic(spec)
         kind = "deterministic"
         summary["condition_number"] = spec.condition_number
@@ -334,9 +348,9 @@ def build_problem(parser: configparser.ConfigParser, path: str):
     x0 = np.zeros(problem.dim_x) if x0 is None else x0
     y0 = np.zeros(problem.dim_y) if y0 is None else y0
     if x0.shape != (problem.dim_x,):
-        raise _config_error(path, section, "x0", f"expected {problem.dim_x} entries")
+        raise _config_error(parser, path, section, "x0", f"expected {problem.dim_x} entries")
     if y0.shape != (problem.dim_y,):
-        raise _config_error(path, section, "y0", f"expected {problem.dim_y} entries")
+        raise _config_error(parser, path, section, "y0", f"expected {problem.dim_y} entries")
     return problem, kind, x0, y0, summary
 
 
@@ -353,21 +367,21 @@ def build_preference(
     rejected next to ``vector``."""
     section = "preference"
     if not parser.has_section(section):
-        raise _config_error(path, section, None, "missing section")
+        raise _config_error(parser, path, section, None, "missing section")
     values = _values(parser, path, section)
     vector, pattern = values["vector"], values["pattern"]
     if (vector is None) == (pattern is None):
         raise _config_error(
-            path, section, None, "give exactly one of 'vector' or 'pattern'"
+            parser, path, section, None, "give exactly one of 'vector' or 'pattern'"
         )
     if vector is not None:
         if parser.has_option(section, "index"):
             raise _config_error(
-                path, section, "index", "applies only with 'pattern', not with 'vector'"
+                parser, path, section, "index", "applies only with 'pattern', not with 'vector'"
             )
         if len(vector) != s_count:
             raise _config_error(
-                path, section, "vector",
+                parser, path, section, "vector",
                 f"expected {s_count} components, got {len(vector)}",
             )
         return vector
@@ -375,7 +389,7 @@ def build_preference(
         return None
     grid = _PATTERNS[pattern](s_count)
     if values["index"] >= len(grid):
-        raise _config_error(path, section, "index", f"index must be in [0, {len(grid)})")
+        raise _config_error(parser, path, section, "index", f"index must be in [0, {len(grid)})")
     return grid[values["index"]]
 
 
@@ -541,8 +555,9 @@ def cmd_sweep(args) -> int:
         parser = load_config(args.config, args.set or [])
         problem, kind, x0, y0, summary = build_problem(parser, args.config)
         config = build_solver_config(parser, args.config)
-        # The grid replaces [preference], whose values are still checked.
-        _values(parser, args.config, "preference")
+        # The grid replaces [preference], which is still checked as in run.
+        if parser.has_section("preference"):
+            build_preference(parser, args.config, problem.num_objectives)
         preferences = parse_grid(args.grid, problem.num_objectives)
         output = _values(parser, args.config, "output")
         summary_path, traces_dir = output["summary_csv"], output["traces_dir"]

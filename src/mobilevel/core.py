@@ -401,76 +401,55 @@ def _draw_sorted(n: int, sizes: Sequence[int], rng: np.random.Generator) -> list
 
 
 @dataclass(frozen=True)
-class Batch:
-    """A seeded draw of sample indices for one oracle purpose."""
-
-    purpose: str
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def _owned(cls, purpose: str, indices: np.ndarray) -> Batch:
-        """Wrap a read-only int64 array that only the sampler holds, uncopied."""
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "purpose", purpose)
-        object.__setattr__(batch, "indices", indices)
-        return batch
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-
-@dataclass(frozen=True)
 class StochasticOracles:
-    """Sampled oracles plus the sampler that produces batch handles.
+    """Sampled oracles plus the sampler that draws their batches.
 
-    Every oracle takes a :class:`Batch` as its final argument.  Evaluating
-    with a full batch must reproduce the deterministic oracle exactly.
-    ``dataset_sizes`` maps each purpose tag to its population size.
+    A batch is a sorted, read-only int64 array of sample indices, and every
+    oracle takes one as its final argument.  Evaluating with the full batch
+    ``arange(n)`` must reproduce the deterministic oracle exactly.
+    ``dataset_sizes`` maps each purpose tag to its population size ``n``.
     """
 
     num_objectives: int
     dim_x: int
     dim_y: int
     dataset_sizes: Mapping[str, int]
-    ul_value: Callable[[int, np.ndarray, np.ndarray, Batch], float]
-    ul_grad_x: Callable[[int, np.ndarray, np.ndarray, Batch], np.ndarray]
-    ul_grad_y: Callable[[int, np.ndarray, np.ndarray, Batch], np.ndarray]
-    ll_grad_y: Callable[[np.ndarray, np.ndarray, Batch], np.ndarray]
-    ll_hvp: Callable[[np.ndarray, np.ndarray, np.ndarray, Batch], np.ndarray]
-    ll_jvp: Callable[[np.ndarray, np.ndarray, np.ndarray, Batch], np.ndarray]
+    ul_value: Callable[[int, np.ndarray, np.ndarray, np.ndarray], float]
+    ul_grad_x: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    ul_grad_y: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    ll_grad_y: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    ll_hvp: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    ll_jvp: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     constants: Optional[ProblemConstants] = None
     reference: Optional[AnalyticReference] = None
 
     def sample(
         self, purpose: str, sizes: Sequence[int], rng: np.random.Generator
-    ) -> tuple[Batch, ...]:
-        """One batch per entry of ``sizes``, drawn together in one call.
+    ) -> tuple[np.ndarray, ...]:
+        """One index batch per entry of ``sizes``, drawn together in one call.
 
-        Each batch holds ``size`` distinct indices in ``[0, n)``, sorted,
-        drawn uniformly without replacement from the purpose's population
-        ``n``; the batches of one call are independent.  A size of at least
-        ``n`` gives the full batch ``arange(n)`` and draws nothing, so a
-        call whose sizes are all full leaves ``rng`` untouched.  Two calls
-        with identical generator state, purpose and sizes return identical
-        batches.  See :func:`_draw_sorted` for how the smaller sizes are
-        drawn.
+        Each batch is a sorted, read-only int64 array of ``size`` distinct
+        indices in ``[0, n)``, drawn uniformly without replacement from the
+        purpose's population ``n``; the batches of one call are independent.
+        A size of at least ``n`` gives the full batch ``arange(n)`` and draws
+        nothing, so a call whose sizes are all full leaves ``rng`` untouched.
+        Two calls with identical generator state, purpose and sizes return
+        identical batches.  See :func:`_draw_sorted` for how the smaller
+        sizes are drawn.
         """
         if any(size < 1 for size in sizes):
             raise ConfigurationError("batch size must be at least 1")
         n = self.dataset_sizes[purpose]
         drawn = iter(_draw_sorted(n, [size for size in sizes if size < n], rng))
         return tuple(
-            self.full_batch(purpose) if size >= n else Batch._owned(purpose, next(drawn))
-            for size in sizes
+            self.full_batch(purpose) if size >= n else next(drawn) for size in sizes
         )
 
-    def full_batch(self, purpose: str) -> Batch:
-        return Batch(purpose, np.arange(self.dataset_sizes[purpose]))
+    def full_batch(self, purpose: str) -> np.ndarray:
+        """The read-only index array ``arange(n)`` of ``purpose``'s population."""
+        full = np.arange(self.dataset_sizes[purpose], dtype=np.int64)
+        full.setflags(write=False)
+        return full
 
     def deterministic(self) -> DeterministicOracles:
         """Full-batch view of this problem as deterministic oracles."""

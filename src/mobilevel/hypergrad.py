@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    Batch,
     ConfigurationError,
     DeterministicOracles,
     DivergenceError,
@@ -144,7 +143,7 @@ def stochastic_hvp_neumann(
     v0: np.ndarray,
     q_steps: int,
     eta: float,
-    batches: Sequence[Batch],
+    batches: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Approximate Hessian-inverse product from sampled Hessian products.
 

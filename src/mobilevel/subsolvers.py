@@ -185,15 +185,15 @@ def _face_step(scaled: np.ndarray, grad: np.ndarray, free: np.ndarray,
 
 
 def solve_wc_subproblem(
-    sp: WcSubproblem, warm_start: np.ndarray | SimplexWeights | None = None
+    sp: WcSubproblem, warm_start: SimplexWeights | None = None
 ) -> tuple[SimplexWeights, float]:
     """Minimize the weighted subproblem over the simplex to KKT residual ``KKT_TOL``.
 
-    The start is the uniform weights when ``warm_start`` is None, its
-    weights as they are when it is a :class:`SimplexWeights`, and its
-    projection onto the simplex when it is an array.  A start that already
+    The start is ``warm_start``'s weights as they are, or the uniform
+    weights when it is None; any other start raises ``TypeError`` (project
+    an array with :func:`project_simplex` first).  A start that already
     certifies costs one KKT check and is returned as is, so a certified
-    ``SimplexWeights`` warm start comes back as the same object.
+    warm start comes back as the same object.
     Otherwise a primal active-set method (Nocedal & Wright, *Numerical
     Optimization*, 16.5) starts from the start's support.  Each step
     moves to the minimizer of the current face, or stops at the boundary
@@ -212,7 +212,9 @@ def solve_wc_subproblem(
     if warm_start is None:
         warm_start = SimplexWeights(np.full(s, 1.0 / s))
     elif not isinstance(warm_start, SimplexWeights):
-        warm_start = project_simplex(warm_start)
+        raise TypeError(
+            f"warm_start must be SimplexWeights or None, not {type(warm_start).__name__}"
+        )
     lam = warm_start.lam
 
     scaled = sp.scaled_gram()

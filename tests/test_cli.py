@@ -131,7 +131,7 @@ run_json = {out}/run.json
         text = QUADRATIC_CONFIG.format(out=out)
         config = write_config(tmp_path / "run.ini", text)
         assert cli.main(["run", "--config", config, "--set", f"solver.{key}=5"]) == 2
-        assert f"{config}: [solver] {key}: unknown key" in capsys.readouterr().err
+        assert f"--set solver.{key}=5: [solver] {key}: unknown key" in capsys.readouterr().err
         text = text.replace("[solver]\n", f"[solver]\n{key} = 5\n")
         config = write_config(tmp_path / "run.ini", text)
         line = text.splitlines().index("[solver]") + 2
@@ -166,7 +166,7 @@ pattern = uniform
         assert "[solver] kk: unknown key" in capsys.readouterr().err
         assert cli.main(["sweep", "--config", config, "--grid", "uniform",
                          "--set", "solvr.k=1"]) == 2
-        assert "[solvr]: unknown section" in capsys.readouterr().err
+        assert "--set solvr.k=1: [solvr]: unknown section" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family, override", [
         ("quadratic", "problem.p=0"),
@@ -192,8 +192,7 @@ pattern = uniform
         assert cli.main(["run", "--config", config, "--set", override] + outputs) == 2
         section, key = override.split("=")[0].split(".")
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {config}")
-        assert f"[{section}] {key}: invalid value" in err
+        assert err.startswith(f"config error: --set {override}: [{section}] {key}: invalid value")
         assert not out.exists()
 
     @pytest.mark.parametrize("config_name, override", [
@@ -205,20 +204,24 @@ pattern = uniform
     ])
     def test_domain_error_names_key_and_line(self, tmp_path, capsys, config_name, override):
         # The error names the key whose value is out of its domain, at the
-        # line of the config file that sets it.
-        config = CONFIGS / config_name
+        # --set that gives the value, or else at the line of the config file
+        # that sets it.
         target, value = override.split("=")
         section, key = target.split(".")
-        lines = config.read_text().splitlines()
+        lines = (CONFIGS / config_name).read_text().splitlines()
         line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
+        lines[line - 1] = f"{key} = {value}"
+        edited = write_config(tmp_path / config_name, "\n".join(lines) + "\n")
         out = tmp_path / "out"
         outputs = ["--set", f"output.trace_csv={out}/trace.csv",
                    "--set", f"output.run_json={out}/run.json"]
-        assert cli.main(["run", "--config", str(config), "--set", override] + outputs) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(
-            f"config error: {config}:{line}: [{section}] {key}: invalid value '{value}': "
-        )
+        for config, where, override_args in (
+            (str(CONFIGS / config_name), f"--set {override}", ["--set", override]),
+            (edited, f"{edited}:{line}", []),
+        ):
+            assert cli.main(["run", "--config", config] + override_args + outputs) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: {where}: [{section}] {key}: invalid value '{value}': ")
         assert not out.exists()
 
     def test_invalid_value_reports_line(self, tmp_path, capsys):
@@ -245,6 +248,21 @@ pattern = uniform
         line = text.splitlines().index(setting) + 1
         assert cli.main(["run", "--config", config]) == 2
         assert f"{config}:{line}: [solver] k: invalid value '-1'" in capsys.readouterr().err
+
+    def test_values_read_literally(self, tmp_path, capsys):
+        # No '%' interpolation: a '%' is a character of the value, in an
+        # override and in the file alike.
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "run.ini", QUADRATIC_CONFIG.format(out=out))
+        assert cli.main(["run", "--config", config, "--set", "solver.k=2",
+                         "--set", f"output.trace_csv={out}/100%.csv",
+                         "--set", f"output.run_json={out}/%(trace_csv)s.json"]) == 0
+        assert sorted(os.listdir(out)) == ["%(trace_csv)s.json", "100%.csv"]
+        text = QUADRATIC_CONFIG.format(out=out).replace("seed = 7", "seed = 1%")
+        config = write_config(tmp_path / "run.ini", text)
+        assert cli.main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config}:7: [problem] seed: invalid value '1%': ")
 
     def test_missing_preference_section_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "bad.ini", """
@@ -313,10 +331,9 @@ family = quadratic
         outputs = ["--set", f"output.trace_csv={out}/trace.csv",
                    "--set", f"output.run_json={out}/run.json", "--set", "solver.k=2"]
         assert cli.main(["run", "--config", config, "--set", "solver.n=7"] + outputs) == 2
-        assert f"{config}: [solver] n: unknown key" in capsys.readouterr().err
-        line = HYPERCLEANING_INI.read_text().splitlines().index("option = ns") + 1
+        assert "--set solver.n=7: [solver] n: unknown key" in capsys.readouterr().err
         assert cli.main(["run", "--config", config, "--set", "solver.option=cg"] + outputs) == 2
-        assert f"{config}:{line}: [solver] option: invalid value 'cg': must be 'ns'" in (
+        assert "--set solver.option=cg: [solver] option: invalid value 'cg': must be 'ns'" in (
             capsys.readouterr().err)
         assert cli.main(["run", "--config", config] + outputs) == 0
         solver = json.loads((out / "run.json").read_text())["solver"]
@@ -338,7 +355,7 @@ family = quadratic
                          "--set", "preference.index=3",
                          "--set", f"output.trace_csv={out}/trace.csv",
                          "--set", f"output.run_json={out}/run.json"]) == 2
-        assert f"{hypercleaning}: [preference] index: " in capsys.readouterr().err
+        assert "--set preference.index=3: [preference] index: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_failure_exit_1_with_partial_trace(self, tmp_path, capsys):
@@ -891,19 +908,34 @@ traces_dir = {out}/traces
     @pytest.mark.parametrize("override", ["preference.pattern=bogus", "preference.index=-4"])
     def test_preference_values_checked(self, tmp_path, capsys, override):
         # The grid replaces [preference], but its values are checked as in
-        # run, each error at the line of the shipped config that sets it.
+        # run, each error at the --set that gives it.
         config = CONFIGS / "quadratic_preferred.ini"
         target, value = override.split("=")
         key = target.split(".")[1]
-        lines = config.read_text().splitlines()
-        line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", str(config), "--grid", "preferred",
                          "--set", "solver.k=2", "--set", override,
                          "--set", f"output.summary_csv={out}/summary.csv",
                          "--set", f"output.traces_dir={out}/traces"]) == 2
         assert capsys.readouterr().err.startswith(
-            f"config error: {config}:{line}: [preference] {key}: invalid value '{value}': ")
+            f"config error: --set {override}: [preference] {key}: invalid value '{value}': ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pattern_line, overrides, message", [
+        ("pattern = preferred", ["--set", "preference.vector=0.5,0.5"],
+         ":17: [preference]: give exactly one of 'vector' or 'pattern'"),
+        ("vector = 0.7, 0.3", [],
+         ":19: [preference] index: applies only with 'pattern', not with 'vector'"),
+    ], ids=["vector-and-pattern", "index-next-to-vector"])
+    def test_preference_cross_key_rules_checked(self, tmp_path, capsys, pattern_line,
+                                                overrides, message):
+        # A [preference] section that run rejects fails a sweep the same way.
+        out = tmp_path / "out"
+        text = QUADRATIC_CONFIG.format(out=out).replace("pattern = preferred", pattern_line)
+        config = write_config(tmp_path / "run.ini", text)
+        for command in (["run"], ["sweep", "--grid", "preferred"]):
+            assert cli.main(command + ["--config", config] + overrides) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {config}{message}")
         assert not out.exists()
 
     def test_bad_grid_spec(self, tmp_path, capsys):

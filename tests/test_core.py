@@ -264,8 +264,7 @@ class TestStochasticWrapper:
         rng_b.bit_generator.state = state
         (a,) = stochastic.sample("ll_step", [1], rng_a)
         (b,) = stochastic.sample("ll_step", [1], rng_b)
-        assert a.purpose == b.purpose
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a, b)
 
 
 def _sampling_problem(n):
@@ -291,12 +290,26 @@ class TestSample:
         sizes = [32] * 50 + [1, 7, 39, n - 1]
         batches = problem.sample(LL_STEP, sizes, np.random.default_rng(3))
         assert [len(batch) for batch in batches] == sizes
-        for batch in batches:
-            idx = batch.indices
-            assert batch.purpose == LL_STEP
-            assert idx.dtype == np.int64 and not idx.flags.writeable
+        for idx in batches:
             assert np.all(np.diff(idx) > 0)  # sorted, hence distinct
             assert idx[0] >= 0 and idx[-1] < n
+
+    @_BOTH_METHODS
+    @pytest.mark.parametrize("full", [False, True])
+    def test_batches_are_read_only_int64_arrays(self, n, full):
+        # A batch is its index array: every one the sampler hands out, drawn
+        # or full, is sorted int64 that no oracle can write into.
+        problem = _sampling_problem(n)
+        sizes = [n, n + 15] if full else [1, 32, n - 1]
+        batches = problem.sample(JACOBIAN, sizes, np.random.default_rng(2))
+        if full:
+            batches += (problem.full_batch(JACOBIAN),)
+        for idx in batches:
+            assert type(idx) is np.ndarray and idx.dtype == np.int64
+            assert np.all(np.diff(idx) > 0)
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0] = 1
 
     @pytest.mark.parametrize("keys_max_n", [core._KEYS_MAX_N, 0])
     def test_inclusion_frequencies_uniform(self, monkeypatch, keys_max_n):
@@ -313,7 +326,7 @@ class TestSample:
         n, k, draws = 20, 6, 20_000
         problem = _sampling_problem(n)
         batches = problem.sample(UL_BATCH, [k] * draws, np.random.default_rng(11))
-        counts = np.bincount(np.concatenate([b.indices for b in batches]), minlength=n)
+        counts = np.bincount(np.concatenate(batches), minlength=n)
         expected = draws * k / n
         chi2 = float(np.sum((counts - expected) ** 2)) / (expected * (1.0 - k / n))
         chi2 *= (n - 1) / n
@@ -324,7 +337,7 @@ class TestSample:
         problem = _sampling_problem(n)
         batches = problem.sample(HESSIAN, [3, n, n + 15, n - 1, n], np.random.default_rng(0))
         for position in (1, 2, 4):
-            np.testing.assert_array_equal(batches[position].indices, np.arange(n))
+            np.testing.assert_array_equal(batches[position], np.arange(n))
         assert [len(batch) for batch in batches] == [3, n, n, n - 1, n]
 
     def test_all_full_draws_nothing(self, quadratic):
@@ -339,7 +352,7 @@ class TestSample:
         ):
             n = problem.dataset_sizes[JACOBIAN]
             for batch in problem.sample(JACOBIAN, sizes, rng):
-                np.testing.assert_array_equal(batch.indices, np.arange(n))
+                np.testing.assert_array_equal(batch, np.arange(n))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("sizes", [[0], [4, 0, 4], [-1], [5, 0]])
@@ -359,9 +372,8 @@ class TestSample:
         rng_b.bit_generator.state = rng_a.bit_generator.state
         a = problem.sample(HESSIAN, sizes, rng_a)
         b = problem.sample(HESSIAN, sizes, rng_b)
-        assert [batch.purpose for batch in a] == [batch.purpose for batch in b]
         for batch_a, batch_b in zip(a, b):
-            np.testing.assert_array_equal(batch_a.indices, batch_b.indices)
+            np.testing.assert_array_equal(batch_a, batch_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_key_chunks_do_not_change_draws(self, monkeypatch):
@@ -373,7 +385,7 @@ class TestSample:
         monkeypatch.setattr(core, "_KEYS_PER_CHUNK", 3 * 40)
         chunked = problem.sample(LL_STEP, sizes, rng_b)
         for batch_a, batch_b in zip(whole, chunked, strict=True):
-            np.testing.assert_array_equal(batch_a.indices, batch_b.indices)
+            np.testing.assert_array_equal(batch_a, batch_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("n, sizes", [
@@ -390,16 +402,6 @@ class TestSample:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-
-    def test_constructor_copies_read_only_view(self):
-        # A read-only view of a writeable array is still copied, so the
-        # batch cannot change after it is built.
-        source = np.arange(5)
-        view = source.view()
-        view.setflags(write=False)
-        batch = core.Batch(LL_STEP, view)
-        source[0] = 9
-        assert batch.indices[0] == 0 and not batch.indices.flags.writeable
 
 
 class TestCountedOracles:

@@ -58,7 +58,7 @@ def _lower_sgd_problem(n, seen=None):
 
     def ll_grad_y(x, y, batch):
         if seen is not None:
-            seen.append(batch.indices)
+            seen.append(batch)
         return y
 
     return StochasticOracles(
@@ -122,7 +122,7 @@ class TestLowerLevelSolve:
         whole = problem.sample(LL_STEP, [32] * steps, rng_b)
         assert len(seen) == steps
         for indices, batch in zip(seen, whole):
-            np.testing.assert_array_equal(indices, batch.indices)
+            np.testing.assert_array_equal(indices, batch)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_stochastic_memory_bounded_in_steps(self):
@@ -377,9 +377,7 @@ class TestStochasticHvp:
 
     def test_empty_batch_rejected(self):
         st = constant_hessian_oracles(np.eye(2))
-        from mobilevel import Batch
-
-        batches = [Batch(HESSIAN, np.array([], dtype=np.int64))]
+        batches = [np.array([], dtype=np.int64)]
         with pytest.raises(ConfigurationError):
             stochastic_hvp_neumann(st, np.zeros(1), np.zeros(2), np.ones(2), 1, 0.3, batches)
 
@@ -396,10 +394,10 @@ class TestStochasticHvp:
         n, q = 60, 3
         samples = np.array([np.eye(q) * (1.0 + 0.3 * rng_data.standard_normal()) for _ in range(n)])
 
-        from mobilevel import StochasticOracles, Batch
+        from mobilevel import StochasticOracles
 
         def hvp(x, y, v, batch):
-            return samples[batch.indices].mean(axis=0) @ v
+            return samples[batch].mean(axis=0) @ v
 
         st = StochasticOracles(
             num_objectives=1, dim_x=1, dim_y=q,
