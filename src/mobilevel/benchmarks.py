@@ -147,8 +147,11 @@ def make_quadratic(
     def ll_hvp(x, y, v):
         return h @ v
 
+    neg_ct = -c.T
+    neg_ct.setflags(write=False)
+
     def ll_jvp(x, y, v):
-        return -c.T @ v
+        return neg_ct @ v
 
     def y_star(x):
         return w @ x
@@ -168,7 +171,7 @@ def make_quadratic(
     mu_g = float(eigs[0])
     joint = np.zeros((spec.dim_x + spec.dim_y, spec.dim_x + spec.dim_y))
     joint[spec.dim_x :, spec.dim_x :] = h
-    joint[: spec.dim_x, spec.dim_x :] = -c.T
+    joint[: spec.dim_x, spec.dim_x :] = neg_ct
     joint[spec.dim_x :, : spec.dim_x] = -c
     l_bound = max(1.0, float(np.abs(np.linalg.eigvalsh(joint)).max()))
     constants = ProblemConstants(mu_g=mu_g, L=l_bound, tau=0.0, rho=0.0)
@@ -226,6 +229,11 @@ class HypercleaningToySpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("feature_dim", "n_train", "n_val"):
+            if getattr(self, name) < 1:
+                raise InvalidProblemError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise InvalidProblemError("seed must be nonnegative")
         rates = tuple(float(r) for r in self.corruption_rates)
         if not rates:
             raise InvalidProblemError("at least one task required")
@@ -253,21 +261,21 @@ class HypercleaningToySpec:
 
 
 def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    """Logistic function of ``z``, computed in place; returns ``z``."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
 
 
-def make_hypercleaning_toy(
-    spec: HypercleaningToySpec,
-) -> tuple[StochasticOracles, ProblemConstants]:
-    """Stochastic oracles of the toy reweighting problem.
+def _hypercleaning_data(spec: HypercleaningToySpec):
+    """Read-only ``(x_train, t_train, x_val, t_val)`` of a spec.
 
     Per task: seeded Gaussian features, labels from a random linear rule
     with small label noise, then a fraction of training labels flipped at
-    the task's corruption rate.  Lower objective: task-averaged,
-    logit-weighted logistic losses plus (reg/2)||w||^2, so the Hessian
-    curvature is at least ``reg_weight`` everywhere.  Upper objective s:
-    clean validation loss of task s.  Batches index training (or
-    validation) samples and apply to every task at once.
+    the task's corruption rate.  Features have shape (S, n, d) and labels
+    (S, n), both C-contiguous.
     """
     s_count = spec.num_objectives
     d = spec.feature_dim
@@ -294,6 +302,40 @@ def make_hypercleaning_toy(
         t_train[s, flips] = 1.0 - t_train[s, flips]
     for arr in (x_train, x_val, t_train, t_val):
         arr.setflags(write=False)
+    return x_train, t_train, x_val, t_val
+
+
+def make_hypercleaning_toy(
+    spec: HypercleaningToySpec,
+) -> tuple[StochasticOracles, ProblemConstants]:
+    """Stochastic oracles of the toy reweighting problem.
+
+    The data are those of ``_hypercleaning_data``.  Lower objective:
+    task-averaged, logit-weighted logistic losses plus (reg/2)||w||^2, so
+    the Hessian curvature is at least ``reg_weight`` everywhere.  Upper
+    objective s: clean validation loss of task s.  Batches index training
+    (or validation) samples and apply to every task at once.
+
+    The lower-level oracles keep the training set sample-major: features
+    of shape (n_train, S, d) and labels of shape (n_train, S), both
+    read-only and C-contiguous.  A batch is one ``take`` along axis 0 of
+    each, and of the logits ``x`` viewed as (n_train, S); the oracles read
+    the transposed views, which have the strides of ``x_train[:, idx, :]``
+    and ``t_train[:, idx]``.  ``einsum`` picks its summation order from the
+    strides, so every result is bitwise the one of the fancy-indexed batch
+    (a C-contiguous (S, b, d) batch is summed in another order when d = 1).
+    An oracle updates in place only arrays it created itself, never ``x``,
+    ``y``, ``v``, the batch or the data: the loop keeps and re-reads its
+    inputs.
+    """
+    s_count = spec.num_objectives
+    d = spec.feature_dim
+    n_tr, n_val = spec.n_train, spec.n_val
+    x_train, t_train, x_val, t_val = _hypercleaning_data(spec)
+    x_rows = np.ascontiguousarray(x_train.transpose(1, 0, 2))
+    t_rows = np.ascontiguousarray(t_train.T)
+    for arr in (x_rows, t_rows):
+        arr.setflags(write=False)
 
     reg = spec.reg_weight
     dim_x = s_count * n_tr
@@ -302,41 +344,45 @@ def make_hypercleaning_toy(
     def _models(y):
         return y.reshape(s_count, d)
 
-    def _logits(x):
-        return x.reshape(s_count, n_tr)
+    def _batch(x, w_all, idx):
+        """Features, labels, sample weights and model probabilities of a batch.
+
+        All four are new arrays; the caller may update them in place.
+        """
+        features = x_rows.take(idx, axis=0).transpose(1, 0, 2)
+        sw = _sigmoid(x.reshape(s_count, n_tr).T.take(idx, axis=0).T)
+        mu = _sigmoid(np.einsum("sbd,sd->sb", features, w_all))
+        return features, t_rows.take(idx, axis=0).T, sw, mu
 
     def ll_grad_y(x, y, idx):
-        b = idx.size
         w_all = _models(y)
-        sw = _sigmoid(_logits(x)[:, idx])
-        features = x_train[:, idx, :]
-        mu = _sigmoid(np.einsum("sbd,sd->sb", features, w_all))
-        resid = sw * (mu - t_train[:, idx])
-        grads = np.einsum("sb,sbd->sd", resid, features) / (s_count * b)
-        return (grads + reg * w_all).reshape(dim_y)
+        features, labels, sw, mu = _batch(x, w_all, idx)
+        mu -= labels
+        mu *= sw
+        grads = np.einsum("sb,sbd->sd", mu, features)
+        grads /= s_count * idx.size
+        grads += reg * w_all
+        return grads.reshape(dim_y)
 
     def ll_hvp(x, y, v, idx):
-        b = idx.size
-        w_all = _models(y)
         v_all = _models(np.asarray(v, dtype=float))
-        sw = _sigmoid(_logits(x)[:, idx])
-        features = x_train[:, idx, :]
-        mu = _sigmoid(np.einsum("sbd,sd->sb", features, w_all))
-        curv = sw * mu * (1.0 - mu)
-        fv = np.einsum("sbd,sd->sb", features, v_all)
-        out = np.einsum("sb,sbd->sd", curv * fv, features) / (s_count * b)
-        return (out + reg * v_all).reshape(dim_y)
+        features, _, curv, mu = _batch(x, _models(y), idx)
+        curv *= mu
+        curv *= 1.0 - mu
+        curv *= np.einsum("sbd,sd->sb", features, v_all)
+        out = np.einsum("sb,sbd->sd", curv, features)
+        out /= s_count * idx.size
+        out += reg * v_all
+        return out.reshape(dim_y)
 
     def ll_jvp(x, y, v, idx):
-        b = idx.size
-        w_all = _models(y)
         v_all = _models(np.asarray(v, dtype=float))
-        logit = _logits(x)[:, idx]
-        sw = _sigmoid(logit)
-        features = x_train[:, idx, :]
-        mu = _sigmoid(np.einsum("sbd,sd->sb", features, w_all))
-        fv = np.einsum("sbd,sd->sb", features, v_all)
-        contrib = sw * (1.0 - sw) * (mu - t_train[:, idx]) * fv / (s_count * b)
+        features, labels, contrib, mu = _batch(x, _models(y), idx)
+        contrib *= 1.0 - contrib
+        mu -= labels
+        contrib *= mu
+        contrib *= np.einsum("sbd,sd->sb", features, v_all)
+        contrib /= s_count * idx.size
         out = np.zeros((s_count, n_tr))
         out[:, idx] = contrib
         return out.reshape(dim_x)

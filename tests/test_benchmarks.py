@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobilevel import (
     HypercleaningToySpec,
@@ -19,6 +20,12 @@ from mobilevel import (
     run_stochastic,
     validate_problem,
 )
+from mobilevel.benchmarks import _hypercleaning_data
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 class TestQuadraticFamily:
@@ -95,6 +102,91 @@ class TestQuadraticFamily:
         diag = validate_problem(problem, np.zeros(4), np.zeros(4))
         assert diag.max_residual() <= 1e-10
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        dims=st.sampled_from([(3, 3, 2), (2, 3, 1), (50, 50, 3), (7, 50, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_jvp_bitwise_matches_negated_transpose(self, dims, seed):
+        p, q, s = dims
+        spec = QuadraticBilevelSpec.random(p, q, s, seed=seed)
+        problem, _ = make_quadratic(spec)
+        rng = np.random.default_rng(seed)
+        x = _read_only(rng.standard_normal(p))
+        y = _read_only(rng.standard_normal(q))
+        for scale in (1e-3, 1.0, 30.0):
+            v = _read_only(scale * rng.standard_normal(q))
+            assert np.array_equal(problem.ll_jvp(x, y, v), -spec.coupling.T @ v)
+
+
+def _reference_oracles(spec):
+    """The hyper-cleaning oracles as plain fancy-indexed NumPy expressions.
+
+    The shipped kernels gather and update in place; these bodies are the
+    straightforward form they must match bit for bit.
+    """
+    x_train, t_train, x_val, t_val = _hypercleaning_data(spec)
+    s_count, d, n_tr = spec.num_objectives, spec.feature_dim, spec.n_train
+    reg = spec.reg_weight
+
+    def sigmoid(z):
+        return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+    def ll_grad_y(x, y, idx):
+        w_all = y.reshape(s_count, d)
+        sw = sigmoid(x.reshape(s_count, n_tr)[:, idx])
+        features = x_train[:, idx, :]
+        mu = sigmoid(np.einsum("sbd,sd->sb", features, w_all))
+        resid = sw * (mu - t_train[:, idx])
+        grads = np.einsum("sb,sbd->sd", resid, features) / (s_count * idx.size)
+        return (grads + reg * w_all).reshape(-1)
+
+    def ll_hvp(x, y, v, idx):
+        w_all = y.reshape(s_count, d)
+        v_all = v.reshape(s_count, d)
+        sw = sigmoid(x.reshape(s_count, n_tr)[:, idx])
+        features = x_train[:, idx, :]
+        mu = sigmoid(np.einsum("sbd,sd->sb", features, w_all))
+        curv = sw * mu * (1.0 - mu)
+        fv = np.einsum("sbd,sd->sb", features, v_all)
+        out = np.einsum("sb,sbd->sd", curv * fv, features) / (s_count * idx.size)
+        return (out + reg * v_all).reshape(-1)
+
+    def ll_jvp(x, y, v, idx):
+        w_all = y.reshape(s_count, d)
+        v_all = v.reshape(s_count, d)
+        sw = sigmoid(x.reshape(s_count, n_tr)[:, idx])
+        features = x_train[:, idx, :]
+        mu = sigmoid(np.einsum("sbd,sd->sb", features, w_all))
+        fv = np.einsum("sbd,sd->sb", features, v_all)
+        contrib = sw * (1.0 - sw) * (mu - t_train[:, idx]) * fv / (s_count * idx.size)
+        out = np.zeros((s_count, n_tr))
+        out[:, idx] = contrib
+        return out.reshape(-1)
+
+    def ul_grad_y(s, x, y, idx):
+        w_s = y.reshape(s_count, d)[s]
+        mu = sigmoid(x_val[s, idx, :] @ w_s)
+        out = np.zeros((s_count, d))
+        out[s] = (mu - t_val[s, idx]) @ x_val[s, idx, :] / idx.size
+        return out.reshape(-1)
+
+    return ll_grad_y, ll_hvp, ll_jvp, ul_grad_y
+
+
+@st.composite
+def hypercleaning_cases(draw):
+    spec = HypercleaningToySpec(
+        feature_dim=draw(st.integers(1, 6)),
+        n_train=draw(st.integers(1, 24)),
+        n_val=draw(st.integers(1, 8)),
+        corruption_rates=(0.0, 0.3, 0.5)[: draw(st.integers(1, 3))],
+        seed=draw(st.integers(0, 2**16)),
+    )
+    scales = draw(st.tuples(*[st.sampled_from([1e-3, 1.0, 30.0])] * 3))
+    sizes = (draw(st.integers(1, spec.n_train)), draw(st.integers(1, spec.n_val)))
+    return spec, scales, sizes, draw(st.integers(0, 2**32 - 1))
+
 
 @pytest.fixture(scope="module")
 def toy():
@@ -119,6 +211,41 @@ class TestHypercleaningToy:
         with pytest.raises(InvalidProblemError):
             HypercleaningToySpec(feature_dim=3, n_train=10, n_val=10,
                                  corruption_rates=(0.2,), reg_weight=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("feature_dim", 0), ("n_train", 0), ("n_val", 0), ("seed", -1)],
+    )
+    def test_rejects_bad_sizes_and_seed(self, field, value):
+        sizes = dict(feature_dim=3, n_train=10, n_val=10, seed=0)
+        sizes[field] = value
+        with pytest.raises(InvalidProblemError, match=field):
+            HypercleaningToySpec(corruption_rates=(0.2,), **sizes)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(hypercleaning_cases())
+    def test_oracles_bitwise_match_reference(self, case):
+        # The inputs are read-only, so an in-place write to one raises.
+        spec, (x_scale, y_scale, v_scale), (size, val_size), seed = case
+        problem, _ = make_hypercleaning_toy(spec)
+        ref_grad, ref_hvp, ref_jvp, ref_ul_grad = _reference_oracles(spec)
+        rng = np.random.default_rng(seed)
+        x = _read_only(x_scale * rng.standard_normal(problem.dim_x))
+        y = _read_only(y_scale * rng.standard_normal(problem.dim_y))
+        v = _read_only(v_scale * rng.standard_normal(problem.dim_y))
+        idx = _read_only(np.sort(rng.choice(spec.n_train, size, replace=False)))
+        val = _read_only(np.sort(rng.choice(spec.n_val, val_size, replace=False)))
+        full = problem.full_batch("ll_step")
+        det = problem.deterministic()
+        for batch in (idx, full):
+            assert np.array_equal(problem.ll_grad_y(x, y, batch), ref_grad(x, y, batch))
+            assert np.array_equal(problem.ll_hvp(x, y, v, batch), ref_hvp(x, y, v, batch))
+            assert np.array_equal(problem.ll_jvp(x, y, v, batch), ref_jvp(x, y, v, batch))
+        assert np.array_equal(det.ll_grad_y(x, y), ref_grad(x, y, full))
+        assert np.array_equal(det.ll_hvp(x, y, v), ref_hvp(x, y, v, full))
+        assert np.array_equal(det.ll_jvp(x, y, v), ref_jvp(x, y, v, full))
+        for s in range(spec.num_objectives):
+            assert np.array_equal(problem.ul_grad_y(s, x, y, val), ref_ul_grad(s, x, y, val))
 
     def test_curvature_floor_is_reg_weight(self, toy):
         spec, problem, constants = toy
