@@ -118,10 +118,12 @@ def make_quadratic(
 ) -> tuple[DeterministicOracles, ProblemConstants]:
     """Oracles, analytic reference, and smoothness constants for a spec.
 
-    The returned constants carry mu_g = lambda_min(H) and L equal to the
+    The returned constants carry mu_g = lambda_min(H), L equal to the
     spectral norm of the full second-derivative block matrix (at least 1,
-    the upper-level Hessian).  Both Hessian Lipschitz constants are zero,
-    so the upper-level smoothness bound needs no value bound.
+    the upper-level Hessian), and L_phi = L + 2 L^2/mu_g + L^3/mu_g^2, the
+    bound of Ghadimi & Wang (2018) for second derivatives that do not
+    depend on (x, y).  L_phi is ``None`` when that bound overflows the
+    float range, and then runs must set beta.
     """
     h = spec.hessian
     c = spec.coupling
@@ -173,8 +175,16 @@ def make_quadratic(
     joint[spec.dim_x :, spec.dim_x :] = h
     joint[: spec.dim_x, spec.dim_x :] = neg_ct
     joint[spec.dim_x :, : spec.dim_x] = -c
-    l_bound = max(1.0, float(np.abs(np.linalg.eigvalsh(joint)).max()))
-    constants = ProblemConstants(mu_g=mu_g, L=l_bound, tau=0.0, rho=0.0)
+    # The joint norm is at least lambda_max(H) >= mu_g, but eigvalsh can round
+    # it below mu_g (q = 1 with a large hessian_scale).
+    l_bound = max(1.0, float(np.abs(np.linalg.eigvalsh(joint)).max()), mu_g)
+    try:
+        l_phi = l_bound + 2.0 * l_bound**2 / mu_g + l_bound**3 / mu_g**2
+    except (OverflowError, ZeroDivisionError):  # a power left the float range
+        l_phi = math.inf
+    constants = ProblemConstants(
+        mu_g=mu_g, L=l_bound, L_phi=l_phi if math.isfinite(l_phi) else None
+    )
 
     oracles = DeterministicOracles(
         num_objectives=spec.num_objectives,
@@ -314,7 +324,9 @@ def make_hypercleaning_toy(
     task-averaged, logit-weighted logistic losses plus (reg/2)||w||^2, so
     the Hessian curvature is at least ``reg_weight`` everywhere.  Upper
     objective s: clean validation loss of task s.  Batches index training
-    (or validation) samples and apply to every task at once.
+    (or validation) samples and apply to every task at once.  The constants
+    state mu_g = ``reg_weight`` and a gradient Lipschitz bound L, but no
+    L_phi, so runs must set beta.
 
     The lower-level oracles keep the training set sample-major: features
     of shape (n_train, S, d) and labels of shape (n_train, S), both

@@ -312,7 +312,7 @@ def _criterion_5():
     # the horizon doubles, and the best iterate is stationary to 1e-6.
     spec = QuadraticBilevelSpec.random(4, 4, 2, seed=5, hessian_scale=0.1)
     problem, constants = make_quadratic(spec)
-    _require(constants.smoothness_upper() is not None, "no upper smoothness constant")
+    _require(constants.L_phi is not None, "no upper smoothness constant")
     pref = Preference(np.array([0.6, 0.4]))
     config = SolverConfig(K=500, D=64, option="ns", u=0.0)  # beta from rule
     trace = run_deterministic(problem, config, pref, np.full(4, 2.0), np.zeros(4))

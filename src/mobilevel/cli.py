@@ -550,6 +550,26 @@ def parse_grid(spec: str, s_count: int) -> list:
     return prefs
 
 
+def sweep_summary_text(result, s_count: int) -> str:
+    """The sweep summary CSV: one row per preference, in grid order, with
+    its final phi and d_norm_sq and status ``ok``, or empty values and
+    status ``failed``."""
+    header = (
+        [f"r_{i + 1}" for i in range(s_count)]
+        + [f"phi_{i + 1}" for i in range(s_count)]
+        + ["d_norm_sq", "status"]
+    )
+    lines = [",".join(header)]
+    for entry in result.entries:
+        row = [_fmt(v) for v in entry.preference.r]
+        if entry.error is None:
+            row += [_fmt(v) for v in entry.final_phi] + [_fmt(entry.final_d_norm_sq), "ok"]
+        else:
+            row += [""] * s_count + ["", "failed"]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_sweep(args) -> int:
     try:
         parser = load_config(args.config, args.set or [])
@@ -571,29 +591,14 @@ def cmd_sweep(args) -> int:
     elapsed = time.perf_counter() - started
 
     s_count = problem.num_objectives
-    header = (
-        [f"r_{i + 1}" for i in range(s_count)]
-        + [f"phi_{i + 1}" for i in range(s_count)]
-        + ["d_norm_sq", "status"]
-    )
-    lines = [",".join(header)]
-    failures = 0
     for index, entry in enumerate(result.entries):
-        row = [_fmt(v) for v in entry.preference.r]
-        if entry.error is None:
-            row += [_fmt(v) for v in entry.final_phi]
-            row.append(_fmt(entry.final_d_norm_sq))
-            row.append("ok")
-        else:
-            failures += 1
-            row += [""] * s_count + ["", "failed"]
-        lines.append(",".join(row))
         if entry.trace is not None:
             _write_text(
                 os.path.join(traces_dir, f"run_{index:03d}.csv"),
                 trace_csv_text(entry.trace, s_count),
             )
-    _write_text(summary_path, "\n".join(lines) + "\n")
+    _write_text(summary_path, sweep_summary_text(result, s_count))
+    failures = sum(entry.error is not None for entry in result.entries)
     print(f"{len(result.entries)} runs ({failures} failed) in {elapsed:.2f}s")
     print(f"summary: {summary_path}")
     print(f"traces: {traces_dir}/")

@@ -155,59 +155,37 @@ class SimplexWeights:
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Smoothness metadata for a bilevel problem.
+    """Smoothness constants a bilevel problem states about itself.
 
     ``mu_g`` is the strong-convexity constant of the lower level in ``y``
-    and is required.  The remaining constants are optional and are used
-    only to derive default step sizes; correctness never depends on them.
-    ``L`` bounds gradient Lipschitz constants of all objectives, ``M``
-    bounds function-value Lipschitz constants, and ``tau``/``rho`` bound
-    the Lipschitz constants of the cross and lower Hessian blocks.
+    and is required.  ``L`` bounds the gradient Lipschitz constants of all
+    objectives, and ``L_phi`` bounds the gradient Lipschitz constant of
+    every upper-level objective through the lower solution,
+    Phi_s(x) = f_s(x, y*(x)).  Both are optional and only set default step
+    sizes (``alpha`` and ``eta`` from ``L``, ``beta`` from ``L_phi``);
+    correctness never depends on them.  Nothing is derived from one
+    constant to another: a problem that knows no ``L_phi`` leaves it
+    ``None``, and its runs must set ``beta``.
     """
 
     mu_g: float
     L: Optional[float] = None
-    M: Optional[float] = None
-    tau: Optional[float] = None
-    rho: Optional[float] = None
+    L_phi: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.mu_g > 0.0):
-            raise ValueError("mu_g must be positive")
-        if self.L is not None and self.L < self.mu_g:
-            raise ValueError("L must be at least mu_g")
-
-    def smoothness_upper(self) -> Optional[float]:
-        """Upper-level smoothness bound; ``None`` when not derivable.
-
-        The bound is L + (2L^2 + tau*M^2)/mu + (rho*L*M + L^3 + tau*L*M)/mu^2
-        + rho*L^2*M/mu^3.  Terms multiplied by ``M`` vanish when both
-        ``tau`` and ``rho`` are zero, so ``M`` is only required otherwise.
-        A bound that overflows the float range is not derivable either.
-        """
-        if self.L is None or self.tau is None or self.rho is None:
-            return None
-        L, mu, tau, rho = self.L, self.mu_g, self.tau, self.rho
-        if (tau > 0.0 or rho > 0.0) and self.M is None:
-            return None
-        M = 0.0 if self.M is None else self.M
-        try:
-            bound = (
-                L
-                + (2.0 * L**2 + tau * M**2) / mu
-                + (rho * L * M + L**3 + tau * L * M) / mu**2
-                + rho * L**2 * M / mu**3
-            )
-        except OverflowError:
-            return None
-        return bound if math.isfinite(bound) else None
+        if not (0.0 < self.mu_g < math.inf):
+            raise ValueError("mu_g must be positive and finite")
+        if self.L is not None and not (self.mu_g <= self.L < math.inf):
+            raise ValueError("L must be finite and at least mu_g")
+        if self.L_phi is not None and not (0.0 < self.L_phi < math.inf):
+            raise ValueError("L_phi must be positive and finite")
 
     def default_ll_step(self) -> Optional[float]:
         return None if self.L is None else 1.0 / self.L
 
     def default_ul_step(self, r_max: float) -> Optional[float]:
         """Upper-level step min{1/(2(1+L_phi)r_max), 1/(3 L_phi)}."""
-        l_phi = self.smoothness_upper()
+        l_phi = self.L_phi
         if l_phi is None:
             return None
         return min(1.0 / (2.0 * (1.0 + l_phi) * r_max), 1.0 / (3.0 * l_phi))

@@ -202,19 +202,19 @@ def build_hypergradient_matrix_stochastic(
     y_d: np.ndarray,
     config: SolverConfig,
     rng: np.random.Generator,
-    mu_g: float,
+    hessian_sizes: Sequence[int],
 ) -> HypergradientMatrix:
     """Sampled hypergradient columns for one outer iteration.
 
     Makes three sampler calls, in this order: the Jacobian batch and the Q
-    shrinking Hessian batches, both shared by all objectives, then the S
+    Hessian batches of ``hessian_sizes`` (the run's
+    :func:`neumann_batch_sizes`), both shared by all objectives, then the S
     upper-level batches, one per objective.  The Hessian-inverse product is
     seeded from the sampled upper gradient, so no warm start is carried
     across iterations.
     """
     (jac_batch,) = oracles.sample(JACOBIAN, [config.D_g], rng)
-    sizes = neumann_batch_sizes(config.B, config.Q, config.eta, mu_g)
-    hess_batches = oracles.sample(HESSIAN, sizes, rng)
+    hess_batches = oracles.sample(HESSIAN, hessian_sizes, rng)
     s_count = oracles.num_objectives
     ul_batches = oracles.sample(UL_BATCH, [config.D_f] * s_count, rng)
     cols = np.empty((oracles.dim_x, s_count))

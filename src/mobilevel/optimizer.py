@@ -34,6 +34,7 @@ from .hypergrad import (
     build_hypergradient_matrix,
     build_hypergradient_matrix_stochastic,
     lower_level_solve,
+    neumann_batch_sizes,
     stochastic_lower_solve,
 )
 from .subsolvers import WcSubproblem, solve_wc_subproblem
@@ -88,13 +89,14 @@ class _CgNsStep:
 
 
 class _SampledNeumannStep:
-    """Stochastic estimator step: sampled lower SGD and Neumann recursion."""
+    """Stochastic estimator step: sampled lower SGD and Neumann recursion
+    with the run's fixed Hessian batch sizes."""
 
     estimator = "stochastic"
 
-    def __init__(self, config: SolverConfig, mu_g: float):
+    def __init__(self, config: SolverConfig, hessian_sizes: Sequence[int]):
         self.config = config
-        self.mu_g = mu_g
+        self.hessian_sizes = hessian_sizes
         self.rng = np.random.default_rng(config.seed)
 
     def lower(self, oracles, x, y_start):
@@ -106,7 +108,7 @@ class _SampledNeumannStep:
 
     def hypergradients(self, oracles, x):
         return build_hypergradient_matrix_stochastic(
-            oracles, x, self.y_d, self.config, self.rng, self.mu_g
+            oracles, x, self.y_d, self.config, self.rng, self.hessian_sizes
         )
 
 
@@ -216,9 +218,9 @@ def run_stochastic(
 ) -> RunTrace:
     """Preference-guided stochastic run with shrinking Hessian batches.
 
-    Requires ``problem.constants.mu_g`` for the batch-size schedule.  One
-    generator seeded with ``config.seed`` makes every draw, so the first k
-    records of a run do not depend on ``K``.
+    Requires ``problem.constants.mu_g`` for the batch-size schedule, which
+    is fixed for the run.  One generator seeded with ``config.seed`` makes
+    every draw, so the first k records of a run do not depend on ``K``.
     """
     _check_inputs(problem, x0, y0, r)
     if problem.constants is None:
@@ -226,18 +228,29 @@ def run_stochastic(
     mu_g = problem.constants.mu_g
     config = config.resolved(problem.constants, r.r_max)
     config.validate_stochastic(mu_g)
-    return _run_loop(problem, r.r, x0, y0, _SampledNeumannStep(config, mu_g))
+    sizes = neumann_batch_sizes(config.B, config.Q, config.eta, mu_g)
+    return _run_loop(problem, r.r, x0, y0, _SampledNeumannStep(config, sizes))
 
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """Outcome of one preference in a sweep."""
+    """Outcome of one preference in a sweep.
+
+    ``trace`` is the run's trace, partial when the run failed; ``error`` is
+    set only then, and the final values are ``None`` for a failed run.
+    """
 
     preference: Preference
-    final_phi: Optional[np.ndarray]
-    final_d_norm_sq: Optional[float]
     trace: Optional[RunTrace]
     error: Optional[str] = None
+
+    @property
+    def final_phi(self) -> Optional[np.ndarray]:
+        return None if self.error is not None else self.trace.final_phi
+
+    @property
+    def final_d_norm_sq(self) -> Optional[float]:
+        return None if self.error is not None else self.trace.final_d_norm_sq
 
 
 @dataclass(frozen=True)
@@ -269,19 +282,8 @@ def pareto_sweep(
         try:
             trace = run_deterministic(problem, config, pref, x0, y0)
         except RunFailure as failure:
-            return SweepEntry(
-                preference=pref,
-                final_phi=None,
-                final_d_norm_sq=None,
-                trace=failure.trace,
-                error=str(failure),
-            )
-        return SweepEntry(
-            preference=pref,
-            final_phi=trace.final_phi,
-            final_d_norm_sq=trace.final_d_norm_sq,
-            trace=trace,
-        )
+            return SweepEntry(pref, failure.trace, str(failure))
+        return SweepEntry(pref, trace)
 
     return SweepResult(tuple(one(pref) for pref in preferences))
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,23 @@ from mobilevel import (
     validate_problem,
 )
 from mobilevel.benchmarks import _hypercleaning_data
+
+
+def _generic_l_phi(L, mu, M=0.0, tau=0.0, rho=0.0):
+    """Upper-level smoothness bound of Ghadimi & Wang (2018, arXiv:1802.02246)
+    for Hessian blocks with Lipschitz constants tau (cross) and rho (lower)
+    and value bound M; ``None`` when it leaves the float range.  At
+    tau = rho = M = 0 it is the L_phi that ``make_quadratic`` states."""
+    try:
+        bound = (
+            L
+            + (2.0 * L**2 + tau * M**2) / mu
+            + (rho * L * M + L**3 + tau * L * M) / mu**2
+            + rho * L**2 * M / mu**3
+        )
+    except OverflowError:
+        return None
+    return bound if math.isfinite(bound) else None
 
 
 def _read_only(arr):
@@ -93,8 +112,32 @@ class TestQuadraticFamily:
         eigs = np.linalg.eigvalsh(spec.hessian)
         assert constants.mu_g == pytest.approx(eigs.min())
         assert constants.L >= max(1.0, eigs.max()) - 1e-12
-        assert constants.tau == 0.0 and constants.rho == 0.0
-        assert constants.smoothness_upper() is not None
+        assert constants.L_phi == _generic_l_phi(constants.L, constants.mu_g)
+        assert constants.L_phi is not None
+        assert problem.constants is constants
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.one_of(st.floats(0.0, 1e3), st.sampled_from([1e60, 1e100])),
+    )
+    def test_l_phi_is_generic_bound_without_hessian_lipschitz_terms(self, dims, seed, scale):
+        p, q, s = dims
+        spec = QuadraticBilevelSpec.random(p, q, s, seed=seed, hessian_scale=scale)
+        _, constants = make_quadratic(spec)
+        expected = _generic_l_phi(constants.L, constants.mu_g)
+        assert constants.L_phi == expected  # or both None
+        if scale >= 1e60:
+            assert expected is None
+
+    @pytest.mark.parametrize("seed, scale", [(2, 1e60), (1, 1e100)])
+    def test_one_dimensional_lower_level_at_large_scale(self, seed, scale):
+        # eigvalsh rounds the joint norm below mu_g here; L is floored at mu_g.
+        spec = QuadraticBilevelSpec.random(3, 1, 2, seed=seed, hessian_scale=scale)
+        _, constants = make_quadratic(spec)
+        assert constants.L == constants.mu_g == float(spec.hessian[0, 0])
+        assert constants.L_phi is None
 
     def test_validate_clean(self):
         spec = QuadraticBilevelSpec.random(4, 4, 2, seed=11)

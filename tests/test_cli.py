@@ -9,7 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobilevel import Preference, SolverConfig, checks, cli, run_deterministic
+from mobilevel import (
+    Preference,
+    QuadraticBilevelSpec,
+    SolverConfig,
+    SweepEntry,
+    SweepResult,
+    checks,
+    cli,
+    make_quadratic,
+    pareto_sweep,
+    run_deterministic,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 HYPERCLEANING_INI = CONFIGS / "hypercleaning.ini"
@@ -321,6 +332,18 @@ family = quadratic
         assert record["solver"]["seed"] == 11
         ok, detail = checks.CHECKS["reproducibility"].run()
         assert ok, detail
+
+    def test_infeasible_neumann_schedule_exit_2(self, tmp_path, capsys):
+        # eta * mu_g = 25 * 0.1 has no Neumann schedule: a config error,
+        # raised before the first iteration, with no trace written.
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--config", str(HYPERCLEANING_INI), "--set", "solver.eta=25",
+            "--set", f"output.trace_csv={out}/trace.csv",
+            "--set", f"output.run_json={out}/run.json",
+        ]) == 2
+        assert "config error: eta * mu_g must lie in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stochastic_rejects_cg_keys(self, tmp_path, capsys):
         # The stochastic loop has one estimator: its family knows no CG
@@ -807,6 +830,20 @@ class TestSchema:
 
 
 class TestCmdSweep:
+    def test_summary_text_layout(self):
+        # One row per entry in grid order; a failed entry keeps its r and
+        # leaves its values empty.
+        problem, _ = make_quadratic(QuadraticBilevelSpec.random(2, 2, 2, seed=3))
+        (ok,) = pareto_sweep(problem, SolverConfig(K=3, D=4, N=2), [Preference.uniform(2)],
+                             np.zeros(2), np.zeros(2)).entries
+        failed = SweepEntry(Preference(np.array([0.25, 0.75])), None, "run aborted")
+        phi, dns = ok.trace.final_phi, ok.trace.final_d_norm_sq
+        assert cli.sweep_summary_text(SweepResult((ok, failed)), 2) == (
+            "r_1,r_2,phi_1,phi_2,d_norm_sq,status\n"
+            f"0.5,0.5,{phi[0]:.17g},{phi[1]:.17g},{dns:.17g},ok\n"
+            "0.25,0.75,,,,failed\n"
+        )
+
     def test_preferred_grid_rows(self, tmp_path):
         out = tmp_path / "out"
         config = write_config(tmp_path / "run.ini", f"""

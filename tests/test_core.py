@@ -86,32 +86,53 @@ class TestProblemConstants:
         with pytest.raises(ValueError):
             ProblemConstants(mu_g=1.0, L=0.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"mu_g": np.nan}, {"mu_g": np.inf}, {"mu_g": np.inf, "L": np.inf},
+        {"mu_g": 1.0, "L": np.nan}, {"mu_g": 1.0, "L": np.inf},
+        {"mu_g": 1.0, "L_phi": 0.0}, {"mu_g": 1.0, "L_phi": -2.0},
+        {"mu_g": 1.0, "L_phi": np.nan}, {"mu_g": 1.0, "L_phi": np.inf},
+    ])
+    def test_rejects_non_finite_or_non_positive(self, kwargs):
+        with pytest.raises(ValueError):
+            ProblemConstants(**kwargs)
+
     def test_smoothness_upper_without_value_bound(self):
-        # With constant Hessians (tau = rho = 0) no value bound is needed.
-        constants = ProblemConstants(mu_g=0.5, L=2.0, tau=0.0, rho=0.0)
-        expected = 2.0 + 2 * 4.0 / 0.5 + 8.0 / 0.25
-        assert constants.smoothness_upper() == pytest.approx(expected)
+        # beta reads the stated L_phi alone; nothing is derived from mu_g or L.
+        steps = {
+            ProblemConstants(mu_g=mu_g, L=l_bound, L_phi=42.0).default_ul_step(0.8)
+            for mu_g, l_bound in [(0.5, 2.0), (1e-3, 1e3), (1.0, None)]
+        }
+        assert steps == {min(1 / (2 * 43.0 * 0.8), 1 / (3 * 42.0))}
 
     def test_smoothness_upper_unknown(self):
-        assert ProblemConstants(mu_g=0.5, L=2.0).smoothness_upper() is None
-        assert ProblemConstants(mu_g=0.5, L=2.0, tau=1.0, rho=0.0).smoothness_upper() is None
+        assert ProblemConstants(mu_g=0.5, L=2.0).default_ul_step(0.8) is None
+        assert ProblemConstants(mu_g=0.5).default_ul_step(0.8) is None
 
     @pytest.mark.parametrize("mu_g, l_bound", [
-        (0.5, 1e103), (0.5, 1e120), (0.5, 1e200), (1e-20, 1e100),
+        (0.5, 1e103), (0.5, 1e120), (0.5, 1e200), (1e-20, 1e100), (1e-170, 1.0),
     ])
     def test_smoothness_upper_overflow_not_derivable(self, mu_g, l_bound):
-        # L**3 raises OverflowError from about L = 1e103 and L**2 from about
-        # 1e155; at L = 1e100 and mu = 1e-20 the division yields inf instead.
-        constants = ProblemConstants(mu_g=mu_g, L=l_bound, tau=0.0, rho=0.0)
-        assert constants.smoothness_upper() is None
+        # make_quadratic states no L_phi where its bound leaves the float
+        # range: L**3 raises OverflowError from about L = 1e103 and L**2 from
+        # about 1e155; at L = 1e100 and mu = 1e-20 the division yields inf,
+        # and below mu = 1e-162 mu**2 is zero.  With no coupling the
+        # Hessian's eigenvalues are mu_g and L.
+        spec = QuadraticBilevelSpec(
+            dim_x=1, dim_y=2, num_objectives=1,
+            hessian=np.diag([mu_g, l_bound]), coupling=np.zeros((2, 1)),
+            x_targets=np.zeros((1, 1)), y_targets=np.zeros((1, 2)),
+        )
+        _, constants = make_quadratic(spec)
+        assert (constants.mu_g, constants.L) == (mu_g, l_bound)
+        assert constants.L_phi is None
         assert constants.default_ul_step(0.8) is None
         with pytest.raises(ConfigurationError, match="beta"):
             SolverConfig().resolved(constants, r_max=0.8)
 
     def test_default_steps(self):
-        constants = ProblemConstants(mu_g=0.5, L=2.0, tau=0.0, rho=0.0)
+        constants = ProblemConstants(mu_g=0.5, L=2.0, L_phi=42.0)
         assert constants.default_ll_step() == pytest.approx(0.5)
-        l_phi = constants.smoothness_upper()
+        l_phi = constants.L_phi
         beta = constants.default_ul_step(0.8)
         assert beta == pytest.approx(min(1 / (2 * (1 + l_phi) * 0.8), 1 / (3 * l_phi)))
 
@@ -135,7 +156,7 @@ class TestSolverConfig:
             SolverConfig(**{field: value})
 
     def test_resolved_fills_steps(self):
-        constants = ProblemConstants(mu_g=0.5, L=2.0, tau=0.0, rho=0.0)
+        constants = ProblemConstants(mu_g=0.5, L=2.0, L_phi=42.0)
         resolved = SolverConfig().resolved(constants, r_max=0.5)
         assert resolved.alpha == pytest.approx(0.5)
         assert resolved.eta == pytest.approx(0.5)
@@ -153,7 +174,7 @@ class TestSolverConfig:
             resolved.validate_stochastic(1.0)
 
     def test_explicit_steps_win(self):
-        constants = ProblemConstants(mu_g=0.5, L=2.0, tau=0.0, rho=0.0)
+        constants = ProblemConstants(mu_g=0.5, L=2.0, L_phi=42.0)
         resolved = SolverConfig(alpha=0.1, beta=0.2, eta=0.3).resolved(constants)
         assert (resolved.alpha, resolved.beta, resolved.eta) == (0.1, 0.2, 0.3)
 

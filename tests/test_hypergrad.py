@@ -465,8 +465,9 @@ class TestBuildMatrix:
         y_d = lower_level_solve(problem, x, np.zeros(4), 200, alpha)
         det_matrix, _ = build_hypergradient_matrix(problem, x, [y_d], config, [None] * 2)
         rng = np.random.default_rng(0)
+        sizes = neumann_batch_sizes(config.B, config.Q, config.eta, constants.mu_g)
         st_matrix = build_hypergradient_matrix_stochastic(
-            stochastic, x, y_d, config, rng, constants.mu_g
+            stochastic, x, y_d, config, rng, sizes
         )
         assert np.abs(st_matrix.grads - det_matrix.grads).max() <= 1e-4
         np.testing.assert_allclose(st_matrix.phi_values, det_matrix.phi_values, atol=1e-12)

@@ -8,6 +8,7 @@ from mobilevel import cli, optimizer, subsolvers
 from mobilevel import (
     ConfigurationError,
     Preference,
+    ProblemConstants,
     QuadraticBilevelSpec,
     RunFailure,
     SolverConfig,
@@ -326,6 +327,27 @@ class TestParetoSweep:
         for entry in sweep.entries:
             assert entry.error is not None
             assert entry.final_phi is None
+            assert entry.final_d_norm_sq is None
+
+    def test_failed_entry_keeps_partial_trace_without_final_values(self, two_objective):
+        # The lower gradient fails on its 7th call, in iteration 3 (D = 2):
+        # the entry keeps the three finished records but reports no final values.
+        _, problem, _ = two_objective
+        calls = []
+
+        def ll_grad_y(x, y):
+            calls.append(None)
+            if len(calls) == 7:
+                raise FloatingPointError("injected")
+            return problem.ll_grad_y(x, y)
+
+        failing = replace(problem, ll_grad_y=ll_grad_y)
+        config = SolverConfig(K=5, D=2, N=2, option="cg", beta=0.05)
+        (entry,) = pareto_sweep(failing, config, [Preference.uniform(2)],
+                                np.zeros(3), np.zeros(4)).entries
+        assert "injected" in entry.error
+        assert entry.trace.iterations == 3 and entry.trace.final_phi is not None
+        assert entry.final_phi is None and entry.final_d_norm_sq is None
 
     def test_empty_preferences_rejected(self, two_objective):
         _, problem, _ = two_objective
@@ -409,9 +431,40 @@ class TestRunStochastic:
         _, problem, _ = two_objective
         stochastic = wrap_deterministic(problem)
         config = SolverConfig(K=2, D=2, Q=60, B=1, eta=0.9, alpha=0.5, beta=0.1)
-        bad = replace(stochastic, constants=replace(stochastic.constants, mu_g=1.0, L=None, tau=None, rho=None))
+        bad = replace(stochastic, constants=ProblemConstants(mu_g=1.0))
         with pytest.raises(ConfigurationError):
             run_stochastic(bad, config, Preference.uniform(2), np.zeros(3), np.zeros(4))
+
+    def test_batch_schedule_computed_once_per_run(self, two_objective, monkeypatch):
+        from mobilevel import hypergrad
+
+        _, problem, _ = two_objective
+        calls = []
+        original = hypergrad.neumann_batch_sizes
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        # Counted wherever the schedule is looked up.
+        monkeypatch.setattr(hypergrad, "neumann_batch_sizes", counting)
+        monkeypatch.setattr(optimizer, "neumann_batch_sizes", counting, raising=False)
+        config = SolverConfig(K=5, D=4, Q=3, option="ns", beta=0.05)
+        trace = run_stochastic(wrap_deterministic(problem), config, Preference.uniform(2),
+                               np.zeros(3), np.zeros(4))
+        assert trace.iterations == 5
+        assert len(calls) == 1
+
+    def test_infeasible_schedule_is_a_config_error(self, two_objective):
+        # eta * mu_g = 1.5 passes the batch floor (4 * 3 * 0.25 = 3) but has no
+        # Neumann schedule; the run refuses it before its first iteration.
+        _, problem, _ = two_objective
+        stochastic = wrap_deterministic(problem)
+        bad = replace(stochastic, constants=ProblemConstants(mu_g=1.0))
+        for k in (0, 3):
+            config = SolverConfig(K=k, D=2, Q=3, B=4, eta=1.5, alpha=0.5, beta=0.1)
+            with pytest.raises(ConfigurationError, match="eta \\* mu_g"):
+                run_stochastic(bad, config, Preference.uniform(2), np.zeros(3), np.zeros(4))
 
 
 class TestExpectedCounters:
