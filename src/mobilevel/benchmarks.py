@@ -48,7 +48,6 @@ class QuadraticBilevelSpec:
     coupling: np.ndarray
     x_targets: np.ndarray
     y_targets: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         h = np.asarray(self.hessian, dtype=float)
@@ -104,7 +103,6 @@ class QuadraticBilevelSpec:
             coupling=coupling,
             x_targets=x_targets,
             y_targets=y_targets,
-            seed=seed,
         )
 
     @property

@@ -118,7 +118,12 @@ class Preference:
 
     @classmethod
     def preferred(cls, size: int, index: int) -> "Preference":
-        """One objective weighted 0.8, the rest sharing 0.2 equally."""
+        """Objective ``index`` weighted 0.8, the rest sharing 0.2 equally.
+
+        Raises ``ValueError`` for an ``index`` outside ``[0, size)``.
+        """
+        if not 0 <= index < size:
+            raise ValueError(f"preference index {index} outside [0, {size})")
         if size == 1:
             return cls(np.ones(1))
         r = np.full(size, 0.2 / (size - 1))
@@ -127,7 +132,12 @@ class Preference:
 
     @classmethod
     def extreme(cls, size: int, index: int) -> "Preference":
-        """One objective weighted 0.96, the rest sharing 0.04 equally."""
+        """Objective ``index`` weighted 0.96, the rest sharing 0.04 equally.
+
+        Raises ``ValueError`` for an ``index`` outside ``[0, size)``.
+        """
+        if not 0 <= index < size:
+            raise ValueError(f"preference index {index} outside [0, {size})")
         if size == 1:
             return cls(np.ones(1))
         r = np.full(size, 0.04 / (size - 1))
@@ -266,11 +276,14 @@ class SolverConfig:
         return replace(self, alpha=alpha, beta=beta, eta=eta)
 
     def validate_stochastic(self, mu_g: float) -> None:
-        """Check the shrinking-batch feasibility bound B*Q*(1-eta*mu)^(Q-1) >= 1."""
+        """Check that ``eta * mu_g`` lies in (0, 1] and then the
+        shrinking-batch feasibility bound B*Q*(1-eta*mu_g)^(Q-1) >= 1."""
         if self.eta is None:
             raise ConfigurationError(
                 "step size not set and not derivable from problem constants: eta"
             )
+        if not (0.0 < self.eta * mu_g <= 1.0):
+            raise ConfigurationError("eta * mu_g must lie in (0, 1]")
         floor = self.B * self.Q * (1.0 - self.eta * mu_g) ** (self.Q - 1)
         if floor < 1.0:
             raise ConfigurationError(
@@ -385,7 +398,9 @@ class StochasticOracles:
     A batch is a sorted, read-only int64 array of sample indices, and every
     oracle takes one as its final argument.  Evaluating with the full batch
     ``arange(n)`` must reproduce the deterministic oracle exactly.
-    ``dataset_sizes`` maps each purpose tag to its population size ``n``.
+    ``dataset_sizes`` maps each of the four purpose tags in ``PURPOSES`` to
+    its population size ``n``, an integer of at least 1; any other mapping
+    raises :class:`InvalidProblemError`.
     """
 
     num_objectives: int
@@ -400,6 +415,18 @@ class StochasticOracles:
     ll_jvp: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     constants: Optional[ProblemConstants] = None
     reference: Optional[AnalyticReference] = None
+
+    def __post_init__(self):
+        if set(self.dataset_sizes) != set(PURPOSES):
+            raise InvalidProblemError(
+                f"dataset_sizes must name exactly the purposes {PURPOSES}, "
+                f"not {tuple(self.dataset_sizes)}"
+            )
+        for purpose, n in self.dataset_sizes.items():
+            if not isinstance(n, (int, np.integer)) or n < 1:
+                raise InvalidProblemError(
+                    f"dataset_sizes[{purpose!r}] must be an integer of at least 1, not {n!r}"
+                )
 
     def sample(
         self, purpose: str, sizes: Sequence[int], rng: np.random.Generator
@@ -525,7 +552,10 @@ class HypergradientMatrix:
     """Estimated per-objective hypergradients, one column per objective.
 
     ``phi_values`` holds the upper-level objective values at the point
-    where the columns were evaluated.
+    where the columns were evaluated.  Both are finite and read-only.
+    ``gram()`` is the S-by-S Gram matrix of the columns, symmetric and
+    positive semidefinite by construction; it is not finite only when it
+    overflows, which :class:`~mobilevel.subsolvers.WcSubproblem` refuses.
     """
 
     grads: np.ndarray

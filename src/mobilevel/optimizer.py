@@ -134,9 +134,7 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
         try:
             y_prev = step.lower(oracles, x, y_prev)
             matrix = step.hypergradients(oracles, x)
-            subproblem = WcSubproblem(
-                gram=matrix.gram(), phi=matrix.phi_values, r=weight_vec, u=config.u
-            )
+            subproblem = WcSubproblem(matrix, weight_vec, config.u)
             # A certified warm start comes back as the same object.
             weights, _ = solve_wc_subproblem(subproblem, warm_start=weights)
         except Exception as exc:  # noqa: BLE001 - wrap with the partial trace

@@ -9,19 +9,18 @@ alignment term, solved exactly by a primal active-set method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .core import (
+    HypergradientMatrix,
     NumericalBreakdownError,
     SimplexWeights,
     WcSolverError,
 )
 
-GRAM_SYMMETRY_TOL = 1e-10
-GRAM_EIGEN_SLACK = -1e-10
 KKT_TOL = 1e-10
 # Random instances up to S = 12 certify within 3.5 face solves per weight.
 FACE_SOLVES_PER_WEIGHT = 10
@@ -97,32 +96,31 @@ def project_simplex(z: np.ndarray) -> SimplexWeights:
 class WcSubproblem:
     """Data of the simplex QP  min (r*lam)' G (r*lam) - u lam' (r*phi).
 
-    ``gram`` is the S-by-S Gram matrix of the hypergradient columns; the
-    matrix square root of the Gram is never formed since the quadratic
-    term only needs the Gram itself.
+    Built from the hypergradient columns: ``gram`` is their S-by-S Gram
+    ``matrix.gram()``, formed once here and symmetric and positive
+    semidefinite by construction (its square root is never formed), and
+    ``phi`` is ``matrix.phi_values``.  Raises ``ValueError`` unless ``r``
+    has one entry per column and ``u >= 0``, and
+    :class:`NumericalBreakdownError` if the Gram of finite columns overflows.
     """
 
-    gram: np.ndarray
-    phi: np.ndarray
+    matrix: InitVar[HypergradientMatrix]
     r: np.ndarray
     u: float
+    gram: np.ndarray = field(init=False)
+    phi: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
+    def __post_init__(self, matrix: HypergradientMatrix):
+        gram = matrix.gram()
         r = np.asarray(self.r, dtype=float)
-        s = gram.shape[0]
-        if gram.shape != (s, s) or phi.shape != (s,) or r.shape != (s,):
-            raise ValueError("inconsistent subproblem dimensions")
-        scale = max(1.0, float(np.abs(gram).max()))
-        if float(np.abs(gram - gram.T).max()) > GRAM_SYMMETRY_TOL * scale:
-            raise ValueError("gram matrix must be symmetric")
-        if float(np.linalg.eigvalsh(gram).min()) < GRAM_EIGEN_SLACK * scale:
-            raise ValueError("gram matrix must be positive semidefinite")
+        if r.shape != (gram.shape[0],):
+            raise ValueError("r must have one entry per hypergradient column")
         if self.u < 0.0:
             raise ValueError("u must be nonnegative")
+        if not np.isfinite(gram).all():
+            raise NumericalBreakdownError("hypergradient Gram matrix is not finite")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", matrix.phi_values)
         object.__setattr__(self, "r", r)
 
     @property

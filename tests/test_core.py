@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,12 @@ class TestPreference:
         extreme = Preference.extreme(5, 0)
         np.testing.assert_allclose(extreme.r, [0.96, 0.01, 0.01, 0.01, 0.01])
         np.testing.assert_allclose(Preference.uniform(4).r, np.full(4, 0.25))
+
+    @pytest.mark.parametrize("pattern", [Preference.preferred, Preference.extreme])
+    @pytest.mark.parametrize("size, index", [(3, -1), (3, 3), (1, 1), (1, -1)])
+    def test_pattern_index_out_of_range(self, pattern, size, index):
+        with pytest.raises(ValueError, match="outside"):
+            pattern(size, index)
 
     def test_immutable(self):
         r = Preference(np.array([0.5, 0.5]))
@@ -185,6 +192,14 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError):
             bad.validate_stochastic(1.0)
 
+    @pytest.mark.parametrize("eta", [1.5, 2.5, 1.0 + 1e-12])
+    def test_stochastic_step_beyond_schedule(self, eta):
+        # eta * mu_g above 1 has no Neumann schedule, even where the negative
+        # base passes the batch floor (4 * 3 * (1 - 1.5)^2 = 3).
+        with pytest.raises(ConfigurationError, match="eta \\* mu_g must lie in \\(0, 1\\]"):
+            SolverConfig(B=4, Q=3, eta=eta).validate_stochastic(1.0)
+        SolverConfig(B=4, Q=1, eta=1.0).validate_stochastic(1.0)  # eta * mu_g = 1 is allowed
+
 
 class TestOracleCounters:
     def test_snapshot_is_independent(self):
@@ -286,6 +301,26 @@ class TestStochasticWrapper:
         (a,) = stochastic.sample("ll_step", [1], rng_a)
         (b,) = stochastic.sample("ll_step", [1], rng_b)
         assert np.array_equal(a, b)
+
+
+class TestDatasetSizes:
+    @pytest.mark.parametrize("sizes, message", [
+        ({LL_STEP: 5, UL_BATCH: 5, JACOBIAN: 5}, "name exactly"),
+        ({**{purpose: 5 for purpose in PURPOSES}, "extra": 5}, "name exactly"),
+        ({LL_STEP: 5}, "name exactly"),
+        ({**{purpose: 5 for purpose in PURPOSES}, LL_STEP: 0}, "'ll_step'.*at least 1"),
+        ({**{purpose: 5 for purpose in PURPOSES}, HESSIAN: -3}, "'hessian'.*at least 1"),
+        ({**{purpose: 5 for purpose in PURPOSES}, UL_BATCH: 2.0}, "'ul'.*integer"),
+        ({**{purpose: 5 for purpose in PURPOSES}, JACOBIAN: "5"}, "'jacobian'.*integer"),
+    ])
+    def test_malformed_sizes_rejected(self, sizes, message):
+        with pytest.raises(InvalidProblemError, match=message):
+            replace(_sampling_problem(5), dataset_sizes=sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sizes = {purpose: np.int64(7) for purpose in PURPOSES}
+        problem = replace(_sampling_problem(5), dataset_sizes=sizes)
+        assert problem.full_batch(HESSIAN).size == 7
 
 
 def _sampling_problem(n):

@@ -25,6 +25,7 @@ from mobilevel import (
     HESSIAN,
     LL_STEP,
 )
+from mobilevel.core import PURPOSES
 from mobilevel.hypergrad import LL_BLOCK, stochastic_lower_solve
 
 
@@ -62,7 +63,8 @@ def _lower_sgd_problem(n, seen=None):
         return y
 
     return StochasticOracles(
-        num_objectives=1, dim_x=1, dim_y=1, dataset_sizes={LL_STEP: n},
+        num_objectives=1, dim_x=1, dim_y=1,
+        dataset_sizes={purpose: n for purpose in PURPOSES},
         ul_value=None, ul_grad_x=None, ul_grad_y=None,
         ll_grad_y=ll_grad_y, ll_hvp=None, ll_jvp=None,
     )

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mobilevel import subsolvers
 from mobilevel import (
+    HypergradientMatrix,
     NumericalBreakdownError,
     SimplexWeights,
     WcSolverError,
@@ -234,22 +235,55 @@ class TestProjectSimplex:
 
 
 
-class TestWcSubproblem:
-    def test_rejects_asymmetric_gram(self):
-        with pytest.raises(ValueError):
-            WcSubproblem(gram=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                         phi=np.zeros(2), r=np.full(2, 0.5), u=0.0)
+@st.composite
+def column_matrices(draw):
+    """Finite p-by-S hypergradient columns, p 1-60 and S 1-8, each column at
+    its own scale 10^e with e in [-100, 100]; some columns duplicate an
+    earlier one or are zero."""
+    p = draw(st.integers(1, 60))
+    s = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = draw(st.lists(st.floats(-100.0, 100.0), min_size=s, max_size=s))
+    cols = rng.standard_normal((p, s)) * 10.0 ** np.array(exponents)
+    for j in range(1, s):
+        kind = draw(st.sampled_from(["own", "duplicate", "zero"]))
+        if kind == "duplicate":
+            cols[:, j] = cols[:, draw(st.integers(0, j - 1))]
+        elif kind == "zero":
+            cols[:, j] = 0.0
+    return cols
 
-    def test_rejects_indefinite_gram(self):
-        with pytest.raises(ValueError):
-            WcSubproblem(gram=np.diag([1.0, -0.5]),
-                         phi=np.zeros(2), r=np.full(2, 0.5), u=0.0)
+
+class TestWcSubproblem:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(column_matrices())
+    def test_column_gram_is_symmetric_psd(self, cols):
+        # The symmetry and eigenvalue checks the constructor no longer makes,
+        # at their tolerances: a finite Gram of finite columns passes both.
+        gram = HypergradientMatrix(cols, np.zeros(cols.shape[1])).gram()
+        assert np.isfinite(gram).all()
+        scale = max(1.0, float(np.abs(gram).max()))
+        assert float(np.abs(gram - gram.T).max()) <= 1e-10 * scale
+        assert float(np.linalg.eigvalsh(gram).min()) >= -1e-10 * scale
+
+    def test_overflowing_gram_is_a_breakdown(self):
+        # Finite columns whose Gram overflows to inf on the diagonal.
+        cols = np.array([[1e160, 1.0], [2.0, -1e160]])
+        matrix = HypergradientMatrix(cols, np.zeros(2))
+        with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError):
+            WcSubproblem(matrix, np.full(2, 0.5), 0.0)
+
+    @pytest.mark.parametrize("r", [np.ones(1), np.full(3, 1 / 3), np.full((2, 1), 0.5)])
+    def test_rejects_r_of_wrong_length(self, r):
+        matrix = HypergradientMatrix(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="one entry per hypergradient column"):
+            WcSubproblem(matrix, r, 0.0)
 
 
 class TestSolveWcSubproblem:
     def test_single_objective_trivial(self):
-        sp = WcSubproblem(gram=np.array([[4.0]]), phi=np.array([9.0]),
-                          r=np.ones(1), u=3.0)
+        sp = WcSubproblem(HypergradientMatrix(np.array([[2.0]]), np.array([9.0])),
+                          np.ones(1), 3.0)
         lam, residual = solve_wc_subproblem(sp)
         np.testing.assert_allclose(lam.lam, [1.0])
         assert residual == 0.0
@@ -257,11 +291,10 @@ class TestSolveWcSubproblem:
     def test_diagonal_closed_form(self):
         # Columns (1,0) and (0,2): minimize (0.5 a)^2 + 4 (0.5 (1-a))^2
         # over a, giving a = 0.8; direction (0.4, 0.2).
-        sp = WcSubproblem(gram=np.diag([1.0, 4.0]), phi=np.zeros(2),
-                          r=np.full(2, 0.5), u=0.0)
+        cols = np.array([[1.0, 0.0], [0.0, 2.0]])
+        sp = WcSubproblem(HypergradientMatrix(cols, np.zeros(2)), np.full(2, 0.5), 0.0)
         lam, residual = solve_wc_subproblem(sp)
         np.testing.assert_allclose(lam.lam, [0.8, 0.2], atol=1e-9)
-        cols = np.array([[1.0, 0.0], [0.0, 2.0]])
         d = cols @ (np.full(2, 0.5) * lam.lam)
         np.testing.assert_allclose(d, [0.4, 0.2], atol=1e-9)
         # Cross-check against a fine grid on the same objective.
@@ -273,8 +306,8 @@ class TestSolveWcSubproblem:
 
     def test_alignment_term_dominates(self):
         # Large u selects the objective with the largest r_s * phi_s.
-        sp = WcSubproblem(gram=np.eye(2), phi=np.array([10.0, 1.0]),
-                          r=np.full(2, 0.5), u=100.0)
+        sp = WcSubproblem(HypergradientMatrix(np.eye(2), np.array([10.0, 1.0])),
+                          np.full(2, 0.5), 100.0)
         lam, _ = solve_wc_subproblem(sp)
         np.testing.assert_allclose(lam.lam, [1.0, 0.0], atol=1e-10)
         best, _ = brute_force_simplex_min(
@@ -289,8 +322,8 @@ class TestSolveWcSubproblem:
         rng = np.random.default_rng(21)
         for _ in range(10):
             cols = rng.standard_normal((5, s))
-            sp = WcSubproblem(gram=cols.T @ cols, phi=np.zeros(s),
-                              r=np.full(s, 1.0 / s), u=0.0)
+            sp = WcSubproblem(HypergradientMatrix(cols, np.zeros(s)),
+                              np.full(s, 1.0 / s), 0.0)
             lam, _ = solve_wc_subproblem(sp)
             reference = brute_force_min_norm([cols[:, j] for j in range(s)])
             assert np.abs(lam.lam - reference.lam).max() <= 1e-4
@@ -300,8 +333,8 @@ class TestSolveWcSubproblem:
         # any vertex of the simplex.
         rng = np.random.default_rng(30)
         cols = rng.standard_normal((4, 3))
-        sp = WcSubproblem(gram=cols.T @ cols, phi=rng.uniform(0, 3, 3),
-                          r=np.array([0.5, 0.3, 0.2]), u=2.0)
+        sp = WcSubproblem(HypergradientMatrix(cols, rng.uniform(0, 3, 3)),
+                          np.array([0.5, 0.3, 0.2]), 2.0)
         start = np.array([1.0, 0.0, 0.0])
         lam, _ = solve_wc_subproblem(sp, warm_start=project_simplex(start))
         value = sp.objective(lam.lam)
@@ -317,8 +350,8 @@ class TestSolveWcSubproblem:
             cols = rng.standard_normal((4, 3))
             r = np.array([0.2, 0.5, 0.3])
             c = float(rng.uniform(0.5, 4.0))
-            sp1 = WcSubproblem(gram=cols.T @ cols, phi=np.zeros(3), r=r, u=0.0)
-            sp2 = WcSubproblem(gram=c**2 * (cols.T @ cols), phi=np.zeros(3), r=r, u=0.0)
+            sp1 = WcSubproblem(HypergradientMatrix(cols, np.zeros(3)), r, 0.0)
+            sp2 = WcSubproblem(HypergradientMatrix(c * cols, np.zeros(3)), r, 0.0)
             lam1, _ = solve_wc_subproblem(sp1)
             lam2, _ = solve_wc_subproblem(sp2)
             assert np.abs(lam1.lam - lam2.lam).max() <= 1e-6
@@ -333,7 +366,7 @@ class TestSolveWcSubproblem:
         for s in (2, 3):
             cols = rng.standard_normal((4, s))
             r = np.full(s, 1.0 / s)
-            sp = WcSubproblem(gram=cols.T @ cols, phi=np.zeros(s), r=r, u=0.0)
+            sp = WcSubproblem(HypergradientMatrix(cols, np.zeros(s)), r, 0.0)
             lam, _ = solve_wc_subproblem(sp)
             d_norm = np.linalg.norm(cols @ (r * lam.lam))
             gram = cols.T @ cols
@@ -344,8 +377,8 @@ class TestSolveWcSubproblem:
             assert abs(d_norm * s - hull_min) <= 1e-4 * max(1.0, hull_min)
 
     def test_zero_gram_returns_warm_start(self):
-        sp = WcSubproblem(gram=np.zeros((3, 3)), phi=np.zeros(3),
-                          r=np.full(3, 1 / 3), u=0.0)
+        sp = WcSubproblem(HypergradientMatrix(np.zeros((3, 3)), np.zeros(3)),
+                          np.full(3, 1 / 3), 0.0)
         start = np.array([0.6, 0.3, 0.1])
         lam, residual = solve_wc_subproblem(sp, warm_start=project_simplex(start))
         np.testing.assert_allclose(lam.lam, start, atol=1e-12)
@@ -358,8 +391,9 @@ class TestSolveWcSubproblem:
             return np.zeros(grad.size)
 
         monkeypatch.setattr(subsolvers, "_face_step", stuck)
-        sp = WcSubproblem(gram=np.diag([1.0, 4.0, 2.0]), phi=np.zeros(3),
-                          r=np.full(3, 1 / 3), u=0.0)
+        # Columns e1, 2 e2 and e3 + e4: the Gram is diag(1, 4, 2).
+        cols = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        sp = WcSubproblem(HypergradientMatrix(cols, np.zeros(3)), np.full(3, 1 / 3), 0.0)
         start = np.array([0.1, 0.9, 0.0])
         with pytest.raises(WcSolverError) as info:
             solve_wc_subproblem(sp, warm_start=project_simplex(start))
@@ -373,8 +407,8 @@ class TestSolveWcSubproblem:
         rng = np.random.default_rng(34)
         for _ in range(20):
             cols = 1e3 * rng.standard_normal((5, 3))
-            sp = WcSubproblem(gram=cols.T @ cols, phi=rng.uniform(0, 10, 3),
-                              r=np.full(3, 1 / 3), u=1.0)
+            sp = WcSubproblem(HypergradientMatrix(cols, rng.uniform(0, 10, 3)),
+                              np.full(3, 1 / 3), 1.0)
             lam, residual = solve_wc_subproblem(sp)
             scale = 2.0 * np.abs(sp.scaled_gram()).max()
             assert residual <= max(1e-10, 64 * np.finfo(float).eps * scale)
@@ -382,8 +416,8 @@ class TestSolveWcSubproblem:
     def test_opposed_columns_in_power_null_space(self):
         # Opposed columns of equal scaled norm: the all-ones vector lies in
         # the scaled Gram's null space.
-        sp = WcSubproblem(gram=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-                          phi=np.ones(2), r=np.full(2, 0.5), u=0.0)
+        sp = WcSubproblem(HypergradientMatrix(np.array([[1.0, -1.0]]), np.ones(2)),
+                          np.full(2, 0.5), 0.0)
         lam, residual = solve_wc_subproblem(sp, warm_start=project_simplex(np.array([0.9, 0.1])))
         np.testing.assert_allclose(lam.lam, [0.5, 0.5], atol=1e-12)
         assert residual <= 1e-10
@@ -394,8 +428,8 @@ class TestSolveWcSubproblem:
         face_step = subsolvers._face_step
         monkeypatch.setattr(subsolvers, "_face_step",
                             lambda *args: calls.append(1) or face_step(*args))
-        sp = WcSubproblem(gram=np.diag([1.0, 4.0]), phi=np.zeros(2),
-                          r=np.full(2, 0.5), u=0.0)
+        sp = WcSubproblem(HypergradientMatrix(np.diag([1.0, 2.0]), np.zeros(2)),
+                          np.full(2, 0.5), 0.0)
         lam, residual = solve_wc_subproblem(sp, warm_start=project_simplex(np.array([0.8, 0.2])))
         np.testing.assert_array_equal(lam.lam, [0.8, 0.2])
         assert residual <= 1e-10
@@ -411,8 +445,8 @@ class TestSolveWcSubproblem:
         project = subsolvers.project_simplex
         monkeypatch.setattr(subsolvers, "project_simplex",
                             lambda z: projections.append(1) or project(z))
-        sp = WcSubproblem(gram=np.diag([1.0, 4.0]), phi=np.zeros(2),
-                          r=np.full(2, 0.5), u=0.0)
+        sp = WcSubproblem(HypergradientMatrix(np.diag([1.0, 2.0]), np.zeros(2)),
+                          np.full(2, 0.5), 0.0)
         warm = SimplexWeights(np.array([0.8, 0.2]))
         lam, residual = solve_wc_subproblem(sp, warm_start=warm)
         assert lam is warm
@@ -424,8 +458,8 @@ class TestSolveWcSubproblem:
     @pytest.mark.parametrize("start", [np.array([0.8, 0.2]), [0.8, 0.2]])
     def test_array_warm_start_rejected(self, start):
         # One start form: the caller projects an array with project_simplex.
-        sp = WcSubproblem(gram=np.diag([1.0, 4.0]), phi=np.zeros(2),
-                          r=np.full(2, 0.5), u=0.0)
+        sp = WcSubproblem(HypergradientMatrix(np.diag([1.0, 2.0]), np.zeros(2)),
+                          np.full(2, 0.5), 0.0)
         with pytest.raises(TypeError, match="SimplexWeights"):
             solve_wc_subproblem(sp, warm_start=start)
 
@@ -434,8 +468,8 @@ class TestSolveWcSubproblem:
         # optimum is interior, at (19/54, 1/12, 61/108), and its gradient
         # floor is above the absolute 1e-10.
         cols = np.array([[100.0, 300.0], [-300.0, -200.0], [-200.0, 0.0]]).T
-        sp = WcSubproblem(gram=cols.T @ cols, phi=np.array([300.0, 300.0, 400.0]),
-                          r=np.array([0.3, 0.4, 0.3]), u=50.0)
+        sp = WcSubproblem(HypergradientMatrix(cols, np.array([300.0, 300.0, 400.0])),
+                          np.array([0.3, 0.4, 0.3]), 50.0)
         lam, residual = solve_wc_subproblem(sp)
         np.testing.assert_allclose(lam.lam, [19 / 54, 1 / 12, 61 / 108], atol=1e-12)
         grad_max = 2.0 * np.abs(sp.scaled_gram()).max() + np.abs(sp.linear_term()).max()
@@ -465,7 +499,7 @@ def wc_instances(draw):
         st.lists(st.floats(-1.0, 2.0), min_size=s, max_size=s)
         .map(lambda z: project_simplex(np.array(z))),
     ))
-    sp = WcSubproblem(gram=cols.T @ cols, phi=phi, r=r / r.sum(), u=u)
+    sp = WcSubproblem(HypergradientMatrix(cols, phi), r / r.sum(), u)
     return sp, warm
 
 
