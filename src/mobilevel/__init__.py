@@ -59,7 +59,6 @@ from .optimizer import (
     expected_counters,
     pareto_sweep,
     run_deterministic,
-    run_nonpreference,
     run_stochastic,
 )
 from .benchmarks import (

@@ -50,7 +50,6 @@ from .optimizer import (
     expected_counters,
     pareto_sweep,
     run_deterministic,
-    run_nonpreference,
     run_stochastic,
 )
 from .subsolvers import WcSubproblem, project_simplex, solve_wc_subproblem
@@ -448,7 +447,7 @@ def _criterion_9():
     problem, _ = make_quadratic(spec)
     x0, y0 = np.full(3, 1.5), np.zeros(3)
     config = SolverConfig(K=300, D=64, option="ns", u=0.0, beta=0.05)
-    nonpref = run_nonpreference(problem, config, x0, y0)
+    nonpref = run_deterministic(problem, config, None, x0, y0)
     cols = problem.reference.grad_phi(nonpref.final_x)
     weights = brute_force_min_norm([cols[:, 0], cols[:, 1]], grid_resolution=1e-4)
     stationarity = float(np.linalg.norm(cols @ weights.lam) ** 2)

@@ -44,7 +44,6 @@ from .benchmarks import (
 from .optimizer import (
     pareto_sweep,
     run_deterministic,
-    run_nonpreference,
     run_stochastic,
 )
 
@@ -362,9 +361,10 @@ def build_solver_config(parser: configparser.ConfigParser, path: str) -> SolverC
 def build_preference(
     parser: configparser.ConfigParser, path: str, s_count: int
 ) -> Optional[Preference]:
-    """Preference from the [preference] section; ``None`` selects the
-    non-preference variant.  ``index`` picks from the pattern's grid and is
-    rejected next to ``vector``."""
+    """Preference from the [preference] section; ``None`` (pattern
+    ``none``, a grid of that one entry) selects the non-preference variant.
+    ``index`` picks from the pattern's grid and is rejected next to
+    ``vector``."""
     section = "preference"
     if not parser.has_section(section):
         raise _config_error(parser, path, section, None, "missing section")
@@ -385,9 +385,7 @@ def build_preference(
                 f"expected {s_count} components, got {len(vector)}",
             )
         return vector
-    if pattern == "none":
-        return None
-    grid = _PATTERNS[pattern](s_count)
+    grid = [None] if pattern == "none" else _PATTERNS[pattern](s_count)
     if values["index"] >= len(grid):
         raise _config_error(parser, path, section, "index", f"index must be in [0, {len(grid)})")
     return grid[values["index"]]
@@ -472,16 +470,6 @@ def run_record(
     }
 
 
-def _execute(problem, kind, config, preference, x0, y0) -> RunTrace:
-    if preference is None:
-        if kind != "deterministic":
-            raise ConfigFileError("the non-preference variant needs a deterministic problem")
-        return run_nonpreference(problem, config, x0, y0)
-    if kind == "stochastic":
-        return run_stochastic(problem, config, preference, x0, y0)
-    return run_deterministic(problem, config, preference, x0, y0)
-
-
 def cmd_run(args) -> int:
     try:
         parser = load_config(args.config, args.set or [])
@@ -491,7 +479,8 @@ def cmd_run(args) -> int:
         output = _values(parser, args.config, "output")
         trace_path, json_path = output["trace_csv"], output["run_json"]
         started = time.perf_counter()
-        trace = _execute(problem, kind, config, preference, x0, y0)
+        run = run_stochastic if kind == "stochastic" else run_deterministic
+        trace = run(problem, config, preference, x0, y0)
     except RunFailure as failure:
         if failure.trace is not None:
             _write_text(trace_path, trace_csv_text(failure.trace, problem.num_objectives))

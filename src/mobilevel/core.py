@@ -122,13 +122,7 @@ class Preference:
 
         Raises ``ValueError`` for an ``index`` outside ``[0, size)``.
         """
-        if not 0 <= index < size:
-            raise ValueError(f"preference index {index} outside [0, {size})")
-        if size == 1:
-            return cls(np.ones(1))
-        r = np.full(size, 0.2 / (size - 1))
-        r[index] = 0.8
-        return cls(r)
+        return cls._peaked(size, index, 0.8, 0.2)
 
     @classmethod
     def extreme(cls, size: int, index: int) -> "Preference":
@@ -136,12 +130,18 @@ class Preference:
 
         Raises ``ValueError`` for an ``index`` outside ``[0, size)``.
         """
+        return cls._peaked(size, index, 0.96, 0.04)
+
+    @classmethod
+    def _peaked(cls, size: int, index: int, peak: float, rest: float) -> "Preference":
+        # ``rest`` is passed, not derived as 1 - peak, whose rounding would
+        # move every grid.
         if not 0 <= index < size:
             raise ValueError(f"preference index {index} outside [0, {size})")
         if size == 1:
             return cls(np.ones(1))
-        r = np.full(size, 0.04 / (size - 1))
-        r[index] = 0.96
+        r = np.full(size, rest / (size - 1))
+        r[index] = peak
         return cls(r)
 
 
@@ -562,8 +562,9 @@ class HypergradientMatrix:
     phi_values: np.ndarray
 
     def __post_init__(self):
-        grads = np.asarray(self.grads, dtype=float)
-        phi = np.asarray(self.phi_values, dtype=float)
+        # Copies: freezing the caller's own arrays would make them read-only.
+        grads = np.array(self.grads, dtype=float)
+        phi = np.array(self.phi_values, dtype=float)
         if grads.ndim != 2:
             raise ValueError("hypergradient matrix must be 2-d (p x S)")
         if phi.shape != (grads.shape[1],):

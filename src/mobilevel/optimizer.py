@@ -5,9 +5,10 @@ hypergradient column per objective, picks simplex weights by the quadratic
 subproblem, and steps the upper variable along the preference-scaled
 combination.  One loop serves every variant; only the hypergradient
 estimator step differs: cg or ns on a deterministic problem
-(``run_deterministic``, and ``run_nonpreference``, which drops the
-preference scaling and uses the plain minimum-norm weights), or the
-sampled Neumann recursion on a stochastic one (``run_stochastic``).
+(``run_deterministic``), or the sampled Neumann recursion on a stochastic
+one (``run_stochastic``).  A deterministic run with no preference
+(``r=None``) is the non-preference variant: it drops the preference
+scaling and uses the plain minimum-norm weights.
 """
 
 from __future__ import annotations
@@ -177,34 +178,28 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
 def run_deterministic(
     problem: DeterministicOracles,
     config: SolverConfig,
-    r: Preference,
+    r: Optional[Preference],
     x0: np.ndarray,
     y0: np.ndarray,
 ) -> RunTrace:
-    """Preference-guided deterministic run."""
-    _check_inputs(problem, x0, y0, r)
-    config = config.resolved(problem.constants, r.r_max)
-    return _run_loop(problem, r.r, x0, y0, _CgNsStep(config, problem.num_objectives))
+    """Preference-guided deterministic run, or with ``r=None`` the
+    minimum-norm run without preference scaling.
 
-
-def run_nonpreference(
-    problem: DeterministicOracles,
-    config: SolverConfig,
-    x0: np.ndarray,
-    y0: np.ndarray,
-) -> RunTrace:
-    """Minimum-norm run without preference scaling.
-
-    The simplex weights minimize the plain Gram quadratic (no preference
-    scaling, no alignment term) and the update uses the unscaled weighted
-    combination of hypergradient columns.
+    Without a preference the simplex weights minimize the plain Gram
+    quadratic (all-ones scaling, no alignment term: ``u`` is set to 0) and
+    the update uses the unscaled weighted combination of hypergradient
+    columns; ``beta``'s default takes ``r_max = 1``.
     """
-    _check_inputs(problem, x0, y0, None)
-    config = config.resolved(problem.constants, 1.0)
-    if config.u != 0.0:
-        config = replace(config, u=0.0)
-    ones = np.ones(problem.num_objectives)
-    return _run_loop(problem, ones, x0, y0, _CgNsStep(config, problem.num_objectives))
+    _check_inputs(problem, x0, y0, r)
+    if r is None:
+        config = config.resolved(problem.constants, 1.0)
+        if config.u != 0.0:
+            config = replace(config, u=0.0)
+        weight_vec = np.ones(problem.num_objectives)
+    else:
+        config = config.resolved(problem.constants, r.r_max)
+        weight_vec = r.r
+    return _run_loop(problem, weight_vec, x0, y0, _CgNsStep(config, problem.num_objectives))
 
 
 def run_stochastic(
@@ -220,6 +215,8 @@ def run_stochastic(
     is fixed for the run.  One generator seeded with ``config.seed`` makes
     every draw, so the first k records of a run do not depend on ``K``.
     """
+    if r is None:
+        raise ConfigurationError("the non-preference variant needs a deterministic problem")
     _check_inputs(problem, x0, y0, r)
     if problem.constants is None:
         raise ConfigurationError("stochastic runs need problem constants (mu_g)")
@@ -297,25 +294,14 @@ def expected_counters(config: SolverConfig, s_count: int, option: str) -> Oracle
     count for K.
     """
     k, d = config.K, config.D
-    if option == "ns":
-        return OracleCounters(
-            gc_f=2 * k * s_count,
-            gc_g=k * d,
-            jv_g=k * (d + 1) * s_count,
-            hv_g=k * (d + 1) * s_count,
-        )
-    if option == "cg":
-        return OracleCounters(
-            gc_f=2 * k * s_count,
-            gc_g=k * d,
-            jv_g=k * s_count,
-            hv_g=k * config.N * s_count,
-        )
-    if option == "stochastic":
-        return OracleCounters(
-            gc_f=2 * k * s_count,
-            gc_g=k * d,
-            jv_g=k * s_count,
-            hv_g=k * config.Q * s_count,
-        )
-    raise ConfigurationError("option must be 'cg', 'ns', or 'stochastic'")
+    # Jacobian and Hessian products per column and iteration.
+    per_column = {"ns": (d + 1, d + 1), "cg": (1, config.N), "stochastic": (1, config.Q)}
+    if option not in per_column:
+        raise ConfigurationError("option must be 'cg', 'ns', or 'stochastic'")
+    jv, hv = per_column[option]
+    return OracleCounters(
+        gc_f=2 * k * s_count,
+        gc_g=k * d,
+        jv_g=k * jv * s_count,
+        hv_g=k * hv * s_count,
+    )

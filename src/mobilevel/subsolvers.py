@@ -74,9 +74,11 @@ def project_simplex(z: np.ndarray) -> SimplexWeights:
     """Euclidean projection onto the probability simplex.
 
     Sort-and-threshold algorithm; exact up to floating point, total on
-    finite inputs.
+    nonempty finite inputs.
     """
     z = np.asarray(z, dtype=float)
+    if z.size == 0:
+        raise ValueError("projection input must be nonempty")
     if not np.isfinite(z).all():
         raise ValueError("projection input must be finite")
     n = z.size

@@ -473,6 +473,38 @@ family = quadratic
         record = json.loads((out / "run.json").read_text())
         assert record["preference"] is None
 
+    def test_nonpreference_pattern_is_a_grid_of_one(self, tmp_path, capsys):
+        # Pattern none takes index 0, the one entry of its grid, and rejects
+        # any other index as uniform does.
+        config = str(CONFIGS / "quadratic_preferred.ini")
+        out = tmp_path / "out"
+        base = ["--config", config, "--set", "solver.k=2", "--set", "preference.pattern=none",
+                "--set", f"output.trace_csv={out}/trace.csv",
+                "--set", f"output.run_json={out}/run.json",
+                "--set", f"output.summary_csv={out}/summary.csv",
+                "--set", f"output.traces_dir={out}/traces"]
+        for command in (["run"], ["sweep", "--grid", "preferred"]):
+            assert cli.main(command + base + ["--set", "preference.index=1"]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: --set preference.index=1: [preference] index: "
+                "index must be in [0, 1)")
+        assert not out.exists()
+        assert cli.main(["run"] + base) == 0
+        assert json.loads((out / "run.json").read_text())["preference"] is None
+
+    def test_nonpreference_pattern_needs_deterministic_problem(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = HYPERCLEANING_INI.read_text(encoding="utf-8").replace(
+            "vector = 0.025, 0.025, 0.025, 0.025, 0.9", "pattern = none")
+        assert "pattern = none" in text
+        config = write_config(tmp_path / "hc.ini", text)
+        assert cli.main(["run", "--config", config, "--set", "solver.k=2",
+                         "--set", f"output.trace_csv={out}/trace.csv",
+                         "--set", f"output.run_json={out}/run.json"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the non-preference variant needs a deterministic problem\n")
+        assert not out.exists()
+
     def test_hypercleaning_family(self, tmp_path):
         out = tmp_path / "out"
         config = write_config(tmp_path / "hc.ini", f"""

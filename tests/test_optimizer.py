@@ -18,7 +18,6 @@ from mobilevel import (
     pareto_sweep,
     quadratic_weighted_optimum,
     run_deterministic,
-    run_nonpreference,
     run_stochastic,
     wrap_deterministic,
 )
@@ -238,11 +237,21 @@ class TestDescentProperties:
 
 
 class TestRunNonpreference:
+    # r = None selects the non-preference variant of run_deterministic.
+
+    def test_resolves_without_preference(self, two_objective):
+        # No alignment term (u = 0), and beta's default at r_max = 1.
+        _, problem, constants = two_objective
+        config = SolverConfig(K=2, D=4, N=2, option="cg", u=10.0)
+        trace = run_deterministic(problem, config, None, np.zeros(3), np.zeros(4))
+        assert trace.config.u == 0.0
+        assert trace.config.beta == constants.default_ul_step(1.0)
+
     def test_single_objective_reduces_to_descent(self):
         spec = QuadraticBilevelSpec.random(2, 3, 1, seed=8, hessian_scale=0.2)
         problem, _ = make_quadratic(spec)
         config = SolverConfig(K=300, D=32, option="ns", u=0.0)
-        trace = run_nonpreference(problem, config, np.zeros(2), np.zeros(3))
+        trace = run_deterministic(problem, config, None, np.zeros(2), np.zeros(3))
         assert all(np.array_equal(rec.weights.lam, [1.0]) for rec in trace.records)
         final_grad = problem.reference.grad_phi(trace.final_x)[:, 0]
         assert np.linalg.norm(final_grad) <= 1e-6
@@ -258,7 +267,7 @@ class TestRunNonpreference:
         )
         problem, _ = make_quadratic(spec)
         config = SolverConfig(K=5, D=4, option="ns", alpha=0.5, beta=0.1, eta=0.5)
-        trace = run_nonpreference(problem, config, np.zeros(2), np.zeros(2))
+        trace = run_deterministic(problem, config, None, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(trace.records[0].weights.lam, [0.5, 0.5], atol=1e-9)
         assert trace.records[0].d_norm_sq == 0.0
         assert trace.termination == "stationary"
@@ -268,7 +277,7 @@ class TestRunNonpreference:
         spec = QuadraticBilevelSpec.random(3, 3, 2, seed=21, hessian_scale=0.2)
         problem, _ = make_quadratic(spec)
         config = SolverConfig(K=300, D=64, option="ns", beta=0.05)
-        trace = run_nonpreference(problem, config, np.full(3, 1.5), np.zeros(3))
+        trace = run_deterministic(problem, config, None, np.full(3, 1.5), np.zeros(3))
         cols = problem.reference.grad_phi(trace.final_x)
         weights = brute_force_min_norm([cols[:, 0], cols[:, 1]])
         assert np.linalg.norm(cols @ weights.lam) ** 2 <= 1e-6
@@ -280,7 +289,7 @@ class TestRunNonpreference:
         spec = QuadraticBilevelSpec.random(3, 3, 2, seed=21, hessian_scale=0.2)
         problem, _ = make_quadratic(spec)
         config = SolverConfig(K=150, D=64, option="ns", u=0.0, beta=0.05)
-        nonpref = run_nonpreference(problem, config, np.full(3, 1.5), np.zeros(3))
+        nonpref = run_deterministic(problem, config, None, np.full(3, 1.5), np.zeros(3))
         scaled = replace(config, beta=config.beta * 2)
         uniform = run_deterministic(problem, scaled, Preference.uniform(2),
                                     np.full(3, 1.5), np.zeros(3))
@@ -419,6 +428,12 @@ class TestRunStochastic:
             assert np.array_equal(a.weights.lam, b.weights.lam)
             assert a.d_norm_sq == b.d_norm_sq
             assert a.counters == b.counters
+
+    def test_rejects_nonpreference_variant(self, two_objective):
+        _, problem, _ = two_objective
+        with pytest.raises(ConfigurationError, match="needs a deterministic problem"):
+            run_stochastic(wrap_deterministic(problem), SolverConfig(K=2, D=2, Q=2, beta=0.1),
+                           None, np.zeros(3), np.zeros(4))
 
     def test_requires_constants(self, two_objective):
         _, problem, _ = two_objective

@@ -196,6 +196,10 @@ class TestProjectSimplex:
         with pytest.raises(ValueError):
             project_simplex(np.array([np.inf, 0.0]))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            project_simplex(np.array([]))
+
     @pytest.mark.parametrize("s", [2, 3])
     def test_matches_grid_minimizer(self, s):
         rng = np.random.default_rng(11)
@@ -252,6 +256,16 @@ def column_matrices(draw):
         elif kind == "zero":
             cols[:, j] = 0.0
     return cols
+
+
+class TestHypergradientMatrix:
+    def test_leaves_caller_arrays_writable(self):
+        # The matrix freezes copies; the caller's arrays stay its own.
+        grads, phi = np.ones((3, 2)), np.zeros(2)
+        matrix = HypergradientMatrix(grads, phi)
+        grads[0, 0], phi[0] = 2.0, 5.0
+        assert matrix.grads[0, 0] == 1.0 and matrix.phi_values[0] == 0.0
+        assert not (matrix.grads.flags.writeable or matrix.phi_values.flags.writeable)
 
 
 class TestWcSubproblem:
