@@ -95,8 +95,10 @@ def _config_error(
 
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.ConfigParser:
-    # Values are read literally: no '%' interpolation.
-    parser = configparser.ConfigParser(interpolation=None)
+    # Values are read literally: no '%' interpolation.  No section feeds
+    # defaults to the others (a header can never name the empty section), so
+    # a [DEFAULT] section is an ordinary, unknown one.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     # (section, key) -> the override item that set the key, or with key None
     # the one that added the section.
     parser.overrides = {}
@@ -105,13 +107,15 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.Config
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigFileError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigFileError(f"{path}: not valid UTF-8: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigFileError(f"{path}: {exc}") from exc
     for item in overrides:
         target, equals, value = item.partition("=")
-        if not equals or "." not in target:
+        section, dot, key = (part.strip() for part in target.partition("."))
+        if not (equals and dot and section and key):
             raise ConfigFileError(f"override '{item}' is not of the form section.key=value")
-        section, key = (part.strip() for part in target.split(".", 1))
         if not parser.has_section(section):
             parser.add_section(section)
             parser.overrides[section, None] = item

@@ -235,6 +235,10 @@ class SolverConfig:
     record_hypergrads: bool = False
 
     def __post_init__(self):
+        for name in ("K", "D", "N", "Q", "T", "D_f", "D_g", "B", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, not {value!r}")
         if self.K < 0:
             raise ConfigurationError("K must be nonnegative")
         for name in ("D", "N", "Q"):

@@ -3,10 +3,13 @@
 Each outer iteration solves the lower level (warm-started), estimates one
 hypergradient column per objective, picks simplex weights by the quadratic
 subproblem, and steps the upper variable along the preference-scaled
-combination.  One loop serves every variant; only the hypergradient
-estimator step differs: cg or ns on a deterministic problem
-(``run_deterministic``), or the sampled Neumann recursion on a stochastic
-one (``run_stochastic``).  A deterministic run with no preference
+combination.  One loop serves every variant.  Each entry point hands it
+one ``advance`` closure that makes an iteration's lower solve and
+hypergradient columns and holds the run's state between iterations: cg or
+ns on a deterministic problem (``run_deterministic``, which carries the CG
+warm starts), or the sampled Neumann recursion on a stochastic one
+(``run_stochastic``, which carries the generator and the fixed Hessian
+batch sizes).  A deterministic run with no preference
 (``r=None``) is the non-preference variant: it drops the preference
 scaling and uses the plain minimum-norm weights.
 """
@@ -62,66 +65,18 @@ def _check_inputs(problem, x0, y0, r: Optional[Preference]):
         raise ConfigurationError("preference length must equal the objective count")
 
 
-class _CgNsStep:
-    """Deterministic estimator step (cg or ns).
-
-    Carries the per-column CG warm starts across iterations; the ns option
-    keeps the lower-level trajectory for the series sweep.
-    """
-
-    def __init__(self, config: SolverConfig, s_count: int):
-        self.config = config
-        self.estimator = config.option
-        self.warm_v = [None] * s_count
-
-    def lower(self, oracles, x, y_start):
-        config = self.config
-        # The series walks every lower iterate; cg reads only the last.
-        self.trajectory = [] if config.option == "ns" else None
-        y = lower_level_solve(oracles, x, y_start, config.D, config.alpha, self.trajectory)
-        self.trajectory = self.trajectory or [y]
-        return y
-
-    def hypergradients(self, oracles, x):
-        matrix, self.warm_v = build_hypergradient_matrix(
-            oracles, x, self.trajectory, self.config, self.warm_v
-        )
-        return matrix
-
-
-class _SampledNeumannStep:
-    """Stochastic estimator step: sampled lower SGD and Neumann recursion
-    with the run's fixed Hessian batch sizes."""
-
-    estimator = "stochastic"
-
-    def __init__(self, config: SolverConfig, hessian_sizes: Sequence[int]):
-        self.config = config
-        self.hessian_sizes = hessian_sizes
-        self.rng = np.random.default_rng(config.seed)
-
-    def lower(self, oracles, x, y_start):
-        config = self.config
-        self.y_d = stochastic_lower_solve(
-            oracles, x, y_start, config.D, config.alpha, config.T, self.rng
-        )
-        return self.y_d
-
-    def hypergradients(self, oracles, x):
-        return build_hypergradient_matrix_stochastic(
-            oracles, x, self.y_d, self.config, self.rng, self.hessian_sizes
-        )
-
-
-def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
+def _run_loop(problem, config, estimator, weight_vec, x0, y0, advance) -> RunTrace:
     """The outer loop shared by every variant.
 
     ``weight_vec`` scales both the Gram term of the subproblem and the
     update direction; the all-ones vector recovers plain minimum-norm
-    weighting.  ``step`` is the hypergradient-estimator step and carries
-    the resolved config.
+    weighting.  ``config`` is resolved and ``estimator`` names the
+    estimator in the trace.  ``advance(oracles, x, y)`` is one iteration's
+    estimation: the lower solve at ``x`` from ``y``, then one hypergradient
+    column per objective at the new lower iterate; it returns that iterate
+    and the ``HypergradientMatrix``, and carries the run's own state (CG
+    warm starts, or the generator).
     """
-    config = step.config
     counters = OracleCounters()
     oracles = counted_oracles(problem, counters)
     s_count = problem.num_objectives
@@ -133,8 +88,7 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
 
     for k in range(config.K):
         try:
-            y_prev = step.lower(oracles, x, y_prev)
-            matrix = step.hypergradients(oracles, x)
+            y_prev, matrix = advance(oracles, x, y_prev)
             subproblem = WcSubproblem(matrix, weight_vec, config.u)
             # A certified warm start comes back as the same object.
             weights, _ = solve_wc_subproblem(subproblem, warm_start=weights)
@@ -142,7 +96,7 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
             raise RunFailure(
                 f"run aborted at iteration {k}: {exc}",
                 trace=RunTrace(
-                    tuple(records), x, y_prev, f"error: {exc}", config, step.estimator
+                    tuple(records), x, y_prev, f"error: {exc}", config, estimator
                 ),
             ) from exc
 
@@ -172,7 +126,7 @@ def _run_loop(problem, weight_vec, x0, y0, step) -> RunTrace:
             break
         x = x - config.beta * direction
 
-    return RunTrace(tuple(records), x, y_prev, termination, config, step.estimator)
+    return RunTrace(tuple(records), x, y_prev, termination, config, estimator)
 
 
 def run_deterministic(
@@ -199,7 +153,17 @@ def run_deterministic(
     else:
         config = config.resolved(problem.constants, r.r_max)
         weight_vec = r.r
-    return _run_loop(problem, weight_vec, x0, y0, _CgNsStep(config, problem.num_objectives))
+    warm_v = [None] * problem.num_objectives
+
+    def advance(oracles, x, y):
+        nonlocal warm_v
+        # The series walks every lower iterate; cg reads only the last.
+        trajectory = [] if config.option == "ns" else None
+        y = lower_level_solve(oracles, x, y, config.D, config.alpha, trajectory)
+        matrix, warm_v = build_hypergradient_matrix(oracles, x, trajectory or [y], config, warm_v)
+        return y, matrix
+
+    return _run_loop(problem, config, config.option, weight_vec, x0, y0, advance)
 
 
 def run_stochastic(
@@ -224,7 +188,13 @@ def run_stochastic(
     config = config.resolved(problem.constants, r.r_max)
     config.validate_stochastic(mu_g)
     sizes = neumann_batch_sizes(config.B, config.Q, config.eta, mu_g)
-    return _run_loop(problem, r.r, x0, y0, _SampledNeumannStep(config, sizes))
+    rng = np.random.default_rng(config.seed)
+
+    def advance(oracles, x, y):
+        y = stochastic_lower_solve(oracles, x, y, config.D, config.alpha, config.T, rng)
+        return y, build_hypergradient_matrix_stochastic(oracles, x, y, config, rng, sizes)
+
+    return _run_loop(problem, config, "stochastic", r.r, x0, y0, advance)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,6 +179,50 @@ pattern = uniform
         assert cli.main(["sweep", "--config", config, "--grid", "uniform",
                          "--set", "solvr.k=1"]) == 2
         assert "--set solvr.k=1: [solvr]: unknown section" in capsys.readouterr().err
+
+    def test_default_section_in_file_rejected(self, tmp_path, capsys):
+        # [DEFAULT] is an unknown section like any other; its keys do not
+        # leak into the other sections.
+        text = "[DEFAULT]\nseed = 5\n" + QUADRATIC_CONFIG.format(out=tmp_path / "out")
+        config = write_config(tmp_path / "run.ini", text)
+        assert cli.main(["run", "--config", config]) == 2
+        assert f"config error: {config}:1: [DEFAULT]: unknown section" in (
+            capsys.readouterr().err
+        )
+
+    def test_default_section_override_rejected(self, quadratic_config, capsys):
+        config, out = quadratic_config
+        assert cli.main(["run", "--config", config, "--set", "DEFAULT.k=3"]) == 2
+        assert "config error: --set DEFAULT.k=3: [DEFAULT]: unknown section" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", [".p=3", "solver.=3"])
+    def test_override_needs_section_and_key(self, quadratic_config, capsys, override):
+        config, out = quadratic_config
+        assert cli.main(["run", "--config", config, "--set", override]) == 2
+        assert f"config error: override '{override}' is not of the form section.key=value" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[problem]\nfamily = quadr\xe9tic\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert f"config error: {path}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_readme_ini_example_runs(self, tmp_path):
+        # The INI block in the README is a working config.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+        config = write_config(tmp_path / "readme.ini", block)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--set", "solver.k=2",
+                         "--set", f"output.trace_csv={out}/trace.csv",
+                         "--set", f"output.run_json={out}/run.json"]) == 0
+        assert json.loads((out / "run.json").read_text())["iterations"] == 2
 
     @pytest.mark.parametrize("family, override", [
         ("quadratic", "problem.p=0"),

@@ -157,10 +157,17 @@ class TestSolverConfig:
         ("alpha", 0.0), ("option", "lbfgs"),
         ("u", np.nan), ("u", np.inf), ("stop_tol", np.nan), ("stop_tol", np.inf),
         ("alpha", np.inf), ("beta", np.inf), ("eta", np.nan), ("seed", -1),
+        # Counts and the seed are integers, never floats or bools.
+        ("K", 2.5), ("D", 2.5), ("N", 2.5), ("seed", 1.5), ("N", True),
+        ("K", 3.0), ("B", "8"),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ConfigurationError):
             SolverConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = SolverConfig(K=np.int64(3), D=np.int64(2), seed=np.int64(1))
+        assert (config.K, config.D, config.seed) == (3, 2, 1)
 
     def test_resolved_fills_steps(self):
         constants = ProblemConstants(mu_g=0.5, L=2.0, L_phi=42.0)

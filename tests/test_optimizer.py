@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mobilevel import cli, optimizer, subsolvers
+from mobilevel import cli, hypergrad, optimizer, subsolvers
 from mobilevel import (
     ConfigurationError,
     Preference,
@@ -480,6 +480,61 @@ class TestRunStochastic:
             config = SolverConfig(K=k, D=2, Q=3, B=4, eta=1.5, alpha=0.5, beta=0.1)
             with pytest.raises(ConfigurationError, match="eta \\* mu_g"):
                 run_stochastic(bad, config, Preference.uniform(2), np.zeros(3), np.zeros(4))
+
+
+# The names a span around the loop's kernels patches, in the namespace the
+# loop (or the estimator) calls them from.
+KERNELS = (
+    (optimizer, "lower_level_solve"),
+    (optimizer, "stochastic_lower_solve"),
+    (optimizer, "build_hypergradient_matrix"),
+    (optimizer, "build_hypergradient_matrix_stochastic"),
+    (optimizer, "WcSubproblem"),
+    (optimizer, "solve_wc_subproblem"),
+    (optimizer, "counted_oracles"),
+    (optimizer, "counted_stochastic_oracles"),
+    (hypergrad, "hypergrad_cg"),
+    (hypergrad, "hypergrad_ns"),
+    (hypergrad, "stochastic_hvp_neumann"),
+    (hypergrad, "conjugate_gradient"),
+)
+
+
+class TestKernelNamespaces:
+    """Every kernel call goes through its module namespace, so a wrapper
+    patched there sees each one: a refactor that binds a kernel elsewhere
+    fails here instead of leaving a layer's span empty."""
+
+    @pytest.mark.parametrize("option, expected", [
+        ("cg", {"lower_level_solve": 3, "build_hypergradient_matrix": 3,
+                "hypergrad_cg": 6, "conjugate_gradient": 6}),
+        ("ns", {"lower_level_solve": 3, "build_hypergradient_matrix": 3,
+                "hypergrad_ns": 6}),
+        ("stochastic", {"stochastic_lower_solve": 3,
+                        "build_hypergradient_matrix_stochastic": 3,
+                        "stochastic_hvp_neumann": 6}),
+    ])
+    def test_call_counts(self, two_objective, monkeypatch, option, expected):
+        _, problem, constants = two_objective
+        calls = {}
+        for module, name in KERNELS:
+            calls[name] = 0
+
+            def counted(*args, _name=name, _kernel=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        pref = Preference(np.array([0.7, 0.3]))
+        if option == "stochastic":
+            config = SolverConfig(K=3, D=4, Q=3, B=8, u=1.0, seed=1,
+                                  alpha=1.0 / constants.L, eta=1.0 / constants.L)
+            run_stochastic(wrap_deterministic(problem), config, pref, np.zeros(3), np.zeros(4))
+        else:
+            config = SolverConfig(K=3, D=4, N=3, option=option, u=1.0)
+            run_deterministic(problem, config, pref, np.zeros(3), np.zeros(4))
+        shared = {"WcSubproblem": 3, "solve_wc_subproblem": 3, "counted_oracles": 1}
+        assert calls == {name: 0 for _, name in KERNELS} | shared | expected
 
 
 class TestExpectedCounters:
