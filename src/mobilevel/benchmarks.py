@@ -133,7 +133,7 @@ def make_quadratic(
     def ul_value(s, x, y):
         dx = x - x_targets[s]
         dy = y - y_targets[s]
-        return 0.5 * float(dx @ dx) + 0.5 * float(dy @ dy)
+        return 0.5 * float(dx.dot(dx)) + 0.5 * float(dy.dot(dy))
 
     def ul_grad_x(s, x, y):
         return x - x_targets[s]
@@ -142,29 +142,29 @@ def make_quadratic(
         return y - y_targets[s]
 
     def ll_grad_y(x, y):
-        return h @ y - c @ x
+        return h.dot(y) - c.dot(x)
 
     def ll_hvp(x, y, v):
-        return h @ v
+        return h.dot(v)
 
     neg_ct = -c.T
     neg_ct.setflags(write=False)
 
     def ll_jvp(x, y, v):
-        return neg_ct @ v
+        return neg_ct.dot(v)
 
     def y_star(x):
-        return w @ x
+        return w.dot(x)
 
     def phi(x):
-        ys = w @ x
+        ys = w.dot(x)
         dx = x[None, :] - x_targets
         dy = ys[None, :] - y_targets
         return 0.5 * np.sum(dx * dx, axis=1) + 0.5 * np.sum(dy * dy, axis=1)
 
     def grad_phi(x):
-        ys = w @ x
-        cols = (x[None, :] - x_targets) + (ys[None, :] - y_targets) @ w
+        ys = w.dot(x)
+        cols = (x[None, :] - x_targets) + (ys[None, :] - y_targets).dot(w)
         return cols.T
 
     eigs = np.linalg.eigvalsh(h)
@@ -399,7 +399,7 @@ def make_hypercleaning_toy(
 
     def _val_loss_terms(s, y, idx):
         w_s = _models(y)[s]
-        z = x_val[s, idx, :] @ w_s
+        z = x_val[s, idx, :].dot(w_s)
         t = t_val[s, idx]
         # log(1 + exp(z)) - t z, computed stably
         return np.logaddexp(0.0, z) - t * z
@@ -412,8 +412,8 @@ def make_hypercleaning_toy(
 
     def ul_grad_y(s, x, y, idx):
         w_s = _models(y)[s]
-        mu = _sigmoid(x_val[s, idx, :] @ w_s)
-        grad = (mu - t_val[s, idx]) @ x_val[s, idx, :] / idx.size
+        mu = _sigmoid(x_val[s, idx, :].dot(w_s))
+        grad = (mu - t_val[s, idx]).dot(x_val[s, idx, :]) / idx.size
         out = np.zeros((s_count, d))
         out[s] = grad
         return out.reshape(dim_y)

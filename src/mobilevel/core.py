@@ -73,6 +73,25 @@ class RunFailure(RuntimeError):
         self.trace = trace
 
 
+# Largest vector all_finite checks by a Python sum: above it the sum costs
+# more than np.isfinite (the two cross near 80 entries).
+_FINITE_SUM_MAX = 64
+
+
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the 1-d float array ``v`` is finite.
+
+    Exactly ``np.isfinite(v).all()``, in one NumPy call instead of two for
+    short vectors: a finite sum of Python floats has only finite terms (a
+    NaN or infinite term keeps the running sum non-finite), and Python float
+    arithmetic raises no NumPy floating-point warning.  A sum that overflows
+    on finite entries falls back to the elementwise check.
+    """
+    if v.size <= _FINITE_SUM_MAX and math.isfinite(sum(v.tolist())):
+        return True
+    return bool(np.isfinite(v).all())
+
+
 def _frozen_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -427,7 +446,7 @@ class StochasticOracles:
                 f"not {tuple(self.dataset_sizes)}"
             )
         for purpose, n in self.dataset_sizes.items():
-            if not isinstance(n, (int, np.integer)) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
                 raise InvalidProblemError(
                     f"dataset_sizes[{purpose!r}] must be an integer of at least 1, not {n!r}"
                 )

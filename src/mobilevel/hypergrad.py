@@ -37,6 +37,7 @@ from .core import (
     JACOBIAN,
     LL_STEP,
     UL_BATCH,
+    all_finite,
 )
 from .subsolvers import conjugate_gradient
 
@@ -62,7 +63,7 @@ def lower_level_solve(
         trajectory.append(y)
     for t in range(1, steps + 1):
         y = y - step_size * oracles.ll_grad_y(x, y)
-        if not np.isfinite(y).all():
+        if not all_finite(y):
             raise DivergenceError(f"lower-level iterate diverged at step {t}")
         if trajectory is not None:
             trajectory.append(y)
@@ -255,6 +256,6 @@ def stochastic_lower_solve(
         batches = oracles.sample(LL_STEP, [batch_size] * block, rng)
         for t, batch in enumerate(batches, first + 1):
             y = y - step_size * oracles.ll_grad_y(x, y, batch)
-            if not np.isfinite(y).all():
+            if not all_finite(y):
                 raise DivergenceError(f"lower-level iterate diverged at step {t}")
     return y

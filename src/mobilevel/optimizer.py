@@ -88,25 +88,27 @@ def _run_loop(problem, config, estimator, weight_vec, x0, y0, advance) -> RunTra
 
     for k in range(config.K):
         try:
-            y_prev, matrix = advance(oracles, x, y_prev)
+            y, matrix = advance(oracles, x, y_prev)
             subproblem = WcSubproblem(matrix, weight_vec, config.u)
             # A certified warm start comes back as the same object.
             weights, _ = solve_wc_subproblem(subproblem, warm_start=weights)
         except Exception as exc:  # noqa: BLE001 - wrap with the partial trace
+            # x and y_prev are still the last completed iteration's.
             raise RunFailure(
                 f"run aborted at iteration {k}: {exc}",
                 trace=RunTrace(
                     tuple(records), x, y_prev, f"error: {exc}", config, estimator
                 ),
             ) from exc
+        y_prev = y
 
         lam = weights.lam
-        direction = matrix.grads @ (weight_vec * lam)
-        d_norm_sq = float(direction @ direction)
+        direction = matrix.grads.dot(weight_vec * lam)
+        d_norm_sq = float(direction.dot(direction))
         true_d_norm_sq = None
         if problem.reference is not None:
-            true_direction = problem.reference.grad_phi(x) @ (weight_vec * lam)
-            true_d_norm_sq = float(true_direction @ true_direction)
+            true_direction = problem.reference.grad_phi(x).dot(weight_vec * lam)
+            true_d_norm_sq = float(true_direction.dot(true_direction))
         records.append(
             IterationRecord(
                 k=k,
@@ -118,11 +120,8 @@ def _run_loop(problem, config, estimator, weight_vec, x0, y0, advance) -> RunTra
                 hypergrads=matrix.grads if config.record_hypergrads else None,
             )
         )
-        if d_norm_sq == 0.0:
-            termination = TERM_STATIONARY
-            break
-        if config.stop_tol > 0.0 and d_norm_sq <= config.stop_tol:
-            termination = TERM_STOP_TOL
+        if d_norm_sq <= config.stop_tol:
+            termination = TERM_STATIONARY if d_norm_sq == 0.0 else TERM_STOP_TOL
             break
         x = x - config.beta * direction
 

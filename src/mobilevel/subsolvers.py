@@ -19,6 +19,7 @@ from .core import (
     NumericalBreakdownError,
     SimplexWeights,
     WcSolverError,
+    all_finite,
 )
 
 KKT_TOL = 1e-10
@@ -48,21 +49,21 @@ def conjugate_gradient(
         applications -= 1
     else:
         r = b.copy()
-    if not np.isfinite(r).all():
+    if not all_finite(r):
         raise NumericalBreakdownError("non-finite residual at iteration 0")
-    rr = float(r @ r)
+    rr = float(r.dot(r))
     p = r.copy()
     for i in range(applications):
         ap = apply_A(p)
-        if not np.isfinite(ap).all():
+        if not all_finite(ap):
             raise NumericalBreakdownError(f"non-finite map output at iteration {i + 1}")
-        pap = float(p @ ap)
+        pap = float(p.dot(ap))
         # rr == 0 or pap <= 0 only at exact convergence; keep iterating
         # without moving so the map-application budget stays fixed.
         step = rr / pap if (pap > 0.0 and rr > 0.0) else 0.0
         v += step * p
         r -= step * ap
-        rr_new = float(r @ r)
+        rr_new = float(r.dot(r))
         if not math.isfinite(rr_new):
             raise NumericalBreakdownError(f"non-finite residual at iteration {i + 1}")
         p = r + (rr_new / rr if rr > 0.0 else 0.0) * p
@@ -223,7 +224,7 @@ def solve_wc_subproblem(
     floor = 64.0 * np.finfo(float).eps * grad_scale
     certify_tol = max(KKT_TOL, floor)
 
-    grad = 2.0 * (scaled @ lam) - lin
+    grad = 2.0 * scaled.dot(lam) - lin
     residual = _kkt_residual(grad, lam)
     if residual <= certify_tol:
         return warm_start, residual
@@ -239,7 +240,7 @@ def solve_wc_subproblem(
         if alpha < 1.0:
             lam[shrinking[int(np.argmin(ratios))]] = 0.0
         lam /= lam.sum()
-        grad = 2.0 * (scaled @ lam) - lin
+        grad = 2.0 * scaled.dot(lam) - lin
         free = lam > 0.0
         if alpha < 1.0:
             continue

@@ -161,6 +161,42 @@ class TestQuadraticFamily:
             v = _read_only(scale * rng.standard_normal(q))
             assert np.array_equal(problem.ll_jvp(x, y, v), -spec.coupling.T @ v)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 80), st.integers(1, 80), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_bitwise_match_matmul(self, dims, seed):
+        # The oracles and the reference use ndarray.dot, which skips the
+        # matmul dispatch; both reach the same BLAS routine, so every result
+        # equals its @ form bit for bit, including the F-ordered -C^T and the
+        # 2-d product in grad_phi.
+        p, q, s = dims
+        spec = QuadraticBilevelSpec.random(p, q, s, seed=seed)
+        problem, _ = make_quadratic(spec)
+        h, c = spec.hessian, spec.coupling
+        neg_ct = -c.T
+        w = np.linalg.inv(h) @ c
+        xt, yt = spec.x_targets, spec.y_targets
+        rng = np.random.default_rng(seed)
+        x = _read_only(rng.standard_normal(p))
+        y = _read_only(rng.standard_normal(q))
+        v = _read_only(rng.standard_normal(q))
+        assert np.array_equal(problem.ll_grad_y(x, y), h @ y - c @ x)
+        assert np.array_equal(problem.ll_hvp(x, y, v), h @ v)
+        assert np.array_equal(problem.ll_jvp(x, y, v), neg_ct @ v)
+        for k in range(s):
+            dx, dy = x - xt[k], y - yt[k]
+            assert problem.ul_value(k, x, y) == 0.5 * float(dx @ dx) + 0.5 * float(dy @ dy)
+        ref = problem.reference
+        ys = w @ x
+        assert np.array_equal(ref.y_star(x), ys)
+        dx, dy = x[None, :] - xt, ys[None, :] - yt
+        assert np.array_equal(
+            ref.phi(x), 0.5 * np.sum(dx * dx, axis=1) + 0.5 * np.sum(dy * dy, axis=1)
+        )
+        assert np.array_equal(ref.grad_phi(x), (dx + dy @ w).T)
+
 
 def _reference_oracles(spec):
     """The hyper-cleaning oracles as plain fancy-indexed NumPy expressions.

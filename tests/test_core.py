@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobilevel import (
     ConfigurationError,
@@ -208,6 +210,50 @@ class TestSolverConfig:
         SolverConfig(B=4, Q=1, eta=1.0).validate_stochastic(1.0)  # eta * mu_g = 1 is allowed
 
 
+@st.composite
+def finiteness_cases(draw):
+    """Vectors on both sides of all_finite's sum cap, with entries up to
+    1e308 in magnitude (so finite sums can overflow) and NaN and infinities
+    injected at drawn positions."""
+    n = draw(st.integers(0, 100))
+    values = draw(st.lists(st.floats(-1e308, 1e308), min_size=n, max_size=n))
+    if n:
+        hits = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.sampled_from([np.nan, np.inf, -np.inf])),
+                             max_size=3))
+        for index, value in hits:
+            values[index] = value
+    return np.array(values, dtype=float)
+
+
+class TestAllFinite:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(finiteness_cases())
+    def test_matches_isfinite(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core.all_finite(v) is bool(np.isfinite(v).all())
+
+    @pytest.mark.parametrize("size", [1, core._FINITE_SUM_MAX, core._FINITE_SUM_MAX + 1])
+    @pytest.mark.parametrize("fill, expected", [
+        (1e308, True),  # the sum overflows: finite entries, elementwise fallback
+        (-1e308, True),
+        (np.nan, False),
+        (np.inf, False),
+    ])
+    def test_boundary_cases(self, size, fill, expected):
+        v = np.zeros(size)
+        v[::2] = fill
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core.all_finite(v) is expected
+
+    def test_opposite_infinities(self):
+        # inf + -inf is NaN, so the sum is not finite and the fallback decides.
+        assert core.all_finite(np.array([np.inf, -np.inf, 1.0])) is False
+        assert core.all_finite(np.array([])) is True
+
+
 class TestOracleCounters:
     def test_snapshot_is_independent(self):
         counters = OracleCounters()
@@ -319,6 +365,8 @@ class TestDatasetSizes:
         ({**{purpose: 5 for purpose in PURPOSES}, HESSIAN: -3}, "'hessian'.*at least 1"),
         ({**{purpose: 5 for purpose in PURPOSES}, UL_BATCH: 2.0}, "'ul'.*integer"),
         ({**{purpose: 5 for purpose in PURPOSES}, JACOBIAN: "5"}, "'jacobian'.*integer"),
+        ({**{purpose: 5 for purpose in PURPOSES}, LL_STEP: True}, "'ll_step'.*integer"),
+        ({**{purpose: 5 for purpose in PURPOSES}, HESSIAN: np.True_}, "'hessian'.*integer"),
     ])
     def test_malformed_sizes_rejected(self, sizes, message):
         with pytest.raises(InvalidProblemError, match=message):

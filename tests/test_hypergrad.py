@@ -111,6 +111,23 @@ class TestLowerLevelSolve:
         ):
             stochastic_lower_solve(problem, np.zeros(1), np.array([1e290]), 10, 1e10, 1, rng)
 
+    @pytest.mark.parametrize("size", [63, 65])  # either side of all_finite's sum cap
+    def test_stochastic_divergence_names_step_at_size(self, size):
+        # Lower gradient 2y, step 1e10: the first step takes 1e297 to about
+        # -2e307, finite though the entries' sum overflows; the second
+        # overflows every entry.
+        problem = StochasticOracles(
+            num_objectives=1, dim_x=1, dim_y=size,
+            dataset_sizes={purpose: 1 for purpose in PURPOSES},
+            ul_value=None, ul_grad_x=None, ul_grad_y=None,
+            ll_grad_y=lambda x, y, batch: 2.0 * y, ll_hvp=None, ll_jvp=None,
+        )
+        rng = np.random.default_rng(0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match=r"^lower-level iterate diverged at step 2$"
+        ):
+            stochastic_lower_solve(problem, np.zeros(1), np.full(size, 1e297), 10, 1e10, 1, rng)
+
     @pytest.mark.parametrize("n", [40, 1000])  # key matrices, one choice per batch
     def test_stochastic_blocks_consume_stream_as_one_call(self, n):
         # The lower solve draws its batches a block at a time; across a

@@ -97,6 +97,62 @@ class TestRunDeterministic:
         assert info.value.trace is not None
         assert info.value.trace.termination.startswith("error")
 
+    @pytest.mark.parametrize("fault, message", [
+        ("ll_hvp_nan", "non-finite residual"),
+        ("ul_grad_x_huge", "Gram matrix is not finite"),
+    ])
+    def test_failed_run_reports_last_completed_iterates(self, fault, message):
+        # From iteration 1 on, a NaN Hessian product breaks CG inside the
+        # estimation, or a huge upper gradient overflows the Gram in the
+        # weight QP.  Either way the partial trace ends at the K = 1 run.
+        spec = QuadraticBilevelSpec.random(3, 3, 2, seed=7, hessian_scale=0.2)
+        problem, _ = make_quadratic(spec)
+        config = SolverConfig(K=3, D=8, N=3, option="cg", u=1.0)
+        r, x0, y0 = Preference.uniform(2), np.full(3, 0.5), np.zeros(3)
+        calls = []
+        if fault == "ll_hvp_nan":
+            def ll_hvp(x, y, v):
+                calls.append(1)
+                return problem.ll_hvp(x, y, v) if len(calls) <= 6 else np.full(3, np.nan)
+            faulty = replace(problem, ll_hvp=ll_hvp)  # N * S = 6 products per iteration
+        else:
+            def ul_grad_x(s, x, y):
+                calls.append(1)
+                return problem.ul_grad_x(s, x, y) * (1.0 if len(calls) <= 2 else 1e200)
+            faulty = replace(problem, ul_grad_x=ul_grad_x)  # S = 2 calls per iteration
+        one = run_deterministic(problem, replace(config, K=1), r, x0, y0)
+        with np.errstate(over="ignore"), pytest.raises(RunFailure, match=f"at iteration 1: .*{message}") as info:
+            run_deterministic(faulty, config, r, x0, y0)
+        partial = info.value.trace
+        assert partial.iterations == 1
+        assert np.array_equal(partial.final_y, one.final_y)
+        assert np.array_equal(partial.final_x, one.final_x)
+
+    @pytest.mark.parametrize("mirrored, stop_tol, termination", [
+        (True, 0.0, "stationary"),
+        (True, 1e-4, "stationary"),  # an exact zero is stationary under any tolerance
+        (False, 1e300, "stop_tol"),  # 0 < d_norm_sq <= stop_tol
+    ])
+    def test_stop_rule(self, two_objective, mirrored, stop_tol, termination):
+        if mirrored:
+            # Decoupled lower level and mirrored targets: columns (g, -g), so
+            # the direction at equal weights is exactly zero.
+            spec = QuadraticBilevelSpec(
+                dim_x=2, dim_y=2, num_objectives=2,
+                hessian=np.eye(2), coupling=np.zeros((2, 2)),
+                x_targets=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                y_targets=np.zeros((2, 2)),
+            )
+            problem, _ = make_quadratic(spec)
+        else:
+            _, problem, _ = two_objective
+        config = SolverConfig(K=5, D=4, N=2, alpha=0.5, beta=0.1, stop_tol=stop_tol)
+        trace = run_deterministic(problem, config, Preference.uniform(2),
+                                  np.zeros(problem.dim_x), np.zeros(problem.dim_y))
+        assert trace.termination == termination
+        assert trace.iterations == 1
+        assert (trace.final_d_norm_sq == 0.0) is mirrored
+
     def test_counters_nondecreasing_and_exact(self, two_objective):
         _, problem, _ = two_objective
         for option in ("cg", "ns"):

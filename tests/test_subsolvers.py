@@ -82,6 +82,19 @@ class TestConjugateGradient:
             conjugate_gradient(inf_on_third, np.array([1.0, -2.0, 0.5]), np.zeros(3), 5)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("size", [63, 65])  # either side of all_finite's sum cap
+    def test_late_breakdown_names_iteration_at_size(self, size):
+        calls = []
+
+        def inf_on_third(w):
+            calls.append(1)
+            return np.full_like(w, np.inf) if len(calls) == 3 else 2.0 * w
+
+        with pytest.raises(NumericalBreakdownError,
+                           match=r"^non-finite map output at iteration 3$"):
+            conjugate_gradient(inf_on_third, np.resize([1.0, -2.0, 0.5], size), np.zeros(size), 5)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("start", ["zero", "warm"])
     @pytest.mark.parametrize("applications", [1, 2, 4, 7])
     def test_residual_is_final_recurrence_residual(self, start, applications):
