@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -251,18 +251,6 @@ class HypercleaningToySpec:
             raise InvalidProblemError("reg_weight must be positive")
         object.__setattr__(self, "corruption_rates", rates)
 
-    @classmethod
-    def standard(
-        cls, feature_dim: int = 5, n_train: int = 40, n_val: int = 40, seed: int = 0
-    ) -> "HypercleaningToySpec":
-        return cls(
-            feature_dim=feature_dim,
-            n_train=n_train,
-            n_val=n_val,
-            corruption_rates=DEFAULT_CORRUPTION_RATES,
-            seed=seed,
-        )
-
     @property
     def num_objectives(self) -> int:
         return len(self.corruption_rates)
@@ -446,24 +434,21 @@ def finite_diff_hypergrad(
     x: np.ndarray,
     s: int,
     h: float = 1e-5,
-    ll_tol: float = 1e-12,
     max_ll_iters: int = 200_000,
-    ll_step: Optional[float] = None,
-    y0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Central-difference estimate of the total derivative of objective ``s``.
 
     At each perturbed point the lower level is solved by gradient descent
-    until the gradient norm reaches ``ll_tol`` (warm-started from the base
-    solution).  Shares no code with the implicit-differentiation path.
+    with step ``1/L`` until the gradient norm reaches 1e-12 (warm-started
+    from the base solution).  Shares no code with the implicit-differentiation
+    path.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
     det = problem.deterministic() if isinstance(problem, StochasticOracles) else problem
-    if ll_step is None:
-        if det.constants is None or det.constants.default_ll_step() is None:
-            raise ValueError("ll_step not given and not derivable from constants")
-        ll_step = det.constants.default_ll_step()
+    if det.constants is None or det.constants.default_ll_step() is None:
+        raise ValueError("the lower step 1/L is not derivable from the problem constants")
+    ll_step = det.constants.default_ll_step()
     x = np.asarray(x, dtype=float)
 
     def solve(x_point, y_start):
@@ -471,16 +456,16 @@ def finite_diff_hypergrad(
         for _ in range(max_ll_iters):
             g = det.ll_grad_y(x_point, y)
             norm = float(np.linalg.norm(g))
-            if norm <= ll_tol:
+            if norm <= 1e-12:
                 return y
             y = y - ll_step * g
             if not np.all(np.isfinite(y)):
                 raise OracleFailureError("finite-difference lower solve diverged")
         raise OracleFailureError(
-            f"lower solve did not reach {ll_tol:g} within {max_ll_iters} iterations"
+            f"lower solve did not reach 1e-12 within {max_ll_iters} iterations"
         )
 
-    base = solve(x, np.zeros(det.dim_y) if y0 is None else y0)
+    base = solve(x, np.zeros(det.dim_y))
     grad = np.empty(det.dim_x)
     for i in range(det.dim_x):
         x_hi = x.copy()
@@ -529,18 +514,17 @@ def brute_force_simplex_min(
     objective,
     s: int,
     resolution: float,
-    coarse: float = 0.01,
 ) -> tuple[np.ndarray, float]:
     """Grid minimizer of a vectorized convex objective over the simplex.
 
     ``objective`` maps an (n, S) array of weights to n values.  A full
-    coarse grid is refined tenfold around the incumbent until the spacing
-    reaches ``resolution``; for a convex objective a refinement window a
-    few coarse cells wide contains the continuous minimizer.
+    coarse grid (spacing 0.01) is refined tenfold around the incumbent until
+    the spacing reaches ``resolution``; for a convex objective a refinement
+    window a few coarse cells wide contains the continuous minimizer.
     """
     if s > 3:
         raise UnsupportedProblemError("grid enumeration supports at most 3 weights")
-    step = max(resolution, coarse if s == 3 else min(coarse, resolution))
+    step = max(resolution, 0.01 if s == 3 else min(0.01, resolution))
     grid = _simplex_grid(s, step)
     values = objective(grid)
     best = grid[int(np.argmin(values))]
@@ -553,13 +537,11 @@ def brute_force_simplex_min(
     return best, float(np.min(values))
 
 
-def brute_force_min_norm(
-    columns: Sequence[np.ndarray], grid_resolution: float = 1e-4
-) -> SimplexWeights:
+def brute_force_min_norm(columns: Sequence[np.ndarray]) -> SimplexWeights:
     """Grid search for the minimum-norm convex combination of vectors.
 
-    Independent oracle for the minimum-norm weights; supports up to three
-    columns by simplex enumeration.
+    Independent oracle for the minimum-norm weights, to grid spacing 1e-4;
+    supports up to three columns by simplex enumeration.
     """
     cols = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     s = cols.shape[1]
@@ -570,6 +552,6 @@ def brute_force_min_norm(
     def objective(weights):
         return np.einsum("ni,ij,nj->n", weights, gram, weights)
 
-    best, _ = brute_force_simplex_min(objective, s, grid_resolution)
+    best, _ = brute_force_simplex_min(objective, s, 1e-4)
     best = np.maximum(best, 0.0)
     return SimplexWeights(best / best.sum())

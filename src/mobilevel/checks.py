@@ -5,8 +5,8 @@ It holds the ten acceptance criteria, each at its stated tolerance, and five
 checks of the benchmark oracles and the simplex projection.  Expected values
 come from independent oracles: analytic ground truth, central finite
 differences, brute-force simplex grids, and closed-form counting.  Each
-check returns ``(ok, detail)``; plain ``verify`` runs the ``quick`` ones and
-``verify --full`` runs all of them.
+check returns its detail line or fails a ``_require``; plain ``verify`` runs
+the ``quick`` ones and ``verify --full`` runs all of them.
 """
 
 from __future__ import annotations
@@ -59,22 +59,24 @@ class _Failed(Exception):
     """A condition of a check does not hold; the message says which."""
 
 
-def _require(condition, detail: str) -> None:
+def _require(condition, detail: str) -> str:
+    """Fail the check with ``detail`` unless ``condition`` holds; return ``detail``."""
     if not condition:
         raise _Failed(detail)
+    return detail
 
 
 @dataclass(frozen=True)
 class Check:
-    """One registry entry: ``fn`` returns ``(ok, detail)`` or fails a ``_require``."""
+    """One registry entry: ``fn`` returns its detail or fails a ``_require``."""
 
     name: str
-    fn: Callable[[], Tuple[bool, str]]
+    fn: Callable[[], str]
     quick: bool
 
     def run(self) -> Tuple[bool, str]:
         try:
-            return self.fn()
+            return True, self.fn()
         except _Failed as exc:
             return False, str(exc)
 
@@ -106,7 +108,7 @@ def _oracle_symmetry():
     problem, _ = _verify_quadratic()
     rng = np.random.default_rng(0)
     diag = validate_problem(problem, rng.standard_normal(4), rng.standard_normal(5))
-    return diag.max_residual() <= 1e-10, f"max residual {diag.max_residual():.2e}"
+    return _require(diag.max_residual() <= 1e-10, f"max residual {diag.max_residual():.2e}")
 
 
 @_check("oracle-curvature", quick=True)
@@ -114,8 +116,8 @@ def _oracle_curvature():
     problem, constants = _verify_quadratic()
     rng = np.random.default_rng(1)
     diag = validate_problem(problem, rng.standard_normal(4), rng.standard_normal(5))
-    ok = diag.rayleigh_min >= constants.mu_g - 1e-9
-    return ok, f"rayleigh {diag.rayleigh_min:.4f} vs mu_g {constants.mu_g:.4f}"
+    return _require(diag.rayleigh_min >= constants.mu_g - 1e-9,
+                    f"rayleigh {diag.rayleigh_min:.4f} vs mu_g {constants.mu_g:.4f}")
 
 
 @_check("analytic-consistency", quick=True)
@@ -135,7 +137,7 @@ def _analytic_consistency():
             v = np.linalg.solve(hessian, rhs)
             implicit = problem.ul_grad_x(s, x, ys) - problem.ll_jvp(x, ys, v)
             worst = max(worst, float(np.abs(implicit - analytic[:, s]).max()))
-    return worst <= 1e-10, f"max gap {worst:.2e}"
+    return _require(worst <= 1e-10, f"max gap {worst:.2e}")
 
 
 @_check("simplex-projection", quick=True)
@@ -153,7 +155,7 @@ def _simplex_projection():
 
         best, _ = brute_force_simplex_min(objective, s, 1e-3)
         worst = max(worst, float(np.abs(w - best).max()))
-    return worst <= 2e-3, f"max gap to grid {worst:.2e}"
+    return _require(worst <= 2e-3, f"max gap to grid {worst:.2e}")
 
 
 @_check("hypercleaning-oracles", quick=True)
@@ -171,10 +173,9 @@ def _hypercleaning_oracles():
     x = np.zeros(toy.dim_x)
     y = 0.1 * rng.standard_normal(toy.dim_y)
     bitwise = np.array_equal(toy.ll_grad_y(x, y, full), det.ll_grad_y(x, y))
-    ok = curvature_ok and bitwise and diag.max_residual() <= 1e-10
-    return ok, (
-        f"rayleigh {diag.rayleigh_min:.4f} (mu_g {constants.mu_g}), "
-        f"full-batch bitwise {bitwise}"
+    return _require(
+        curvature_ok and bitwise and diag.max_residual() <= 1e-10,
+        f"rayleigh {diag.rayleigh_min:.4f} (mu_g {constants.mu_g}), full-batch bitwise {bitwise}",
     )
 
 
@@ -203,11 +204,11 @@ def _criterion_1():
             rel = np.linalg.norm(grad - analytic[:, s])
             rel /= np.linalg.norm(analytic[:, s])
             _require(rel <= 1e-6, f"problem {seed} column {s}: CG relative error {rel:.2e}")
-            fd = finite_diff_hypergrad(problem, x, s, h=1e-5, ll_tol=1e-12)
+            fd = finite_diff_hypergrad(problem, x, s, h=1e-5)
             gap = np.abs(fd - analytic[:, s]).max()
             _require(gap <= 1e-4, f"problem {seed} column {s}: finite-difference gap {gap:.2e}")
             worst_rel, worst_fd = max(worst_rel, rel), max(worst_fd, gap)
-    return True, f"CG relative error {worst_rel:.2e}, finite-difference gap {worst_fd:.2e}"
+    return f"CG relative error {worst_rel:.2e}, finite-difference gap {worst_fd:.2e}"
 
 
 @_check("series-bias-decay", quick=True)
@@ -231,9 +232,8 @@ def _criterion_2():
             truth = problem.reference.grad_phi(x)[:, s]
             worst = max(worst, float(np.linalg.norm(grad - truth)))
         errors.append(worst)
-    ok = all(b < a for a, b in zip(errors, errors[1:]))
-    ok = ok and all(b <= bound * a for a, b in zip(errors, errors[1:]))
-    return ok, f"errors {['%.2e' % e for e in errors]}, ratio bound {bound:.3f}"
+    return _require(all(b < a and b <= bound * a for a, b in zip(errors, errors[1:])),
+                    f"errors {['%.2e' % e for e in errors]}, ratio bound {bound:.3f}")
 
 
 @_check("weight-subproblem", quick=True)
@@ -268,12 +268,10 @@ def _criterion_3():
         gap = abs(sp.objective(lam.lam) - grid_val)
         _require(gap <= 1e-6, f"instance {i}: objective gap to grid {gap:.2e}")
         if u == 0.0:
-            reference = brute_force_min_norm(
-                [cols[:, j] for j in range(s_count)], grid_resolution=1e-4
-            )
+            reference = brute_force_min_norm([cols[:, j] for j in range(s_count)])
             gap = np.abs(lam.lam - reference.lam).max()
             _require(gap <= 1e-4, f"instance {i}: minimum-norm weight gap {gap:.2e}")
-    return True, "200 instances certified"
+    return "200 instances certified"
 
 
 @_check("direction-inequality", quick=False)
@@ -290,19 +288,20 @@ def _criterion_4():
             Preference(np.array([0.5, 0.3, 0.2])),
         )
         for pref in prefs:
-            config = SolverConfig(K=60, D=40, N=4, option="cg", u=1e-6,
-                                  record_hypergrads=True)
+            config = SolverConfig(K=60, D=40, N=4, option="cg", u=1e-6)
             trace = run_deterministic(problem, config, pref, np.full(4, 2.0), np.zeros(4))
             _require(trace.iterations == 60, f"problem {seed}: {trace.iterations} iterations")
             for rec in trace.records:
-                d = rec.hypergrads @ (pref.r * rec.weights.lam)
-                dns = float(d @ d)
+                # With v = r*lam: ||d||^2 = v'Gv and <d, column_s> = (Gv)_s.
+                v = pref.r * rec.weights.lam
+                gv = rec.gram @ v
+                dns = float(v @ gv)
                 for s in range(3):
-                    bound = 2.0 * pref.r_max * float(d @ rec.hypergrads[:, s])
+                    bound = 2.0 * pref.r_max * float(gv[s])
                     _require(dns <= bound + 1e-8,
                              f"problem {seed} iteration {rec.k}: violation {dns - bound:.2e}")
                     worst = max(worst, dns - bound)
-    return True, f"worst violation {worst:.2e}"
+    return f"worst violation {worst:.2e}"
 
 
 @_check("convergence-rate", quick=False)
@@ -321,8 +320,8 @@ def _criterion_5():
     true_d = np.array([rec.true_d_norm_sq for rec in trace.records])
     _require(true_d.shape == (500,), f"{true_d.shape[0]} iterations")
     ratio = true_d[:400].mean() / true_d[:200].mean()
-    ok = ratio <= 0.65 and true_d.min() <= 1e-6
-    return ok, f"avg ratio {ratio:.3f}, min true d^2 {true_d.min():.2e}"
+    return _require(ratio <= 0.65 and true_d.min() <= 1e-6,
+                    f"avg ratio {ratio:.3f}, min true d^2 {true_d.min():.2e}")
 
 
 @_check("counter-identities", quick=True)
@@ -353,7 +352,7 @@ def _criterion_6():
         expected = expected_counters(config, 3, trace.estimator).as_tuple()
         _require(counts == expected, f"{option}: {counts}, expected_counters {expected}")
         details.append(f"{option}: {counts}")
-    return True, "; ".join(details)
+    return "; ".join(details)
 
 
 @_check("stochastic-consistency", quick=False)
@@ -404,7 +403,7 @@ def _criterion_7():
         bound *= np.linalg.norm(h_inv_v) * (l_const / mu)
         error = np.linalg.norm(out - h_inv_v)
         _require(error <= bound, f"Q={q_steps}: error {error:.2e} above bound {bound:.2e}")
-    return True, f"final phi gap {gap:.2e}"
+    return f"final phi gap {gap:.2e}"
 
 
 @_check("front-exploration", quick=False)
@@ -434,7 +433,7 @@ def _criterion_8():
         trace = run_deterministic(problem, replace(config, u=u), pref, x0, y0)
         finals.append(trace.final_phi[0])
     detail += f", along u {['%.3f' % v for v in finals]}"
-    return all(b <= a + 1e-6 for a, b in zip(finals, finals[1:])), detail
+    return _require(all(b <= a + 1e-6 for a, b in zip(finals, finals[1:])), detail)
 
 
 @_check("nonpreference-variant", quick=False)
@@ -449,7 +448,7 @@ def _criterion_9():
     config = SolverConfig(K=300, D=64, option="ns", u=0.0, beta=0.05)
     nonpref = run_deterministic(problem, config, None, x0, y0)
     cols = problem.reference.grad_phi(nonpref.final_x)
-    weights = brute_force_min_norm([cols[:, 0], cols[:, 1]], grid_resolution=1e-4)
+    weights = brute_force_min_norm([cols[:, 0], cols[:, 1]])
     stationarity = float(np.linalg.norm(cols @ weights.lam) ** 2)
     _require(stationarity <= 1e-6, f"min-norm combination {stationarity:.2e}")
 
@@ -458,8 +457,8 @@ def _criterion_9():
     _require(nonpref.iterations == uniform.iterations, "iteration counts differ")
     gaps = [np.abs(a.weights.lam - b.weights.lam).max()
             for a, b in zip(nonpref.records, uniform.records)]
-    ok = all(gap <= 1e-6 for gap in gaps)
-    return ok, f"min-norm combination {stationarity:.2e}, weight gap {max(gaps, default=0.0):.2e}"
+    return _require(all(gap <= 1e-6 for gap in gaps), f"min-norm combination "
+                    f"{stationarity:.2e}, weight gap {max(gaps, default=0.0):.2e}")
 
 
 @_check("reproducibility", quick=True)
@@ -517,4 +516,4 @@ traces_dir = {out}/traces
         _require(cli.main(sweep) == 0, "second sweep failed")
         _require(read("summary.csv") == summary_first, "sweep summary differs")
         _require(read("traces/run_000.csv") == trace_first, "sweep trace differs")
-    return True, "run and sweep outputs byte-identical"
+    return "run and sweep outputs byte-identical"

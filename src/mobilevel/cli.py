@@ -60,8 +60,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _find_line(path: str, section: str, key: Optional[str] = None) -> Optional[int]:
-    """Best-effort line number of a section or key for error messages."""
+def _find_line(
+    parser: configparser.ConfigParser, path: str, section: str, key: Optional[str] = None
+) -> Optional[int]:
+    """Best-effort line number of a section or key for error messages;
+    headers are matched as ``parser`` read them, by ``parser.SECTCRE``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -70,8 +73,9 @@ def _find_line(path: str, section: str, key: Optional[str] = None) -> Optional[i
     in_section = False
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            in_section = stripped[1:-1].strip() == section
+        header = parser.SECTCRE.match(stripped)
+        if header:
+            in_section = header.group("header") == section
             if in_section and key is None:
                 return lineno
         elif in_section and re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
@@ -88,7 +92,7 @@ def _config_error(
     if override:
         where = f"--set {override}"
     else:
-        lineno = _find_line(path, section, key)
+        lineno = _find_line(parser, path, section, key)
         where = f"{path}:{lineno}" if lineno else path
     field = f"[{section}] {key}" if key else f"[{section}]"
     return ConfigFileError(f"{where}: {field}: {message}")
@@ -239,9 +243,9 @@ _SCHEMA = {
     },
     ("solver", None): _solver_fields(
         ("K", int), ("D", int), ("alpha", float), ("beta", float), ("u", float),
-        ("option", str.lower), ("seed", int), ("stop_tol", float),
+        ("seed", int), ("stop_tol", float),
     ),
-    ("solver", "quadratic"): _solver_fields(("N", int)),
+    ("solver", "quadratic"): _solver_fields(("option", str.lower), ("N", int)),
     ("solver", "hypercleaning"): {
         **_solver_fields(
             ("Q", int), ("eta", float), ("T", int), ("D_f", int), ("D_g", int), ("B", int)

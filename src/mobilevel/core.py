@@ -251,7 +251,6 @@ class SolverConfig:
     B: int = 8
     seed: int = 0
     stop_tol: float = 0.0
-    record_hypergrads: bool = False
 
     def __post_init__(self):
         for name in ("K", "D", "N", "Q", "T", "D_f", "D_g", "B", "seed"):
@@ -609,15 +608,21 @@ class HypergradientMatrix:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One outer-iteration snapshot of a run."""
+    """One outer-iteration snapshot of a run.
+
+    ``gram`` is the read-only Gram ``G`` the iteration's weight subproblem
+    was built from: with ``phi``, ``u`` and the preference ``r`` (all ones
+    for ``r=None``) it re-certifies ``weights``, and ``v = r * weights.lam``
+    gives ``d_norm_sq = v'Gv`` and the direction's column products ``Gv``.
+    """
 
     k: int
     phi: np.ndarray
     weights: SimplexWeights
     d_norm_sq: float
     counters: OracleCounters
+    gram: np.ndarray
     true_d_norm_sq: Optional[float] = None
-    hypergrads: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -671,15 +676,13 @@ def validate_problem(
     problem: DeterministicOracles,
     x: np.ndarray,
     y: np.ndarray,
-    probes: int = 8,
-    seed: int = 0,
 ) -> ProblemDiagnostics:
     """Probe an oracle bundle for symmetry, linearity, and curvature.
 
-    Random probe vectors check that ``ll_hvp`` is a symmetric linear map,
-    that ``ll_jvp`` is linear, and estimate the smallest Rayleigh quotient
-    of the lower-level Hessian.  Raises :class:`InvalidProblemError` on
-    dimension mismatches.
+    Eight seeded pairs of random probe vectors check that ``ll_hvp`` is a
+    symmetric linear map, that ``ll_jvp`` is linear, and estimate the
+    smallest Rayleigh quotient of the lower-level Hessian.  Raises
+    :class:`InvalidProblemError` on dimension mismatches.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -691,7 +694,7 @@ def validate_problem(
         raise InvalidProblemError(
             f"y has shape {y.shape}, expected ({problem.dim_y},)"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     q, p = problem.dim_y, problem.dim_x
 
     probe = problem.ll_hvp(x, y, rng.standard_normal(q))
@@ -705,7 +708,7 @@ def validate_problem(
     hvp_lin = 0.0
     jvp_lin = 0.0
     rayleigh = np.inf
-    for _ in range(probes):
+    for _ in range(8):
         u = rng.standard_normal(q)
         v = rng.standard_normal(q)
         a, b = rng.standard_normal(2)

@@ -116,8 +116,8 @@ def _run_loop(problem, config, estimator, weight_vec, x0, y0, advance) -> RunTra
                 weights=weights,
                 d_norm_sq=d_norm_sq,
                 counters=counters.snapshot(),
+                gram=subproblem.gram,
                 true_d_norm_sq=true_d_norm_sq,
-                hypergrads=matrix.grads if config.record_hypergrads else None,
             )
         )
         if d_norm_sq <= config.stop_tol:

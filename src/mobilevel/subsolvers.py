@@ -100,7 +100,7 @@ class WcSubproblem:
     """Data of the simplex QP  min (r*lam)' G (r*lam) - u lam' (r*phi).
 
     Built from the hypergradient columns: ``gram`` is their S-by-S Gram
-    ``matrix.gram()``, formed once here and symmetric and positive
+    ``matrix.gram()``, formed once here, read-only, and symmetric and positive
     semidefinite by construction (its square root is never formed), and
     ``phi`` is ``matrix.phi_values``.  Raises ``ValueError`` unless ``r``
     has one entry per column and ``u >= 0``, and
@@ -122,6 +122,7 @@ class WcSubproblem:
             raise ValueError("u must be nonnegative")
         if not np.isfinite(gram).all():
             raise NumericalBreakdownError("hypergradient Gram matrix is not finite")
+        gram.setflags(write=False)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "phi", matrix.phi_values)
         object.__setattr__(self, "r", r)

@@ -279,7 +279,9 @@ def toy():
 
 class TestHypercleaningToy:
     def test_default_rate_preset(self):
-        spec = HypercleaningToySpec.standard()
+        spec = HypercleaningToySpec(
+            feature_dim=5, n_train=40, n_val=40, corruption_rates=DEFAULT_CORRUPTION_RATES,
+        )
         assert spec.corruption_rates == DEFAULT_CORRUPTION_RATES
         assert spec.num_objectives == 5
 
@@ -459,8 +461,7 @@ class TestBruteForceMinNorm:
         np.testing.assert_allclose(w.lam, [1.0])
 
     def test_orthogonal_columns_closed_form(self):
-        w = brute_force_min_norm([np.array([1.0, 0.0]), np.array([0.0, 2.0])],
-                                 grid_resolution=1e-4)
+        w = brute_force_min_norm([np.array([1.0, 0.0]), np.array([0.0, 2.0])])
         np.testing.assert_allclose(w.lam, [0.8, 0.2], atol=1e-4)
 
     def test_too_many_columns(self):

@@ -135,6 +135,22 @@ run_json = {out}/run.json
         assert cli.main(["run", "--config", config]) == 2
         assert f"{config}:{line}: [{section}] {key}: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, key, message", [
+        # configparser keeps the spaces inside the brackets: a section
+        # named " problem ", which is unknown.
+        ("[ problem ]", None, "[ problem ]: unknown section"),
+        # configparser reads a header up to its last ']' and ignores the rest.
+        ("[problem] ; the instance", "bogus", "[problem] bogus: unknown key"),
+    ], ids=["spaced", "inline-comment"])
+    def test_header_forms_report_line(self, tmp_path, capsys, header, key, message):
+        # The error line is found by the header pattern configparser reads with.
+        text = QUADRATIC_CONFIG.format(out=tmp_path / "out")
+        text = text.replace("[problem]\n", f"{header}\n" + (f"{key} = 1\n" if key else ""))
+        config = write_config(tmp_path / "run.ini", text)
+        line = text.splitlines().index(header) + (2 if key else 1)
+        assert cli.main(["run", "--config", config]) == 2
+        assert f"{config}:{line}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["q", "t", "d_f", "d_g", "b", "eta"])
     def test_stochastic_keys_unknown_to_quadratic(self, tmp_path, capsys, key):
         # A deterministic run reads none of the sampled Neumann settings, so
@@ -223,6 +239,23 @@ pattern = uniform
                          "--set", f"output.trace_csv={out}/trace.csv",
                          "--set", f"output.run_json={out}/run.json"]) == 0
         assert json.loads((out / "run.json").read_text())["iterations"] == 2
+
+    def test_readme_schema_table_matches_schema(self):
+        # The README's table lists each (section, family, key) of _SCHEMA
+        # exactly once; "all" is the family None.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = re.findall(r"^\| (\w+) \| (\w+) \| ([^|]*) \|", readme, re.MULTILINE)
+        listed = [
+            (section, None if family == "all" else family, key)
+            for section, family, keys in rows if section != "section"
+            for key in re.findall(r"`(\w+)`", keys)
+        ]
+        schema = [
+            (section, family, key.lower())
+            for (section, family), keys in cli._SCHEMA.items() for key in keys
+        ]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(schema)
 
     @pytest.mark.parametrize("family, override", [
         ("quadratic", "problem.p=0"),

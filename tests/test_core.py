@@ -274,7 +274,7 @@ class TestValidateProblem:
     def test_quadratic_benchmark_clean(self, quadratic):
         spec, problem, constants = quadratic
         rng = np.random.default_rng(0)
-        diag = validate_problem(problem, rng.standard_normal(3), rng.standard_normal(4), probes=8)
+        diag = validate_problem(problem, rng.standard_normal(3), rng.standard_normal(4))
         assert diag.max_residual() <= 1e-10
         # Rayleigh quotients of the lower Hessian cannot dip below its
         # smallest eigenvalue (computed by direct eigendecomposition).

@@ -330,7 +330,7 @@ class TestFiniteDifferenceConsistency:
         y_d = lower_level_solve(problem, x, np.zeros(4), 400, 1.0 / constants.L)
         for s in range(3):
             cg, _ = hypergrad_cg(problem, x, y_d, s, None, 4)
-            fd = finite_diff_hypergrad(problem, x, s, h=1e-5, ll_tol=1e-12)
+            fd = finite_diff_hypergrad(problem, x, s, h=1e-5)
             assert np.abs(cg - fd).max() <= 1e-4
 
 

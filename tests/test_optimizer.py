@@ -247,15 +247,16 @@ class TestDescentProperties:
             spec = QuadraticBilevelSpec.random(4, 4, 3, seed=seed, hessian_scale=0.25)
             problem, _ = make_quadratic(spec)
             pref = Preference(np.array([0.5, 0.3, 0.2]))
-            config = SolverConfig(K=50, D=40, N=4, option="cg", u=1e-6,
-                                  record_hypergrads=True)
+            config = SolverConfig(K=50, D=40, N=4, option="cg", u=1e-6)
             trace = run_deterministic(problem, config, pref,
                                       np.full(4, 2.0), np.zeros(4))
             for rec in trace.records:
-                d = rec.hypergrads @ (pref.r * rec.weights.lam)
-                dns = float(d @ d)
+                # With v = r*lam: ||d||^2 = v'Gv and <d, column_s> = (Gv)_s.
+                v = pref.r * rec.weights.lam
+                gv = rec.gram @ v
+                dns = float(v @ gv)
                 for s in range(3):
-                    assert dns <= 2 * pref.r_max * float(d @ rec.hypergrads[:, s]) + 1e-8
+                    assert dns <= 2 * pref.r_max * float(gv[s]) + 1e-8
 
     def test_common_descent_with_small_step(self):
         # u = 0, near-exact oracles, tiny upper step: every objective value
@@ -276,8 +277,7 @@ class TestDescentProperties:
         # and scales the certified direction norm by 1 / sum(r * lambda).
         _, problem, _ = two_objective
         pref = Preference(np.array([0.8, 0.2]))
-        config = SolverConfig(K=20, D=30, N=4, option="cg", u=0.1,
-                              record_hypergrads=True)
+        config = SolverConfig(K=20, D=30, N=4, option="cg", u=0.1)
         trace = run_deterministic(problem, config, pref, np.ones(3), np.zeros(4))
         for rec in trace.records:
             scaled = pref.r * rec.weights.lam
@@ -285,11 +285,53 @@ class TestDescentProperties:
             rescaled = scaled / total
             assert rescaled.min() >= 0.0
             assert rescaled.sum() == pytest.approx(1.0, abs=1e-12)
-            d = rec.hypergrads @ scaled
-            d_hat = rec.hypergrads @ rescaled
-            assert np.linalg.norm(d_hat) == pytest.approx(
-                np.linalg.norm(d) / total, rel=1e-9
-            )
+            # ||d||^2 = v'Gv with v = r*lam, and ||d-hat||^2 with v = lambda-hat.
+            d_norm = np.sqrt(scaled @ rec.gram @ scaled)
+            d_hat_norm = np.sqrt(rescaled @ rec.gram @ rescaled)
+            assert d_hat_norm == pytest.approx(d_norm / total, rel=1e-9)
+
+
+class TestRecordedGram:
+    # Every record keeps the Gram its weight subproblem was built from, so
+    # the record alone re-certifies the weights and gives the direction norm.
+
+    @pytest.mark.parametrize("variant", ["cg", "ns", "stochastic", "none"])
+    def test_weights_certify_on_recorded_gram(self, two_objective, variant):
+        from mobilevel import HypercleaningToySpec, make_hypercleaning_toy
+
+        _, problem, _ = two_objective
+        x0, y0 = np.ones(3), np.zeros(4)
+        pref = Preference(np.array([0.7, 0.3]))
+        config = SolverConfig(K=20, D=20, N=3, u=1.0)
+        if variant == "stochastic":
+            spec = HypercleaningToySpec(feature_dim=3, n_train=20, n_val=20,
+                                        corruption_rates=(0.0, 0.2, 0.4), seed=4)
+            toy, constants = make_hypercleaning_toy(spec)
+            pref = Preference(np.array([0.5, 0.3, 0.2]))
+            config = SolverConfig(K=20, D=20, Q=5, T=8, D_f=8, D_g=8, B=4, u=1.0, seed=3,
+                                  alpha=1.0 / constants.L, eta=1.0 / constants.L, beta=0.5)
+            trace = run_stochastic(toy, config, pref,
+                                   np.zeros(toy.dim_x), np.zeros(toy.dim_y))
+        elif variant == "none":
+            trace = run_deterministic(problem, config, None, x0, y0)
+        else:
+            trace = run_deterministic(problem, replace(config, option=variant), pref, x0, y0)
+        assert (trace.termination, trace.iterations) == ("completed", 20)
+        w = np.ones(2) if variant == "none" else pref.r
+        u = trace.config.u
+        for rec in trace.records:
+            gram, lam = rec.gram, rec.weights.lam
+            assert gram.shape == (w.size, w.size)
+            assert not gram.flags.writeable
+            # The QP gradient and certify tolerance as solve_wc_subproblem forms them.
+            scaled = gram * np.outer(w, w)
+            lin = u * (w * rec.phi)
+            grad_scale = 2.0 * np.abs(scaled).max() + np.abs(lin).max()
+            tol = max(subsolvers.KKT_TOL, 64.0 * np.finfo(float).eps * grad_scale)
+            assert subsolvers._kkt_residual(2.0 * scaled.dot(lam) - lin, lam) <= tol
+            v = w * lam
+            slack = 1e-12 * np.abs(gram).max()
+            assert v @ gram @ v == pytest.approx(rec.d_norm_sq, rel=1e-9, abs=slack)
 
 
 class TestRunNonpreference:
