@@ -14,7 +14,6 @@ from .core import (
     ConfigurationError,
     DeterministicOracles,
     DivergenceError,
-    HypergradientMatrix,
     InvalidProblemError,
     IterationRecord,
     NumericalBreakdownError,

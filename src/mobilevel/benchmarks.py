@@ -25,11 +25,20 @@ from .core import (
     SimplexWeights,
     StochasticOracles,
     UnsupportedProblemError,
+    is_integer,
     HESSIAN,
     JACOBIAN,
     LL_STEP,
     UL_BATCH,
 )
+
+
+def _require_integers(least: int, **values) -> None:
+    for name, value in values.items():
+        if not is_integer(value) or value < least:
+            raise InvalidProblemError(
+                f"{name} must be an integer of at least {least}, not {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,7 @@ class QuadraticBilevelSpec:
     Lower level: g(x, y) = 0.5 y'Hy - y'Cx with SPD ``hessian`` H and
     coupling C, so y*(x) = H^{-1} C x.  Upper level s:
     f_s(x, y) = 0.5 ||x - x_target_s||^2 + 0.5 ||y - y_target_s||^2.
+    The three counts are integers (not ``bool``) of at least 1.
     """
 
     dim_x: int
@@ -50,11 +60,12 @@ class QuadraticBilevelSpec:
     y_targets: np.ndarray
 
     def __post_init__(self):
+        p, q, s = self.dim_x, self.dim_y, self.num_objectives
+        _require_integers(1, dim_x=p, dim_y=q, num_objectives=s)
         h = np.asarray(self.hessian, dtype=float)
         c = np.asarray(self.coupling, dtype=float)
         xt = np.asarray(self.x_targets, dtype=float)
         yt = np.asarray(self.y_targets, dtype=float)
-        p, q, s = self.dim_x, self.dim_y, self.num_objectives
         if h.shape != (q, q):
             raise InvalidProblemError(f"hessian must be {q}x{q}")
         if c.shape != (q, p):
@@ -83,8 +94,10 @@ class QuadraticBilevelSpec:
         """Seeded instance with H = (scale*M)'(scale*M) + 0.5 I.
 
         ``hessian_scale`` controls the condition number; zero gives
-        H = 0.5 I exactly.
+        H = 0.5 I exactly.  ``seed`` is an integer of at least 0.
         """
+        _require_integers(1, dim_x=dim_x, dim_y=dim_y, num_objectives=num_objectives)
+        _require_integers(0, seed=seed)
         rng = np.random.default_rng(seed)
         m = hessian_scale * rng.standard_normal((dim_y, dim_y))
         hessian = m.T @ m + 0.5 * np.eye(dim_y)
@@ -237,11 +250,8 @@ class HypercleaningToySpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("feature_dim", "n_train", "n_val"):
-            if getattr(self, name) < 1:
-                raise InvalidProblemError(f"{name} must be at least 1")
-        if self.seed < 0:
-            raise InvalidProblemError("seed must be nonnegative")
+        _require_integers(1, feature_dim=self.feature_dim, n_train=self.n_train, n_val=self.n_val)
+        _require_integers(0, seed=self.seed)
         rates = tuple(float(r) for r in self.corruption_rates)
         if not rates:
             raise InvalidProblemError("at least one task required")
@@ -443,8 +453,8 @@ def finite_diff_hypergrad(
     from the base solution).  Shares no code with the implicit-differentiation
     path.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not (0.0 < h < math.inf):
+        raise ValueError(f"h must be positive and finite, not {h!r}")
     det = problem.deterministic() if isinstance(problem, StochasticOracles) else problem
     if det.constants is None or det.constants.default_ll_step() is None:
         raise ValueError("the lower step 1/L is not derivable from the problem constants")
@@ -521,7 +531,10 @@ def brute_force_simplex_min(
     coarse grid (spacing 0.01) is refined tenfold around the incumbent until
     the spacing reaches ``resolution``; for a convex objective a refinement
     window a few coarse cells wide contains the continuous minimizer.
+    Raises ``ValueError`` unless ``0 < resolution <= 1``.
     """
+    if not (0.0 < resolution <= 1.0):
+        raise ValueError(f"resolution must lie in (0, 1], not {resolution!r}")
     if s > 3:
         raise UnsupportedProblemError("grid enumeration supports at most 3 weights")
     step = max(resolution, 0.01 if s == 3 else min(0.01, resolution))

@@ -34,7 +34,6 @@ from .benchmarks import (
 from .core import (
     HESSIAN,
     DeterministicOracles,
-    HypergradientMatrix,
     Preference,
     SolverConfig,
     validate_problem,
@@ -255,7 +254,7 @@ def _criterion_3():
             r = raw / raw.sum()
             u = float(rng.choice([0.1, 1.0, 10.0]))
         phi = rng.uniform(0.0, 5.0, s_count)
-        sp = WcSubproblem(HypergradientMatrix(cols, phi), r, u)
+        sp = WcSubproblem(cols, phi, r, u)
         lam, kkt = solve_wc_subproblem(sp)
         _require(kkt <= 1e-10, f"instance {i}: KKT residual {kkt:.2e}")
 

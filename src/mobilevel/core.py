@@ -92,6 +92,11 @@ def all_finite(v: np.ndarray) -> bool:
     return bool(np.isfinite(v).all())
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or NumPy integer, and not a ``bool``."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def _frozen_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -133,6 +138,8 @@ class Preference:
 
     @classmethod
     def uniform(cls, size: int) -> "Preference":
+        if not is_integer(size) or size < 1:
+            raise ValueError(f"preference size must be an integer of at least 1, not {size!r}")
         return cls(np.full(size, 1.0 / size))
 
     @classmethod
@@ -255,7 +262,7 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("K", "D", "N", "Q", "T", "D_f", "D_g", "B", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise ConfigurationError(f"{name} must be an integer, not {value!r}")
         if self.K < 0:
             raise ConfigurationError("K must be nonnegative")
@@ -445,7 +452,7 @@ class StochasticOracles:
                 f"not {tuple(self.dataset_sizes)}"
             )
         for purpose, n in self.dataset_sizes.items():
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            if not is_integer(n) or n < 1:
                 raise InvalidProblemError(
                     f"dataset_sizes[{purpose!r}] must be an integer of at least 1, not {n!r}"
                 )
@@ -567,43 +574,6 @@ def counted_oracles(
         ll_hvp=ll_hvp,
         ll_jvp=ll_jvp,
     )
-
-
-@dataclass(frozen=True)
-class HypergradientMatrix:
-    """Estimated per-objective hypergradients, one column per objective.
-
-    ``phi_values`` holds the upper-level objective values at the point
-    where the columns were evaluated.  Both are finite and read-only.
-    ``gram()`` is the S-by-S Gram matrix of the columns, symmetric and
-    positive semidefinite by construction; it is not finite only when it
-    overflows, which :class:`~mobilevel.subsolvers.WcSubproblem` refuses.
-    """
-
-    grads: np.ndarray
-    phi_values: np.ndarray
-
-    def __post_init__(self):
-        # Copies: freezing the caller's own arrays would make them read-only.
-        grads = np.array(self.grads, dtype=float)
-        phi = np.array(self.phi_values, dtype=float)
-        if grads.ndim != 2:
-            raise ValueError("hypergradient matrix must be 2-d (p x S)")
-        if phi.shape != (grads.shape[1],):
-            raise ValueError("phi_values length must equal the column count")
-        if not (np.isfinite(grads).all() and np.isfinite(phi).all()):
-            raise ValueError("hypergradient entries must be finite")
-        grads.setflags(write=False)
-        phi.setflags(write=False)
-        object.__setattr__(self, "grads", grads)
-        object.__setattr__(self, "phi_values", phi)
-
-    @property
-    def num_objectives(self) -> int:
-        return self.grads.shape[1]
-
-    def gram(self) -> np.ndarray:
-        return self.grads.T @ self.grads
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .core import (
     ConfigurationError,
     DeterministicOracles,
     DivergenceError,
-    HypergradientMatrix,
     SolverConfig,
     StochasticOracles,
     HESSIAN,
@@ -172,15 +171,16 @@ def build_hypergradient_matrix(
     trajectory: Sequence[np.ndarray],
     config: SolverConfig,
     warm_v: Sequence[Optional[np.ndarray]],
-) -> tuple[HypergradientMatrix, list]:
+) -> tuple[np.ndarray, np.ndarray, list]:
     """One estimated hypergradient column per objective, via the configured option.
 
     ``trajectory`` ends at the final lower iterate, the only one the cg
     option reads.  Under the cg option column ``s`` warm-starts from
-    ``warm_v[s]`` (``None`` for a zero start).  Returns the matrix together with the per-objective
-    CG iterates for warm starting the next outer iteration (``None``
-    entries under the series option).  ``config.alpha`` must already be
-    resolved.
+    ``warm_v[s]`` (``None`` for a zero start).  Returns ``(grads, phi,
+    warm)``: fresh arrays of the p-by-S columns and the S upper-level
+    values at the final lower iterate, unchecked, and the per-objective CG
+    iterates for warm starting the next outer iteration (``None`` entries
+    under the series option).  ``config.alpha`` must already be resolved.
     """
     s_count = oracles.num_objectives
     cols = np.empty((oracles.dim_x, s_count))
@@ -194,7 +194,7 @@ def build_hypergradient_matrix(
         else:
             grad = hypergrad_ns(oracles, x, trajectory, s, config.alpha)
         cols[:, s] = grad
-    return HypergradientMatrix(grads=cols, phi_values=phi), new_warm
+    return cols, phi, new_warm
 
 
 def build_hypergradient_matrix_stochastic(
@@ -204,8 +204,9 @@ def build_hypergradient_matrix_stochastic(
     config: SolverConfig,
     rng: np.random.Generator,
     hessian_sizes: Sequence[int],
-) -> HypergradientMatrix:
-    """Sampled hypergradient columns for one outer iteration.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled hypergradient columns ``grads`` (p by S) and sampled
+    upper-level values ``phi`` for one outer iteration, both fresh arrays.
 
     Makes three sampler calls, in this order: the Jacobian batch and the Q
     Hessian batches of ``hessian_sizes`` (the run's
@@ -229,7 +230,7 @@ def build_hypergradient_matrix_stochastic(
             x, y_d, v_q, jac_batch
         )
         phi[s] = oracles.ul_value(s, x, y_d, ul_batch)
-    return HypergradientMatrix(grads=cols, phi_values=phi)
+    return cols, phi
 
 
 def stochastic_lower_solve(

@@ -73,9 +73,10 @@ def _run_loop(problem, config, estimator, weight_vec, x0, y0, advance) -> RunTra
     weighting.  ``config`` is resolved and ``estimator`` names the
     estimator in the trace.  ``advance(oracles, x, y)`` is one iteration's
     estimation: the lower solve at ``x`` from ``y``, then one hypergradient
-    column per objective at the new lower iterate; it returns that iterate
-    and the ``HypergradientMatrix``, and carries the run's own state (CG
-    warm starts, or the generator).
+    column per objective at the new lower iterate; it returns ``(y, grads,
+    phi)``: that iterate, the p-by-S columns and their upper-level values,
+    and carries the run's own state (CG warm starts, or the generator).
+    ``WcSubproblem`` checks both; the loop reads ``grads`` only to step.
     """
     counters = OracleCounters()
     oracles = counted_oracles(problem, counters)
@@ -88,8 +89,8 @@ def _run_loop(problem, config, estimator, weight_vec, x0, y0, advance) -> RunTra
 
     for k in range(config.K):
         try:
-            y, matrix = advance(oracles, x, y_prev)
-            subproblem = WcSubproblem(matrix, weight_vec, config.u)
+            y, grads, phi = advance(oracles, x, y_prev)
+            subproblem = WcSubproblem(grads, phi, weight_vec, config.u)
             # A certified warm start comes back as the same object.
             weights, _ = solve_wc_subproblem(subproblem, warm_start=weights)
         except Exception as exc:  # noqa: BLE001 - wrap with the partial trace
@@ -103,7 +104,7 @@ def _run_loop(problem, config, estimator, weight_vec, x0, y0, advance) -> RunTra
         y_prev = y
 
         lam = weights.lam
-        direction = matrix.grads.dot(weight_vec * lam)
+        direction = grads.dot(weight_vec * lam)
         d_norm_sq = float(direction.dot(direction))
         true_d_norm_sq = None
         if problem.reference is not None:
@@ -112,7 +113,7 @@ def _run_loop(problem, config, estimator, weight_vec, x0, y0, advance) -> RunTra
         records.append(
             IterationRecord(
                 k=k,
-                phi=matrix.phi_values,
+                phi=subproblem.phi,
                 weights=weights,
                 d_norm_sq=d_norm_sq,
                 counters=counters.snapshot(),
@@ -159,8 +160,10 @@ def run_deterministic(
         # The series walks every lower iterate; cg reads only the last.
         trajectory = [] if config.option == "ns" else None
         y = lower_level_solve(oracles, x, y, config.D, config.alpha, trajectory)
-        matrix, warm_v = build_hypergradient_matrix(oracles, x, trajectory or [y], config, warm_v)
-        return y, matrix
+        grads, phi, warm_v = build_hypergradient_matrix(
+            oracles, x, trajectory or [y], config, warm_v
+        )
+        return y, grads, phi
 
     return _run_loop(problem, config, config.option, weight_vec, x0, y0, advance)
 
@@ -191,7 +194,8 @@ def run_stochastic(
 
     def advance(oracles, x, y):
         y = stochastic_lower_solve(oracles, x, y, config.D, config.alpha, config.T, rng)
-        return y, build_hypergradient_matrix_stochastic(oracles, x, y, config, rng, sizes)
+        grads, phi = build_hypergradient_matrix_stochastic(oracles, x, y, config, rng, sizes)
+        return y, grads, phi
 
     return _run_loop(problem, config, "stochastic", r.r, x0, y0, advance)
 

@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    HypergradientMatrix,
     NumericalBreakdownError,
     SimplexWeights,
     WcSolverError,
@@ -99,32 +98,45 @@ def project_simplex(z: np.ndarray) -> SimplexWeights:
 class WcSubproblem:
     """Data of the simplex QP  min (r*lam)' G (r*lam) - u lam' (r*phi).
 
-    Built from the hypergradient columns: ``gram`` is their S-by-S Gram
-    ``matrix.gram()``, formed once here, read-only, and symmetric and positive
-    semidefinite by construction (its square root is never formed), and
-    ``phi`` is ``matrix.phi_values``.  Raises ``ValueError`` unless ``r``
-    has one entry per column and ``u >= 0``, and
-    :class:`NumericalBreakdownError` if the Gram of finite columns overflows.
+    ``gram`` is the Gram ``grads.T @ grads`` of the p-by-S hypergradient
+    columns, read-only and symmetric PSD by construction (its square root
+    is never formed); ``phi`` is a read-only copy of their upper-level
+    values.  Raises ``ValueError`` unless ``grads`` is 2-d, ``phi`` and
+    ``r`` have one entry per column and ``0 <= u < inf``, and
+    :class:`NumericalBreakdownError` if ``phi`` or the Gram is not finite:
+    the Gram's diagonal holds the columns' sums of squares, so this also
+    catches every non-finite column entry.
     """
 
-    matrix: InitVar[HypergradientMatrix]
+    grads: InitVar[np.ndarray]
+    phi: np.ndarray
     r: np.ndarray
     u: float
     gram: np.ndarray = field(init=False)
-    phi: np.ndarray = field(init=False)
 
-    def __post_init__(self, matrix: HypergradientMatrix):
-        gram = matrix.gram()
+    def __post_init__(self, grads: np.ndarray):
+        grads = np.asarray(grads, dtype=float)
+        if grads.ndim != 2:
+            raise ValueError("hypergradient columns must form a 2-d (p x S) array")
+        phi = np.array(self.phi, dtype=float)
         r = np.asarray(self.r, dtype=float)
-        if r.shape != (gram.shape[0],):
+        if phi.shape != (grads.shape[1],):
+            raise ValueError("phi must have one entry per hypergradient column")
+        if r.shape != phi.shape:
             raise ValueError("r must have one entry per hypergradient column")
-        if self.u < 0.0:
-            raise ValueError("u must be nonnegative")
-        if not np.isfinite(gram).all():
+        if not (0.0 <= self.u < math.inf):
+            raise ValueError(f"u must be nonnegative and finite, not {self.u!r}")
+        if not all_finite(phi):
+            raise NumericalBreakdownError("upper-level values phi are not finite")
+        # A non-finite Gram is reported by the error below, not by a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = grads.T @ grads
+        if not all_finite(gram.ravel()):
             raise NumericalBreakdownError("hypergradient Gram matrix is not finite")
         gram.setflags(write=False)
+        phi.setflags(write=False)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "phi", matrix.phi_values)
+        object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "r", r)
 
     @property

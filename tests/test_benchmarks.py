@@ -14,6 +14,7 @@ from mobilevel import (
     SolverConfig,
     UnsupportedProblemError,
     brute_force_min_norm,
+    brute_force_simplex_min,
     finite_diff_hypergrad,
     hypergrad_cg,
     lower_level_solve,
@@ -94,6 +95,30 @@ class TestQuadraticFamily:
                 implicit = problem.ul_grad_x(s, x, y_star) - problem.ll_jvp(x, y_star, v)
                 worst = max(worst, float(np.abs(implicit - analytic[:, s]).max()))
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim_x", True), ("dim_y", 2.0), ("num_objectives", np.True_),
+        ("num_objectives", 0), ("dim_y", 2.5),
+    ])
+    def test_rejects_bad_counts(self, field, value):
+        from dataclasses import replace
+
+        spec = QuadraticBilevelSpec.random(2, 2, 2, seed=0)
+        with pytest.raises(InvalidProblemError, match=f"{field} must be an integer"):
+            replace(spec, **{field: value})
+
+    @pytest.mark.parametrize("args, field", [
+        ((2.5, 2, 2, 0), "dim_x"), ((2, True, 2, 0), "dim_y"),
+        ((2, 2, 0, 0), "num_objectives"), ((2, 2, 2, 1.5), "seed"),
+        ((2, 2, 2, -1), "seed"),
+    ])
+    def test_random_rejects_bad_counts(self, args, field):
+        with pytest.raises(InvalidProblemError, match=f"{field} must be an integer"):
+            QuadraticBilevelSpec.random(*args)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = QuadraticBilevelSpec.random(np.int64(2), 3, np.int32(2), seed=np.uint8(1))
+        assert (spec.dim_x, spec.dim_y, spec.num_objectives) == (2, 3, 2)
 
     def test_non_spd_hessian_rejected(self):
         # Eigenvalues of [[1, 2], [2, 1]] are 3 and -1 (direct computation).
@@ -295,7 +320,9 @@ class TestHypercleaningToy:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("feature_dim", 0), ("n_train", 0), ("n_val", 0), ("seed", -1)],
+        [("feature_dim", 0), ("n_train", 0), ("n_val", 0), ("seed", -1),
+         ("feature_dim", True), ("n_train", 2.5), ("n_val", np.float64(3.0)),
+         ("seed", 1.5), ("seed", False)],
     )
     def test_rejects_bad_sizes_and_seed(self, field, value):
         sizes = dict(feature_dim=3, n_train=10, n_val=10, seed=0)
@@ -443,11 +470,33 @@ class TestFiniteDifferenceOracle:
         with pytest.raises(ValueError):
             finite_diff_hypergrad(problem, np.zeros(2), 0, h=0.0)
 
+    @pytest.mark.parametrize("h", [-1e-5, math.nan, math.inf])
+    def test_rejects_step_outside_positive_reals(self, h):
+        problem, _ = make_quadratic(QuadraticBilevelSpec.random(2, 2, 1, seed=17))
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            finite_diff_hypergrad(problem, np.zeros(2), 0, h=h)
+
     def test_nonconvergent_lower_solve_raises(self):
         spec = QuadraticBilevelSpec.random(2, 2, 1, seed=18)
         problem, _ = make_quadratic(spec)
         with pytest.raises(OracleFailureError):
             finite_diff_hypergrad(problem, np.zeros(2), 0, max_ll_iters=1)
+
+
+class TestBruteForceSimplexMin:
+    @staticmethod
+    def _objective(grid):
+        return ((grid - np.array([0.3, 0.7])) ** 2).sum(axis=1)
+
+    @pytest.mark.parametrize("resolution", [1.0, 0.1, 1e-4])
+    def test_resolution_in_range_accepted(self, resolution):
+        best, value = brute_force_simplex_min(self._objective, 2, resolution)
+        assert value == pytest.approx(float(self._objective(best[None, :])[0]))
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, 2.0, np.nextafter(1.0, 2.0)])
+    def test_resolution_outside_unit_interval_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution must lie in"):
+            brute_force_simplex_min(self._objective, 2, resolution)
 
 
 class TestBruteForceMinNorm:

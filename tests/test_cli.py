@@ -240,6 +240,17 @@ pattern = uniform
                          "--set", f"output.run_json={out}/run.json"]) == 0
         assert json.loads((out / "run.json").read_text())["iterations"] == 2
 
+    def test_readme_library_example_runs(self, capsys):
+        # The Python block in the README runs as written.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["trace"].termination == "completed"
+        assert namespace["plain"].config.u == 0.0
+        assert len(namespace["sweep"]) == 2
+        assert capsys.readouterr().out.count("\n") == 1
+
     def test_readme_schema_table_matches_schema(self):
         # The README's table lists each (section, family, key) of _SCHEMA
         # exactly once; "all" is the family None.

@@ -66,6 +66,11 @@ class TestPreference:
         with pytest.raises(ValueError, match="outside"):
             pattern(size, index)
 
+    @pytest.mark.parametrize("size", [0, -1, 2.5, True])
+    def test_uniform_rejects_size_below_one(self, size):
+        with pytest.raises(ValueError, match="an integer of at least 1"):
+            Preference.uniform(size)
+
     def test_immutable(self):
         r = Preference(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):

@@ -453,11 +453,11 @@ class TestBuildMatrix:
                               beta=0.1, eta=0.1)
         x = np.array([0.5, -0.5, 1.0])
         y_d = lower_level_solve(problem, x, np.zeros(4), 30, config.alpha)
-        matrix, warm = build_hypergradient_matrix(problem, x, [y_d], config, [None])
+        grads, phi, warm = build_hypergradient_matrix(problem, x, [y_d], config, [None])
         grad, v = hypergrad_cg(problem, x, y_d, 0, None, 4)
-        np.testing.assert_array_equal(matrix.grads[:, 0], grad)
+        np.testing.assert_array_equal(grads[:, 0], grad)
         np.testing.assert_array_equal(warm[0], v)
-        assert matrix.phi_values[0] == problem.ul_value(0, x, y_d)
+        assert phi[0] == problem.ul_value(0, x, y_d)
 
     def test_three_objectives_match_analytic(self):
         spec = QuadraticBilevelSpec.random(4, 5, 3, seed=3, hessian_scale=0.25)
@@ -466,10 +466,10 @@ class TestBuildMatrix:
                               beta=0.1, eta=0.1)
         x = np.array([1.0, 0.2, -0.7, 0.4])
         y_d = lower_level_solve(problem, x, np.zeros(5), 200, config.alpha)
-        matrix, _ = build_hypergradient_matrix(problem, x, [y_d], config, [None] * 3)
+        grads, _, _ = build_hypergradient_matrix(problem, x, [y_d], config, [None] * 3)
         analytic = problem.reference.grad_phi(x)
         for s in range(3):
-            rel = np.linalg.norm(matrix.grads[:, s] - analytic[:, s])
+            rel = np.linalg.norm(grads[:, s] - analytic[:, s])
             rel /= np.linalg.norm(analytic[:, s])
             assert rel <= 1e-6
 
@@ -482,11 +482,11 @@ class TestBuildMatrix:
                               beta=0.1, eta=alpha)
         x = np.array([0.8, -0.1, 0.6])
         y_d = lower_level_solve(problem, x, np.zeros(4), 200, alpha)
-        det_matrix, _ = build_hypergradient_matrix(problem, x, [y_d], config, [None] * 2)
+        det_grads, det_phi, _ = build_hypergradient_matrix(problem, x, [y_d], config, [None] * 2)
         rng = np.random.default_rng(0)
         sizes = neumann_batch_sizes(config.B, config.Q, config.eta, constants.mu_g)
-        st_matrix = build_hypergradient_matrix_stochastic(
+        st_grads, st_phi = build_hypergradient_matrix_stochastic(
             stochastic, x, y_d, config, rng, sizes
         )
-        assert np.abs(st_matrix.grads - det_matrix.grads).max() <= 1e-4
-        np.testing.assert_allclose(st_matrix.phi_values, det_matrix.phi_values, atol=1e-12)
+        assert np.abs(st_grads - det_grads).max() <= 1e-4
+        np.testing.assert_allclose(st_phi, det_phi, atol=1e-12)

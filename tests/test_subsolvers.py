@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from mobilevel import subsolvers
 from mobilevel import (
-    HypergradientMatrix,
     NumericalBreakdownError,
     SimplexWeights,
     WcSolverError,
@@ -271,45 +270,92 @@ def column_matrices(draw):
     return cols
 
 
-class TestHypergradientMatrix:
-    def test_leaves_caller_arrays_writable(self):
-        # The matrix freezes copies; the caller's arrays stay its own.
-        grads, phi = np.ones((3, 2)), np.zeros(2)
-        matrix = HypergradientMatrix(grads, phi)
-        grads[0, 0], phi[0] = 2.0, 5.0
-        assert matrix.grads[0, 0] == 1.0 and matrix.phi_values[0] == 0.0
-        assert not (matrix.grads.flags.writeable or matrix.phi_values.flags.writeable)
+@st.composite
+def columns_with_one_non_finite(draw):
+    """p-by-S columns, p 1-200 and S 1-5, each at its own scale 10^e with e
+    in [-100, 100] and, in some, half the entries zero, with one NaN, +inf
+    or -inf at any position."""
+    p = draw(st.integers(1, 200))
+    s = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = draw(st.lists(st.floats(-100.0, 100.0), min_size=s, max_size=s))
+    cols = rng.standard_normal((p, s)) * 10.0 ** np.array(exponents)
+    if draw(st.booleans()):
+        # Zeros make inf * 0 in the off-diagonal products.
+        cols[rng.random((p, s)) < 0.5] = 0.0
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    cols[draw(st.integers(0, p - 1)), draw(st.integers(0, s - 1))] = bad
+    return cols
 
 
 class TestWcSubproblem:
+    def test_leaves_caller_arrays_writable(self):
+        # The subproblem freezes its own phi and Gram; the caller's arrays
+        # stay its own.
+        grads, phi = np.ones((3, 2)), np.zeros(2)
+        sp = WcSubproblem(grads, phi, np.full(2, 0.5), 0.0)
+        grads[0, 0], phi[0] = 2.0, 5.0
+        assert sp.gram[0, 0] == 3.0 and sp.phi[0] == 0.0
+        assert not (sp.gram.flags.writeable or sp.phi.flags.writeable)
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(column_matrices())
     def test_column_gram_is_symmetric_psd(self, cols):
-        # The symmetry and eigenvalue checks the constructor no longer makes,
+        # The symmetry and eigenvalue checks the constructor does not make,
         # at their tolerances: a finite Gram of finite columns passes both.
-        gram = HypergradientMatrix(cols, np.zeros(cols.shape[1])).gram()
+        s = cols.shape[1]
+        gram = WcSubproblem(cols, np.zeros(s), np.ones(s), 0.0).gram
         assert np.isfinite(gram).all()
         scale = max(1.0, float(np.abs(gram).max()))
         assert float(np.abs(gram - gram.T).max()) <= 1e-10 * scale
         assert float(np.linalg.eigvalsh(gram).min()) >= -1e-10 * scale
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(columns_with_one_non_finite())
+    def test_any_non_finite_entry_is_a_breakdown(self, cols):
+        # The Gram's diagonal holds the columns' sums of squares, so one bad
+        # entry anywhere makes it non-finite; no warning is raised first.
+        s = cols.shape[1]
+        with pytest.raises(NumericalBreakdownError, match="Gram matrix is not finite"):
+            WcSubproblem(cols, np.zeros(s), np.full(s, 1.0 / s), 0.0)
+
     def test_overflowing_gram_is_a_breakdown(self):
         # Finite columns whose Gram overflows to inf on the diagonal.
         cols = np.array([[1e160, 1.0], [2.0, -1e160]])
-        matrix = HypergradientMatrix(cols, np.zeros(2))
-        with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError):
-            WcSubproblem(matrix, np.full(2, 0.5), 0.0)
+        with pytest.raises(NumericalBreakdownError, match="Gram matrix is not finite"):
+            WcSubproblem(cols, np.zeros(2), np.full(2, 0.5), 0.0)
+
+    def test_non_finite_phi_is_a_breakdown(self):
+        with pytest.raises(NumericalBreakdownError, match="phi are not finite"):
+            WcSubproblem(np.eye(2), np.array([0.0, np.nan]), np.full(2, 0.5), 0.0)
+
+    @pytest.mark.parametrize("grads, phi, message", [
+        (np.ones(2), np.zeros(2), "2-d"),
+        (np.ones((1, 2, 2)), np.zeros(2), "2-d"),
+        (np.eye(2), np.zeros(3), "phi must have one entry"),
+        (np.eye(2), np.zeros((2, 1)), "phi must have one entry"),
+    ])
+    def test_rejects_malformed_columns_and_phi(self, grads, phi, message):
+        with pytest.raises(ValueError, match=message):
+            WcSubproblem(grads, phi, np.full(2, 0.5), 0.0)
 
     @pytest.mark.parametrize("r", [np.ones(1), np.full(3, 1 / 3), np.full((2, 1), 0.5)])
     def test_rejects_r_of_wrong_length(self, r):
-        matrix = HypergradientMatrix(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError, match="one entry per hypergradient column"):
-            WcSubproblem(matrix, r, 0.0)
+            WcSubproblem(np.eye(2), np.zeros(2), r, 0.0)
+
+    def test_accepts_zero_u(self):
+        assert WcSubproblem(np.eye(2), np.zeros(2), np.full(2, 0.5), 0.0).u == 0.0
+
+    @pytest.mark.parametrize("u", [np.nan, np.inf, -1e-300])
+    def test_rejects_u_outside_range(self, u):
+        with pytest.raises(ValueError, match="u must be nonnegative and finite"):
+            WcSubproblem(np.eye(2), np.zeros(2), np.full(2, 0.5), u)
 
 
 class TestSolveWcSubproblem:
     def test_single_objective_trivial(self):
-        sp = WcSubproblem(HypergradientMatrix(np.array([[2.0]]), np.array([9.0])),
+        sp = WcSubproblem(np.array([[2.0]]), np.array([9.0]),
                           np.ones(1), 3.0)
         lam, residual = solve_wc_subproblem(sp)
         np.testing.assert_allclose(lam.lam, [1.0])
@@ -319,7 +365,7 @@ class TestSolveWcSubproblem:
         # Columns (1,0) and (0,2): minimize (0.5 a)^2 + 4 (0.5 (1-a))^2
         # over a, giving a = 0.8; direction (0.4, 0.2).
         cols = np.array([[1.0, 0.0], [0.0, 2.0]])
-        sp = WcSubproblem(HypergradientMatrix(cols, np.zeros(2)), np.full(2, 0.5), 0.0)
+        sp = WcSubproblem(cols, np.zeros(2), np.full(2, 0.5), 0.0)
         lam, residual = solve_wc_subproblem(sp)
         np.testing.assert_allclose(lam.lam, [0.8, 0.2], atol=1e-9)
         d = cols @ (np.full(2, 0.5) * lam.lam)
@@ -333,7 +379,7 @@ class TestSolveWcSubproblem:
 
     def test_alignment_term_dominates(self):
         # Large u selects the objective with the largest r_s * phi_s.
-        sp = WcSubproblem(HypergradientMatrix(np.eye(2), np.array([10.0, 1.0])),
+        sp = WcSubproblem(np.eye(2), np.array([10.0, 1.0]),
                           np.full(2, 0.5), 100.0)
         lam, _ = solve_wc_subproblem(sp)
         np.testing.assert_allclose(lam.lam, [1.0, 0.0], atol=1e-10)
@@ -349,7 +395,7 @@ class TestSolveWcSubproblem:
         rng = np.random.default_rng(21)
         for _ in range(10):
             cols = rng.standard_normal((5, s))
-            sp = WcSubproblem(HypergradientMatrix(cols, np.zeros(s)),
+            sp = WcSubproblem(cols, np.zeros(s),
                               np.full(s, 1.0 / s), 0.0)
             lam, _ = solve_wc_subproblem(sp)
             reference = brute_force_min_norm([cols[:, j] for j in range(s)])
@@ -360,7 +406,7 @@ class TestSolveWcSubproblem:
         # any vertex of the simplex.
         rng = np.random.default_rng(30)
         cols = rng.standard_normal((4, 3))
-        sp = WcSubproblem(HypergradientMatrix(cols, rng.uniform(0, 3, 3)),
+        sp = WcSubproblem(cols, rng.uniform(0, 3, 3),
                           np.array([0.5, 0.3, 0.2]), 2.0)
         start = np.array([1.0, 0.0, 0.0])
         lam, _ = solve_wc_subproblem(sp, warm_start=project_simplex(start))
@@ -377,8 +423,8 @@ class TestSolveWcSubproblem:
             cols = rng.standard_normal((4, 3))
             r = np.array([0.2, 0.5, 0.3])
             c = float(rng.uniform(0.5, 4.0))
-            sp1 = WcSubproblem(HypergradientMatrix(cols, np.zeros(3)), r, 0.0)
-            sp2 = WcSubproblem(HypergradientMatrix(c * cols, np.zeros(3)), r, 0.0)
+            sp1 = WcSubproblem(cols, np.zeros(3), r, 0.0)
+            sp2 = WcSubproblem(c * cols, np.zeros(3), r, 0.0)
             lam1, _ = solve_wc_subproblem(sp1)
             lam2, _ = solve_wc_subproblem(sp2)
             assert np.abs(lam1.lam - lam2.lam).max() <= 1e-6
@@ -393,7 +439,7 @@ class TestSolveWcSubproblem:
         for s in (2, 3):
             cols = rng.standard_normal((4, s))
             r = np.full(s, 1.0 / s)
-            sp = WcSubproblem(HypergradientMatrix(cols, np.zeros(s)), r, 0.0)
+            sp = WcSubproblem(cols, np.zeros(s), r, 0.0)
             lam, _ = solve_wc_subproblem(sp)
             d_norm = np.linalg.norm(cols @ (r * lam.lam))
             gram = cols.T @ cols
@@ -404,7 +450,7 @@ class TestSolveWcSubproblem:
             assert abs(d_norm * s - hull_min) <= 1e-4 * max(1.0, hull_min)
 
     def test_zero_gram_returns_warm_start(self):
-        sp = WcSubproblem(HypergradientMatrix(np.zeros((3, 3)), np.zeros(3)),
+        sp = WcSubproblem(np.zeros((3, 3)), np.zeros(3),
                           np.full(3, 1 / 3), 0.0)
         start = np.array([0.6, 0.3, 0.1])
         lam, residual = solve_wc_subproblem(sp, warm_start=project_simplex(start))
@@ -420,7 +466,7 @@ class TestSolveWcSubproblem:
         monkeypatch.setattr(subsolvers, "_face_step", stuck)
         # Columns e1, 2 e2 and e3 + e4: the Gram is diag(1, 4, 2).
         cols = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        sp = WcSubproblem(HypergradientMatrix(cols, np.zeros(3)), np.full(3, 1 / 3), 0.0)
+        sp = WcSubproblem(cols, np.zeros(3), np.full(3, 1 / 3), 0.0)
         start = np.array([0.1, 0.9, 0.0])
         with pytest.raises(WcSolverError) as info:
             solve_wc_subproblem(sp, warm_start=project_simplex(start))
@@ -434,7 +480,7 @@ class TestSolveWcSubproblem:
         rng = np.random.default_rng(34)
         for _ in range(20):
             cols = 1e3 * rng.standard_normal((5, 3))
-            sp = WcSubproblem(HypergradientMatrix(cols, rng.uniform(0, 10, 3)),
+            sp = WcSubproblem(cols, rng.uniform(0, 10, 3),
                               np.full(3, 1 / 3), 1.0)
             lam, residual = solve_wc_subproblem(sp)
             scale = 2.0 * np.abs(sp.scaled_gram()).max()
@@ -443,7 +489,7 @@ class TestSolveWcSubproblem:
     def test_opposed_columns_in_power_null_space(self):
         # Opposed columns of equal scaled norm: the all-ones vector lies in
         # the scaled Gram's null space.
-        sp = WcSubproblem(HypergradientMatrix(np.array([[1.0, -1.0]]), np.ones(2)),
+        sp = WcSubproblem(np.array([[1.0, -1.0]]), np.ones(2),
                           np.full(2, 0.5), 0.0)
         lam, residual = solve_wc_subproblem(sp, warm_start=project_simplex(np.array([0.9, 0.1])))
         np.testing.assert_allclose(lam.lam, [0.5, 0.5], atol=1e-12)
@@ -455,7 +501,7 @@ class TestSolveWcSubproblem:
         face_step = subsolvers._face_step
         monkeypatch.setattr(subsolvers, "_face_step",
                             lambda *args: calls.append(1) or face_step(*args))
-        sp = WcSubproblem(HypergradientMatrix(np.diag([1.0, 2.0]), np.zeros(2)),
+        sp = WcSubproblem(np.diag([1.0, 2.0]), np.zeros(2),
                           np.full(2, 0.5), 0.0)
         lam, residual = solve_wc_subproblem(sp, warm_start=project_simplex(np.array([0.8, 0.2])))
         np.testing.assert_array_equal(lam.lam, [0.8, 0.2])
@@ -472,7 +518,7 @@ class TestSolveWcSubproblem:
         project = subsolvers.project_simplex
         monkeypatch.setattr(subsolvers, "project_simplex",
                             lambda z: projections.append(1) or project(z))
-        sp = WcSubproblem(HypergradientMatrix(np.diag([1.0, 2.0]), np.zeros(2)),
+        sp = WcSubproblem(np.diag([1.0, 2.0]), np.zeros(2),
                           np.full(2, 0.5), 0.0)
         warm = SimplexWeights(np.array([0.8, 0.2]))
         lam, residual = solve_wc_subproblem(sp, warm_start=warm)
@@ -485,7 +531,7 @@ class TestSolveWcSubproblem:
     @pytest.mark.parametrize("start", [np.array([0.8, 0.2]), [0.8, 0.2]])
     def test_array_warm_start_rejected(self, start):
         # One start form: the caller projects an array with project_simplex.
-        sp = WcSubproblem(HypergradientMatrix(np.diag([1.0, 2.0]), np.zeros(2)),
+        sp = WcSubproblem(np.diag([1.0, 2.0]), np.zeros(2),
                           np.full(2, 0.5), 0.0)
         with pytest.raises(TypeError, match="SimplexWeights"):
             solve_wc_subproblem(sp, warm_start=start)
@@ -495,7 +541,7 @@ class TestSolveWcSubproblem:
         # optimum is interior, at (19/54, 1/12, 61/108), and its gradient
         # floor is above the absolute 1e-10.
         cols = np.array([[100.0, 300.0], [-300.0, -200.0], [-200.0, 0.0]]).T
-        sp = WcSubproblem(HypergradientMatrix(cols, np.array([300.0, 300.0, 400.0])),
+        sp = WcSubproblem(cols, np.array([300.0, 300.0, 400.0]),
                           np.array([0.3, 0.4, 0.3]), 50.0)
         lam, residual = solve_wc_subproblem(sp)
         np.testing.assert_allclose(lam.lam, [19 / 54, 1 / 12, 61 / 108], atol=1e-12)
@@ -526,7 +572,7 @@ def wc_instances(draw):
         st.lists(st.floats(-1.0, 2.0), min_size=s, max_size=s)
         .map(lambda z: project_simplex(np.array(z))),
     ))
-    sp = WcSubproblem(HypergradientMatrix(cols, phi), r / r.sum(), u)
+    sp = WcSubproblem(cols, phi, r / r.sum(), u)
     return sp, warm
 
 
