@@ -327,9 +327,14 @@ def make_hypercleaning_toy(
     The lower-level oracles keep the training set sample-major: features
     of shape (n_train, S, d) and labels of shape (n_train, S), both
     read-only and C-contiguous.  A batch is one ``take`` along axis 0 of
-    each, and of the logits ``x`` viewed as (n_train, S); the oracles read
-    the transposed views, which have the strides of ``x_train[:, idx, :]``
-    and ``t_train[:, idx]``.  ``einsum`` picks its summation order from the
+    each, and of the logits ``x`` viewed as (n_train, S), so the oracles
+    work on sample-major (b, S, d) features and (b, S) rows.  The gathered
+    logits and the model logits are stacked as the two rows of one
+    (2, b, S) buffer, so one in-place sigmoid turns them into the sample
+    weights and the model probabilities.  NumPy lays the fancy-indexed
+    ``x_train[:, idx, :]`` and ``t_train[:, idx]`` out sample-major as well
+    (as transposed views), so both batches have the same strides up to the
+    naming of the axes.  ``einsum`` picks its summation order from the
     strides, so every result is bitwise the one of the fancy-indexed batch
     (a C-contiguous (S, b, d) batch is summed in another order when d = 1).
     An oracle updates in place only arrays it created itself, never ``x``,
@@ -353,67 +358,69 @@ def make_hypercleaning_toy(
         return y.reshape(s_count, d)
 
     def _batch(x, w_all, idx):
-        """Features, labels, sample weights and model probabilities of a batch.
+        """Features (b, S, d), sample weights and model probabilities (b, S).
 
-        All four are new arrays; the caller may update them in place.
+        All three are new arrays; the caller may update them in place.
         """
-        features = x_rows.take(idx, axis=0).transpose(1, 0, 2)
-        sw = _sigmoid(x.reshape(s_count, n_tr).T.take(idx, axis=0).T)
-        mu = _sigmoid(np.einsum("sbd,sd->sb", features, w_all))
-        return features, t_rows.take(idx, axis=0).T, sw, mu
+        features = x_rows.take(idx, axis=0)
+        probs = np.empty((2, idx.size, s_count))
+        x.reshape(s_count, n_tr).T.take(idx, axis=0, out=probs[0])
+        np.einsum("bsd,sd->bs", features, w_all, out=probs[1])
+        _sigmoid(probs)
+        return features, probs[0], probs[1]
 
     def ll_grad_y(x, y, idx):
         w_all = _models(y)
-        features, labels, sw, mu = _batch(x, w_all, idx)
-        mu -= labels
+        features, sw, mu = _batch(x, w_all, idx)
+        mu -= t_rows.take(idx, axis=0)
         mu *= sw
-        grads = np.einsum("sb,sbd->sd", mu, features)
+        grads = np.einsum("bs,bsd->sd", mu, features)
         grads /= s_count * idx.size
         grads += reg * w_all
         return grads.reshape(dim_y)
 
     def ll_hvp(x, y, v, idx):
         v_all = _models(np.asarray(v, dtype=float))
-        features, _, curv, mu = _batch(x, _models(y), idx)
+        features, curv, mu = _batch(x, _models(y), idx)
         curv *= mu
         curv *= 1.0 - mu
-        curv *= np.einsum("sbd,sd->sb", features, v_all)
-        out = np.einsum("sb,sbd->sd", curv, features)
+        curv *= np.einsum("bsd,sd->bs", features, v_all)
+        out = np.einsum("bs,bsd->sd", curv, features)
         out /= s_count * idx.size
         out += reg * v_all
         return out.reshape(dim_y)
 
     def ll_jvp(x, y, v, idx):
         v_all = _models(np.asarray(v, dtype=float))
-        features, labels, contrib, mu = _batch(x, _models(y), idx)
+        features, contrib, mu = _batch(x, _models(y), idx)
         contrib *= 1.0 - contrib
-        mu -= labels
+        mu -= t_rows.take(idx, axis=0)
         contrib *= mu
-        contrib *= np.einsum("sbd,sd->sb", features, v_all)
+        contrib *= np.einsum("bsd,sd->bs", features, v_all)
         contrib /= s_count * idx.size
         out = np.zeros((s_count, n_tr))
-        out[:, idx] = contrib
+        out[:, idx] = contrib.T
         return out.reshape(dim_x)
 
-    def _val_loss_terms(s, y, idx):
-        w_s = _models(y)[s]
-        z = x_val[s, idx, :].dot(w_s)
-        t = t_val[s, idx]
-        # log(1 + exp(z)) - t z, computed stably
-        return np.logaddexp(0.0, z) - t * z
+    def _val_batch(s, y, idx):
+        """Features, labels and logits of validation batch ``idx`` of task ``s``."""
+        features = x_val[s].take(idx, axis=0)
+        return features, t_val[s].take(idx), features.dot(_models(y)[s])
 
     def ul_value(s, x, y, idx):
-        return float(np.mean(_val_loss_terms(s, y, idx)))
+        _, t, z = _val_batch(s, y, idx)
+        # log(1 + exp(z)) - t z, computed stably
+        return float(np.mean(np.logaddexp(0.0, z) - t * z))
 
     def ul_grad_x(s, x, y, idx):
         return np.zeros(dim_x)
 
     def ul_grad_y(s, x, y, idx):
-        w_s = _models(y)[s]
-        mu = _sigmoid(x_val[s, idx, :].dot(w_s))
-        grad = (mu - t_val[s, idx]).dot(x_val[s, idx, :]) / idx.size
+        features, t, mu = _val_batch(s, y, idx)
+        _sigmoid(mu)
+        mu -= t
         out = np.zeros((s_count, d))
-        out[s] = grad
+        out[s] = mu.dot(features) / idx.size
         return out.reshape(dim_y)
 
     # Smoothness bound: each logistic term contributes at most ||xi||^2/4

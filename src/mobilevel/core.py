@@ -107,6 +107,11 @@ def _frozen_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _require_size(size) -> None:
+    if not is_integer(size) or size < 1:
+        raise ValueError(f"preference size must be an integer of at least 1, not {size!r}")
+
+
 @dataclass(frozen=True)
 class Preference:
     """Strictly positive objective weights summing to one.
@@ -138,15 +143,15 @@ class Preference:
 
     @classmethod
     def uniform(cls, size: int) -> "Preference":
-        if not is_integer(size) or size < 1:
-            raise ValueError(f"preference size must be an integer of at least 1, not {size!r}")
+        _require_size(size)
         return cls(np.full(size, 1.0 / size))
 
     @classmethod
     def preferred(cls, size: int, index: int) -> "Preference":
         """Objective ``index`` weighted 0.8, the rest sharing 0.2 equally.
 
-        Raises ``ValueError`` for an ``index`` outside ``[0, size)``.
+        Raises ``ValueError`` unless ``size`` is an integer of at least 1
+        and ``index`` an integer in ``[0, size)``.
         """
         return cls._peaked(size, index, 0.8, 0.2)
 
@@ -154,7 +159,8 @@ class Preference:
     def extreme(cls, size: int, index: int) -> "Preference":
         """Objective ``index`` weighted 0.96, the rest sharing 0.04 equally.
 
-        Raises ``ValueError`` for an ``index`` outside ``[0, size)``.
+        Raises ``ValueError`` unless ``size`` is an integer of at least 1
+        and ``index`` an integer in ``[0, size)``.
         """
         return cls._peaked(size, index, 0.96, 0.04)
 
@@ -162,6 +168,9 @@ class Preference:
     def _peaked(cls, size: int, index: int, peak: float, rest: float) -> "Preference":
         # ``rest`` is passed, not derived as 1 - peak, whose rounding would
         # move every grid.
+        _require_size(size)
+        if not is_integer(index):
+            raise ValueError(f"preference index must be an integer, not {index!r}")
         if not 0 <= index < size:
             raise ValueError(f"preference index {index} outside [0, {size})")
         if size == 1:

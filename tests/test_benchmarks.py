@@ -268,6 +268,10 @@ def _reference_oracles(spec):
         out[:, idx] = contrib
         return out.reshape(-1)
 
+    def ul_value(s, x, y, idx):
+        z = x_val[s, idx, :] @ y.reshape(s_count, d)[s]
+        return float(np.mean(np.logaddexp(0.0, z) - t_val[s, idx] * z))
+
     def ul_grad_y(s, x, y, idx):
         w_s = y.reshape(s_count, d)[s]
         mu = sigmoid(x_val[s, idx, :] @ w_s)
@@ -275,7 +279,7 @@ def _reference_oracles(spec):
         out[s] = (mu - t_val[s, idx]) @ x_val[s, idx, :] / idx.size
         return out.reshape(-1)
 
-    return ll_grad_y, ll_hvp, ll_jvp, ul_grad_y
+    return ll_grad_y, ll_hvp, ll_jvp, ul_value, ul_grad_y
 
 
 @st.composite
@@ -336,7 +340,7 @@ class TestHypercleaningToy:
         # The inputs are read-only, so an in-place write to one raises.
         spec, (x_scale, y_scale, v_scale), (size, val_size), seed = case
         problem, _ = make_hypercleaning_toy(spec)
-        ref_grad, ref_hvp, ref_jvp, ref_ul_grad = _reference_oracles(spec)
+        ref_grad, ref_hvp, ref_jvp, ref_ul_value, ref_ul_grad = _reference_oracles(spec)
         rng = np.random.default_rng(seed)
         x = _read_only(x_scale * rng.standard_normal(problem.dim_x))
         y = _read_only(y_scale * rng.standard_normal(problem.dim_y))
@@ -353,6 +357,7 @@ class TestHypercleaningToy:
         assert np.array_equal(det.ll_hvp(x, y, v), ref_hvp(x, y, v, full))
         assert np.array_equal(det.ll_jvp(x, y, v), ref_jvp(x, y, v, full))
         for s in range(spec.num_objectives):
+            assert problem.ul_value(s, x, y, val) == ref_ul_value(s, x, y, val)
             assert np.array_equal(problem.ul_grad_y(s, x, y, val), ref_ul_grad(s, x, y, val))
 
     def test_curvature_floor_is_reg_weight(self, toy):

@@ -66,6 +66,21 @@ class TestPreference:
         with pytest.raises(ValueError, match="outside"):
             pattern(size, index)
 
+    @pytest.mark.parametrize("pattern", [Preference.preferred, Preference.extreme])
+    @pytest.mark.parametrize(
+        "size, index, message",
+        [(2.5, 0, "size must be an integer"), (True, 0, "size must be an integer"),
+         (0, 0, "size must be an integer"), (np.float64(3.0), 0, "size must be an integer"),
+         (3, 1.0, "index must be an integer"), (3, True, "index must be an integer"),
+         (3, np.float64(0.0), "index must be an integer")],
+    )
+    def test_pattern_rejects_non_integer_size_or_index(self, pattern, size, index, message):
+        with pytest.raises(ValueError, match=message):
+            pattern(size, index)
+
+    def test_pattern_accepts_numpy_integers(self):
+        assert np.array_equal(Preference.preferred(np.int64(2), np.int32(1)).r, [0.2, 0.8])
+
     @pytest.mark.parametrize("size", [0, -1, 2.5, True])
     def test_uniform_rejects_size_below_one(self, size):
         with pytest.raises(ValueError, match="an integer of at least 1"):
