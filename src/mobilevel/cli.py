@@ -410,8 +410,8 @@ def trace_csv_text(trace: RunTrace, s_count: int) -> str:
     lines = [",".join(header)]
     for rec in trace.records:
         row = [str(rec.k)]
-        row += [_fmt(v) for v in rec.phi]
-        row += [_fmt(v) for v in rec.weights.lam]
+        row += [_fmt(v) for v in rec.phi.tolist()]
+        row += [_fmt(v) for v in rec.weights.lam.tolist()]
         row.append(_fmt(rec.d_norm_sq))
         row.append("" if rec.true_d_norm_sq is None else _fmt(rec.true_d_norm_sq))
         counters = rec.counters

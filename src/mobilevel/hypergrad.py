@@ -60,8 +60,9 @@ def lower_level_solve(
     y = np.array(y_init, dtype=float)
     if trajectory is not None:
         trajectory.append(y)
+    ll_grad_y = oracles.ll_grad_y
     for t in range(1, steps + 1):
-        y = y - step_size * oracles.ll_grad_y(x, y)
+        y = y - step_size * ll_grad_y(x, y)
         if not all_finite(y):
             raise DivergenceError(f"lower-level iterate diverged at step {t}")
         if trajectory is not None:
@@ -252,11 +253,12 @@ def stochastic_lower_solve(
     if steps < 1:
         raise ValueError("steps must be at least 1")
     y = np.array(y_init, dtype=float)
+    ll_grad_y = oracles.ll_grad_y
     for first in range(0, steps, LL_BLOCK):
         block = min(LL_BLOCK, steps - first)
         batches = oracles.sample(LL_STEP, [batch_size] * block, rng)
         for t, batch in enumerate(batches, first + 1):
-            y = y - step_size * oracles.ll_grad_y(x, y, batch)
+            y = y - step_size * ll_grad_y(x, y, batch)
             if not all_finite(y):
                 raise DivergenceError(f"lower-level iterate diverged at step {t}")
     return y

@@ -103,12 +103,12 @@ def _run_loop(problem, config, estimator, weight_vec, x0, y0, advance) -> RunTra
             ) from exc
         y_prev = y
 
-        lam = weights.lam
-        direction = grads.dot(weight_vec * lam)
+        scaled_lam = weight_vec * weights.lam
+        direction = grads.dot(scaled_lam)
         d_norm_sq = float(direction.dot(direction))
         true_d_norm_sq = None
         if problem.reference is not None:
-            true_direction = problem.reference.grad_phi(x).dot(weight_vec * lam)
+            true_direction = problem.reference.grad_phi(x).dot(scaled_lam)
             true_d_norm_sq = float(true_direction.dot(true_direction))
         records.append(
             IterationRecord(

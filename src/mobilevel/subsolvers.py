@@ -22,6 +22,7 @@ from .core import (
 )
 
 KKT_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 # Random instances up to S = 12 certify within 3.5 face solves per weight.
 FACE_SOLVES_PER_WEIGHT = 10
 
@@ -52,6 +53,7 @@ def conjugate_gradient(
         raise NumericalBreakdownError("non-finite residual at iteration 0")
     rr = float(r.dot(r))
     p = r.copy()
+    last = applications - 1
     for i in range(applications):
         ap = apply_A(p)
         if not all_finite(ap):
@@ -65,7 +67,9 @@ def conjugate_gradient(
         rr_new = float(r.dot(r))
         if not math.isfinite(rr_new):
             raise NumericalBreakdownError(f"non-finite residual at iteration {i + 1}")
-        p = r + (rr_new / rr if rr > 0.0 else 0.0) * p
+        # The last update's direction would never be read.
+        if i < last:
+            p = r + (rr_new / rr if rr > 0.0 else 0.0) * p
         rr = rr_new
     return v, math.sqrt(rr)
 
@@ -101,11 +105,15 @@ class WcSubproblem:
     ``gram`` is the Gram ``grads.T @ grads`` of the p-by-S hypergradient
     columns, read-only and symmetric PSD by construction (its square root
     is never formed); ``phi`` is a read-only copy of their upper-level
-    values.  Raises ``ValueError`` unless ``grads`` is 2-d, ``phi`` and
-    ``r`` have one entry per column and ``0 <= u < inf``, and
-    :class:`NumericalBreakdownError` if ``phi`` or the Gram is not finite:
-    the Gram's diagonal holds the columns' sums of squares, so this also
-    catches every non-finite column entry.
+    values.  ``scaled_gram`` (``G`` scaled by ``r r'``) and ``linear_term``
+    (``u * r * phi``) are the read-only data of the QP in ``lam``, and
+    ``grad_scale`` is ``2 max|scaled_gram| + max|linear_term|``, a bound on
+    the objective gradient over the simplex.  Raises ``ValueError`` unless
+    ``grads`` is 2-d, ``phi`` and ``r`` have one entry per column and
+    ``0 <= u < inf``, and :class:`NumericalBreakdownError` if ``phi``, the
+    Gram or ``grad_scale`` is not finite: the Gram's diagonal holds the
+    columns' sums of squares, so this also catches every non-finite column
+    entry.
     """
 
     grads: InitVar[np.ndarray]
@@ -113,6 +121,9 @@ class WcSubproblem:
     r: np.ndarray
     u: float
     gram: np.ndarray = field(init=False)
+    scaled_gram: np.ndarray = field(init=False)
+    linear_term: np.ndarray = field(init=False)
+    grad_scale: float = field(init=False)
 
     def __post_init__(self, grads: np.ndarray):
         grads = np.asarray(grads, dtype=float)
@@ -128,41 +139,47 @@ class WcSubproblem:
             raise ValueError(f"u must be nonnegative and finite, not {self.u!r}")
         if not all_finite(phi):
             raise NumericalBreakdownError("upper-level values phi are not finite")
-        # A non-finite Gram is reported by the error below, not by a warning.
+        # Non-finite data are reported by the errors below, not by warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = grads.T @ grads
+            gram = grads.T.dot(grads)
+            scaled = gram * (r[:, None] * r)
+            lin = self.u * (r * phi)
         if not all_finite(gram.ravel()):
             raise NumericalBreakdownError("hypergradient Gram matrix is not finite")
-        gram.setflags(write=False)
-        phi.setflags(write=False)
+        # Python's abs and max are exact on finite entries (max may skip a NaN).
+        grad_scale = math.inf
+        if all_finite(scaled.ravel()) and all_finite(lin):
+            grad_scale = 2.0 * max(map(abs, scaled.ravel().tolist())) + max(map(abs, lin.tolist()))
+        if not math.isfinite(grad_scale):
+            raise NumericalBreakdownError("weight subproblem gradient scale is not finite")
+        for arr in (gram, phi, scaled, lin):
+            arr.setflags(write=False)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "scaled_gram", scaled)
+        object.__setattr__(self, "linear_term", lin)
+        object.__setattr__(self, "grad_scale", grad_scale)
 
     @property
     def size(self) -> int:
         return self.gram.shape[0]
 
-    def scaled_gram(self) -> np.ndarray:
-        return self.gram * np.outer(self.r, self.r)
-
-    def linear_term(self) -> np.ndarray:
-        return self.u * (self.r * self.phi)
-
     def objective(self, lam: np.ndarray) -> float:
-        m = self.scaled_gram()
-        return float(lam @ m @ lam - self.linear_term() @ lam)
+        return float(lam @ self.scaled_gram @ lam - self.linear_term @ lam)
 
 
 def _kkt_residual(grad: np.ndarray, lam: np.ndarray) -> float:
     """Distance from the simplex KKT conditions.
 
     Active coordinates must share a common multiplier; inactive ones must
-    sit at or above it.
+    sit at or above it.  Computed on Python floats: their ``min`` and
+    ``max`` equal NumPy's on arrays without NaN.
     """
-    g_active = grad[lam > 0.0]
-    base = float(g_active.min())
-    return max(float(g_active.max()) - base, base - float(grad.min()))
+    g = grad.tolist()
+    g_active = [gi for gi, li in zip(g, lam.tolist()) if li > 0.0]
+    base = min(g_active)
+    return max(max(g_active) - base, base - min(g))
 
 
 def _face_step(scaled: np.ndarray, grad: np.ndarray, free: np.ndarray,
@@ -187,7 +204,7 @@ def _face_step(scaled: np.ndarray, grad: np.ndarray, free: np.ndarray,
     curvature, vectors = np.linalg.eigh(basis.T @ (2.0 * scaled[np.ix_(idx, idx)]) @ basis)
     directions = basis @ vectors
     slope = directions.T @ grad[idx]
-    flat = curvature <= m * np.finfo(float).eps * curvature.max(initial=0.0)
+    flat = curvature <= m * _EPS * curvature.max(initial=0.0)
     ray = directions[:, flat] @ -slope[flat]
     reach = float(np.abs(ray).max(initial=0.0))
     step = np.zeros(grad.size)
@@ -231,10 +248,8 @@ def solve_wc_subproblem(
         )
     lam = warm_start.lam
 
-    scaled = sp.scaled_gram()
-    lin = sp.linear_term()
-    grad_scale = 2.0 * float(np.abs(scaled).max(initial=0.0)) + float(np.abs(lin).max(initial=0.0))
-    floor = 64.0 * np.finfo(float).eps * grad_scale
+    scaled, lin = sp.scaled_gram, sp.linear_term
+    floor = 64.0 * _EPS * sp.grad_scale
     certify_tol = max(KKT_TOL, floor)
 
     grad = 2.0 * scaled.dot(lam) - lin

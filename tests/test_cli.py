@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobilevel import (
+    IterationRecord,
+    OracleCounters,
     Preference,
     QuadraticBilevelSpec,
+    RunTrace,
+    SimplexWeights,
     SolverConfig,
     SweepEntry,
     SweepResult,
@@ -62,6 +66,25 @@ run_json = {out}/run.json
 def quadratic_config(tmp_path):
     out = tmp_path / "out"
     return write_config(tmp_path / "run.ini", QUADRATIC_CONFIG.format(out=out)), out
+
+
+class TestTraceCsvText:
+    def test_special_values_render_as_numpy_scalars(self):
+        # The rows format Python floats; each field must read as _fmt of the
+        # NumPy scalar: signed zero, the smallest subnormal, the largest
+        # float and a value with no short binary form.
+        phi = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
+        lam = np.array([-0.0, 5e-324, 0.1, 0.9])
+        record = IterationRecord(
+            k=0, phi=phi, weights=SimplexWeights(lam), d_norm_sq=0.1,
+            counters=OracleCounters(), gram=np.eye(4), true_d_norm_sq=None,
+        )
+        trace = RunTrace((record,), np.zeros(1), np.zeros(1), "completed", SolverConfig(), "cg")
+        fields = cli.trace_csv_text(trace, 4).splitlines()[1].split(",")
+        assert fields[1:9] == [cli._fmt(v) for v in (*phi, *lam)]
+        assert fields[1:9] == ["-0", "4.9406564584124654e-324", "1.7976931348623157e+308",
+                               "0.10000000000000001", "-0", "4.9406564584124654e-324",
+                               "0.10000000000000001", "0.90000000000000002"]
 
 
 class TestCmdRun:

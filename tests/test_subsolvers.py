@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,61 @@ class TestConjugateGradient:
         assert len(calls) == budget
         assert np.isfinite(v).all() and np.isfinite(res)
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_kernel_bitwise(self, data):
+        # The kernel against the textbook recurrence, which also forms the
+        # direction after the last update: zero and warm starts, zero
+        # right-hand sides (the rr == 0 branch from a zero start) and
+        # budgets of 1 to 6, with exactly `applications` map calls each.
+        q = data.draw(st.integers(1, 8), label="q")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = 10.0 ** data.draw(st.floats(-3.0, 3.0), label="log10 scale") * rng.standard_normal((q, q))
+        a = m.T @ m + data.draw(st.sampled_from([1e-6, 1.0]), label="eps") * np.eye(q)
+        b = rng.standard_normal(q) if data.draw(st.booleans(), label="nonzero b") else np.zeros(q)
+        v0 = rng.standard_normal(q) if data.draw(st.booleans(), label="warm") else np.zeros(q)
+        budget = data.draw(st.integers(1, 6), label="applications")
+        calls, ref_calls = [], []
+
+        def apply_a(w):
+            calls.append(1)
+            return a.dot(w)
+
+        def ref_apply_a(w):
+            ref_calls.append(1)
+            return a.dot(w)
+
+        v, res = conjugate_gradient(apply_a, b, v0, budget)
+        ref_v, ref_res = reference_conjugate_gradient(ref_apply_a, b, v0, budget)
+        assert len(calls) == len(ref_calls) == budget
+        assert v.tobytes() == ref_v.tobytes()
+        assert np.float64(res).tobytes() == np.float64(ref_res).tobytes()
+
+
+def reference_conjugate_gradient(apply_A, b, v0, applications):
+    """CG with every direction update, the last one included, which the
+    kernel skips since nothing reads it; no finiteness checks (the maps
+    here stay finite)."""
+    b = np.asarray(b, dtype=float)
+    v = np.array(v0, dtype=float)
+    if v.any():
+        r = b - apply_A(v)
+        applications -= 1
+    else:
+        r = b.copy()
+    rr = float(r.dot(r))
+    p = r.copy()
+    for _ in range(applications):
+        ap = apply_A(p)
+        pap = float(p.dot(ap))
+        step = rr / pap if (pap > 0.0 and rr > 0.0) else 0.0
+        v += step * p
+        r -= step * ap
+        rr_new = float(r.dot(r))
+        p = r + (rr_new / rr if rr > 0.0 else 0.0) * p
+        rr = rr_new
+    return v, math.sqrt(rr)
+
 
 def bisection_threshold(z):
     """Sort-free reference: bisect on theta, where sum(max(z - theta, 0))
@@ -290,13 +347,14 @@ def columns_with_one_non_finite(draw):
 
 class TestWcSubproblem:
     def test_leaves_caller_arrays_writable(self):
-        # The subproblem freezes its own phi and Gram; the caller's arrays
-        # stay its own.
+        # The subproblem freezes its own phi, Gram and QP data; the caller's
+        # arrays stay its own.
         grads, phi = np.ones((3, 2)), np.zeros(2)
         sp = WcSubproblem(grads, phi, np.full(2, 0.5), 0.0)
         grads[0, 0], phi[0] = 2.0, 5.0
         assert sp.gram[0, 0] == 3.0 and sp.phi[0] == 0.0
-        assert not (sp.gram.flags.writeable or sp.phi.flags.writeable)
+        own = (sp.gram, sp.phi, sp.scaled_gram, sp.linear_term)
+        assert not any(arr.flags.writeable for arr in own)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(column_matrices())
@@ -351,6 +409,22 @@ class TestWcSubproblem:
     def test_rejects_u_outside_range(self, u):
         with pytest.raises(ValueError, match="u must be nonnegative and finite"):
             WcSubproblem(np.eye(2), np.zeros(2), np.full(2, 0.5), u)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cols, phi, r, u", [
+        # u * r * phi overflows in one entry: the old check certified any start.
+        (np.eye(3)[:, :2], [1e308, 1.0], [0.5, 0.5], 10.0),
+        # ... in both: the QP failed with a bare ValueError after warnings.
+        (np.eye(3)[:, :2], [1e308, 1e308], [0.5, 0.5], 10.0),
+        # A finite Gram whose doubled entry overflows.
+        (np.array([[1.2e154, 0.0], [0.0, 1.0]]), [0.0, 0.0], [1.0, 1.0], 0.0),
+        # r r' overflows beside a zero Gram entry: 0 * inf is NaN, which
+        # Python's max skips at any position but the first.
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), [0.0, 0.0], [1.0, 1e200], 0.0),
+    ])
+    def test_overflowing_gradient_scale_is_a_breakdown(self, cols, phi, r, u):
+        with pytest.raises(NumericalBreakdownError, match="gradient scale is not finite"):
+            WcSubproblem(cols, np.array(phi), np.array(r), u)
 
 
 class TestSolveWcSubproblem:
@@ -483,7 +557,7 @@ class TestSolveWcSubproblem:
             sp = WcSubproblem(cols, rng.uniform(0, 10, 3),
                               np.full(3, 1 / 3), 1.0)
             lam, residual = solve_wc_subproblem(sp)
-            scale = 2.0 * np.abs(sp.scaled_gram()).max()
+            scale = 2.0 * np.abs(sp.scaled_gram).max()
             assert residual <= max(1e-10, 64 * np.finfo(float).eps * scale)
 
     def test_opposed_columns_in_power_null_space(self):
@@ -545,7 +619,7 @@ class TestSolveWcSubproblem:
                           np.array([0.3, 0.4, 0.3]), 50.0)
         lam, residual = solve_wc_subproblem(sp)
         np.testing.assert_allclose(lam.lam, [19 / 54, 1 / 12, 61 / 108], atol=1e-12)
-        grad_max = 2.0 * np.abs(sp.scaled_gram()).max() + np.abs(sp.linear_term()).max()
+        grad_max = 2.0 * np.abs(sp.scaled_gram).max() + np.abs(sp.linear_term).max()
         assert residual <= 64 * np.finfo(float).eps * grad_max
 
 
@@ -585,8 +659,8 @@ class TestSolveWcSubproblemProperties:
         sp, warm = instance
         s = sp.size
         lam, residual = solve_wc_subproblem(sp, warm_start=warm)
-        scaled = sp.scaled_gram()
-        lin = sp.linear_term()
+        scaled = sp.scaled_gram
+        lin = sp.linear_term
         grad_max = 2.0 * np.abs(scaled).max() + np.abs(lin).max()
         certify_tol = max(1e-10, 64.0 * np.finfo(float).eps * grad_max)
         assert residual <= certify_tol
@@ -603,3 +677,101 @@ class TestSolveWcSubproblemProperties:
         value = sp.objective(lam.lam)
         assert value <= grid_min + 1e-12 * max(1.0, grad_max)
         assert value >= grid_min - slack
+
+
+def numpy_certification(gram, phi, r, u, lam):
+    """The warm-start certification written as NumPy expressions: (scaled
+    Gram, linear term, gradient scale, floor, KKT residual, certified)."""
+    scaled = gram * np.outer(r, r)
+    lin = u * (r * phi)
+    grad_scale = 2.0 * float(np.abs(scaled).max(initial=0.0)) + float(np.abs(lin).max(initial=0.0))
+    floor = 64.0 * np.finfo(float).eps * grad_scale
+    grad = 2.0 * scaled.dot(lam) - lin
+    g_active = grad[lam > 0.0]
+    base = float(g_active.min())
+    residual = max(float(g_active.max()) - base, base - float(grad.min()))
+    return scaled, lin, grad_scale, floor, residual, residual <= max(1e-10, floor)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@st.composite
+def certification_cases(draw):
+    """Columns for 1 to 8 weights (a zero column included) with Grams at
+    scales from 1e-150 to 1e150, u = 0 or u > 0, and weights with zeros.
+    With u > 0, phi may instead be set so that the residual is near the
+    certification tolerance, on either side of it."""
+    s = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 6))
+    entry = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    cols = np.array(draw(st.lists(st.lists(entry, min_size=s, max_size=s),
+                                  min_size=rows, max_size=rows)))
+    if draw(st.booleans()):
+        cols[:, draw(st.integers(0, s - 1))] = 0.0
+    cols = cols * 10.0 ** draw(st.floats(-75.0, 75.0))
+    r = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=s, max_size=s)))
+    r = np.ones(s) if draw(st.booleans()) else r / r.sum()
+    u = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    phi = np.array(draw(st.lists(entry, min_size=s, max_size=s)))
+    phi = phi * 10.0 ** draw(st.floats(-150.0, 150.0))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                            min_size=s, max_size=s))
+    weights[draw(st.integers(0, s - 1))] = draw(st.floats(1e-3, 1.0))
+    lam = np.array(weights) / sum(weights)
+    warm = SimplexWeights(lam)
+    if u > 0.0 and draw(st.booleans()):
+        # Aim every gradient at 0 except the first active one at t and the
+        # inactive ones at -t, so the residual is about t.
+        gram = cols.T @ cols
+        g0 = 2.0 * (gram * np.outer(r, r)).dot(warm.lam)
+        tol = max(1e-10, 64.0 * np.finfo(float).eps * (2.0 * np.abs(gram * np.outer(r, r)).max()
+                                                         + np.abs(g0).max()))
+        t = draw(st.floats(0.5, 2.0)) * tol
+        target = np.where(warm.lam > 0.0, 0.0, -t)
+        target[np.flatnonzero(warm.lam)[0]] = t
+        phi = (g0 - target) / (u * r)
+    return cols, phi, r, u, warm
+
+
+class TestLeanCertification:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(certification_cases())
+    def test_matches_numpy_formulas_bitwise(self, case):
+        cols, phi, r, u, warm = case
+        sp = WcSubproblem(cols, phi, r, u)
+        scaled, lin, grad_scale, floor, residual, certified = numpy_certification(
+            sp.gram, sp.phi, sp.r, u, warm.lam)
+        assert same_bits(sp.scaled_gram, scaled) and same_bits(sp.linear_term, lin)
+        assert same_bits(sp.grad_scale, grad_scale)
+        assert same_bits(64.0 * subsolvers._EPS * sp.grad_scale, floor)
+        grad = 2.0 * sp.scaled_gram.dot(warm.lam) - sp.linear_term
+        assert same_bits(subsolvers._kkt_residual(grad, warm.lam), residual)
+        try:
+            lam, lean_residual = solve_wc_subproblem(sp, warm_start=warm)
+        except WcSolverError:
+            assert not certified
+            return
+        assert (lam is warm) == certified
+        if certified:
+            assert same_bits(lean_residual, residual)
+
+    def test_both_sides_of_the_tolerance(self):
+        # Zero columns and phi = (a, a + k ulp): the residual climbs one ulp
+        # of u * r * phi per step through the floor 64 eps * max|u r phi|.
+        a = 1e8
+        outcomes = []
+        for k in range(150):
+            phi = np.array([a, a + k * math.ulp(a)])
+            sp = WcSubproblem(np.zeros((2, 2)), phi, np.full(2, 0.5), 1.0)
+            warm = SimplexWeights(np.full(2, 0.5))
+            *_, residual, certified = numpy_certification(sp.gram, sp.phi, sp.r, 1.0, warm.lam)
+            lam, lean_residual = solve_wc_subproblem(sp, warm_start=warm)
+            assert (lam is warm) == certified
+            if certified:
+                assert same_bits(lean_residual, residual)
+            outcomes.append(certified)
+        # Certified up to the boundary, not past it.
+        assert outcomes[0] and not outcomes[-1]
+        assert outcomes == sorted(outcomes, reverse=True)
