@@ -49,7 +49,6 @@ from .hypergrad import (
     hypergrad_cg,
     hypergrad_ns,
     lower_level_solve,
-    neumann_batch_sizes,
     stochastic_hvp_neumann,
 )
 from .optimizer import (

@@ -511,12 +511,8 @@ def _simplex_grid(s: int, step: float) -> np.ndarray:
 
 
 def _local_simplex_grid(center: np.ndarray, step: float, width: float) -> np.ndarray:
-    """Grid over the simplex patch within ``width`` of ``center``."""
-    s = center.size
+    """Grid over the patch of the 3-weight simplex within ``width`` of ``center``."""
     offsets = np.arange(-width, width + step / 2, step)
-    if s == 2:
-        a = np.clip(center[0] + offsets, 0.0, 1.0)
-        return np.column_stack([a, 1.0 - a])
     a, b = np.meshgrid(
         np.clip(center[0] + offsets, 0.0, 1.0),
         np.clip(center[1] + offsets, 0.0, 1.0),
@@ -534,7 +530,8 @@ def brute_force_simplex_min(
 ) -> tuple[np.ndarray, float]:
     """Grid minimizer of a vectorized convex objective over the simplex.
 
-    ``objective`` maps an (n, S) array of weights to n values.  A full
+    ``objective`` maps an (n, S) array of weights to n values.  One or two
+    weights are enumerated at spacing ``resolution``.  For three, a full
     coarse grid (spacing 0.01) is refined tenfold around the incumbent until
     the spacing reaches ``resolution``; for a convex objective a refinement
     window a few coarse cells wide contains the continuous minimizer.
@@ -544,7 +541,7 @@ def brute_force_simplex_min(
         raise ValueError(f"resolution must lie in (0, 1], not {resolution!r}")
     if s > 3:
         raise UnsupportedProblemError("grid enumeration supports at most 3 weights")
-    step = max(resolution, 0.01 if s == 3 else min(0.01, resolution))
+    step = max(resolution, 0.01) if s == 3 else resolution
     grid = _simplex_grid(s, step)
     values = objective(grid)
     best = grid[int(np.argmin(values))]

@@ -390,8 +390,7 @@ def _criterion_7():
     h_inv_v = np.linalg.solve(hessian, v0)
     for q_steps in (10, 20, 40):
         batches = [carrier.full_batch(HESSIAN)] * q_steps
-        out = stochastic_hvp_neumann(carrier, np.zeros(1), np.zeros(3),
-                                     v0, q_steps, eta, batches)
+        out = stochastic_hvp_neumann(carrier, np.zeros(1), np.zeros(3), v0, eta, batches)
         series = eta * sum(
             np.linalg.matrix_power(np.eye(3) - eta * hessian, m) @ v0
             for m in range(q_steps + 1)

@@ -52,10 +52,6 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-class ConfigFileError(Exception):
-    """Raised for malformed or semantically invalid config files."""
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -85,7 +81,7 @@ def _find_line(
 
 def _config_error(
     parser: configparser.ConfigParser, path: str, section: str, key: Optional[str], message: str
-) -> ConfigFileError:
+) -> ConfigurationError:
     """Error at the ``--set`` that gave the key its value (or added the
     section), else at its file line."""
     override = parser.overrides.get((section, key))
@@ -95,7 +91,7 @@ def _config_error(
         lineno = _find_line(parser, path, section, key)
         where = f"{path}:{lineno}" if lineno else path
     field = f"[{section}] {key}" if key else f"[{section}]"
-    return ConfigFileError(f"{where}: {field}: {message}")
+    return ConfigurationError(f"{where}: {field}: {message}")
 
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.ConfigParser:
@@ -110,16 +106,16 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> configparser.Config
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
-        raise ConfigFileError(f"cannot read config: {exc}") from exc
+        raise ConfigurationError(f"cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigFileError(f"{path}: not valid UTF-8: {exc}") from exc
+        raise ConfigurationError(f"{path}: not valid UTF-8: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigFileError(f"{path}: {exc}") from exc
+        raise ConfigurationError(f"{path}: {exc}") from exc
     for item in overrides:
         target, equals, value = item.partition("=")
         section, dot, key = (part.strip() for part in target.partition("."))
         if not (equals and dot and section and key):
-            raise ConfigFileError(f"override '{item}' is not of the form section.key=value")
+            raise ConfigurationError(f"override '{item}' is not of the form section.key=value")
         if not parser.has_section(section):
             parser.add_section(section)
             parser.overrides[section, None] = item
@@ -494,7 +490,7 @@ def cmd_run(args) -> int:
             _write_text(trace_path, trace_csv_text(failure.trace, problem.num_objectives))
         print(f"run failed: {failure}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ConfigurationError, ConfigFileError) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     elapsed = time.perf_counter() - started
@@ -526,22 +522,24 @@ def parse_grid(spec: str, s_count: int) -> list:
     spec = spec.strip()
     if spec in _PATTERNS:
         return _PATTERNS[spec](s_count)
+    # Raised outside the try below, which wraps the parsers' ValueErrors
+    # (ConfigurationError is one).
+    if spec.startswith("r1=") and s_count != 2:
+        raise ConfigurationError("'r1=' grids need a two-objective problem")
+    if not spec.startswith(("r1=", "list:")):
+        raise ConfigurationError(f"unrecognized grid spec '{spec}'")
     try:
         if spec.startswith("r1="):
-            if s_count != 2:
-                raise ConfigFileError("'r1=' grids need a two-objective problem")
             prefs = [Preference(np.array([v, 1.0 - v])) for v in _parse_vector(spec[3:])]
-        elif spec.startswith("list:"):
-            prefs = [_preference(chunk) for chunk in spec[5:].split(";") if chunk.strip()]
         else:
-            raise ConfigFileError(f"unrecognized grid spec '{spec}'")
+            prefs = [_preference(chunk) for chunk in spec[5:].split(";") if chunk.strip()]
     except ValueError as exc:
-        raise ConfigFileError(f"grid '{spec}': {exc}") from exc
+        raise ConfigurationError(f"grid '{spec}': {exc}") from exc
     if not prefs:
-        raise ConfigFileError("empty preference list")
+        raise ConfigurationError("empty preference list")
     for pref in prefs:
         if len(pref) != s_count:
-            raise ConfigFileError(
+            raise ConfigurationError(
                 f"grid '{spec}': expected {s_count} weights per preference, got {len(pref)}"
             )
     return prefs
@@ -549,8 +547,8 @@ def parse_grid(spec: str, s_count: int) -> list:
 
 def sweep_summary_text(result, s_count: int) -> str:
     """The sweep summary CSV: one row per preference, in grid order, with
-    its final phi and d_norm_sq and status ``ok``, or empty values and
-    status ``failed``."""
+    its final phi and d_norm_sq and status ``ok`` (empty values for an
+    empty run, K = 0), or empty values and status ``failed``."""
     header = (
         [f"r_{i + 1}" for i in range(s_count)]
         + [f"phi_{i + 1}" for i in range(s_count)]
@@ -558,11 +556,11 @@ def sweep_summary_text(result, s_count: int) -> str:
     )
     lines = [",".join(header)]
     for entry in result.entries:
+        phi, d_norm_sq = entry.final_phi, entry.final_d_norm_sq
         row = [_fmt(v) for v in entry.preference.r]
-        if entry.error is None:
-            row += [_fmt(v) for v in entry.final_phi] + [_fmt(entry.final_d_norm_sq), "ok"]
-        else:
-            row += [""] * s_count + ["", "failed"]
+        row += [""] * s_count if phi is None else [_fmt(v) for v in phi]
+        status = "ok" if entry.error is None else "failed"
+        row += ["" if d_norm_sq is None else _fmt(d_norm_sq), status]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -579,10 +577,10 @@ def cmd_sweep(args) -> int:
         output = _values(parser, args.config, "output")
         summary_path, traces_dir = output["summary_csv"], output["traces_dir"]
         if kind != "deterministic":
-            raise ConfigFileError("sweeps need a deterministic problem")
+            raise ConfigurationError("sweeps need a deterministic problem")
         started = time.perf_counter()
         result = pareto_sweep(problem, config, preferences, x0, y0)
-    except (ConfigurationError, ConfigFileError) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     elapsed = time.perf_counter() - started

@@ -297,7 +297,8 @@ class SolverConfig:
         self, constants: Optional[ProblemConstants], r_max: float = 1.0
     ) -> "SolverConfig":
         """Fill missing step sizes from problem constants, or fail loudly for
-        ``alpha`` and ``beta``; ``validate_stochastic`` checks ``eta``."""
+        ``alpha`` and ``beta``; ``validate_stochastic`` checks ``eta`` and
+        returns the stochastic loop's Hessian batch sizes."""
         alpha, beta, eta = self.alpha, self.beta, self.eta
         if alpha is None and constants is not None:
             alpha = constants.default_ll_step()
@@ -313,21 +314,30 @@ class SolverConfig:
             )
         return replace(self, alpha=alpha, beta=beta, eta=eta)
 
-    def validate_stochastic(self, mu_g: float) -> None:
-        """Check that ``eta * mu_g`` lies in (0, 1] and then the
-        shrinking-batch feasibility bound B*Q*(1-eta*mu_g)^(Q-1) >= 1."""
+    def validate_stochastic(self, mu_g: float) -> list:
+        """The stochastic loop's Hessian batch sizes: ``Q`` sizes
+        ``ceil(B*Q*(1-eta*mu_g)^(Q-i))`` for i = 1..Q (Ghadimi & Wang, 2018),
+        the last applied first in the Neumann recursion.
+
+        Raises :class:`ConfigurationError` unless ``eta * mu_g`` lies in
+        (0, 1] and the smallest size before rounding up,
+        B*Q*(1-eta*mu_g)^(Q-1), is at least 1."""
         if self.eta is None:
             raise ConfigurationError(
                 "step size not set and not derivable from problem constants: eta"
             )
         if not (0.0 < self.eta * mu_g <= 1.0):
             raise ConfigurationError("eta * mu_g must lie in (0, 1]")
-        floor = self.B * self.Q * (1.0 - self.eta * mu_g) ** (self.Q - 1)
+        decay = 1.0 - self.eta * mu_g
+        floor = self.B * self.Q * decay ** (self.Q - 1)
         if floor < 1.0:
             raise ConfigurationError(
                 f"B*Q*(1-eta*mu_g)^(Q-1) = {floor:g} < 1; "
                 "increase B or Q, or decrease eta"
             )
+        return [
+            math.ceil(self.B * self.Q * decay ** (self.Q - i)) for i in range(1, self.Q + 1)
+        ]
 
 
 @dataclass

@@ -122,46 +122,28 @@ def hypergrad_ns(
     return oracles.ul_grad_x(s, x, y_d) - alpha * total
 
 
-def neumann_batch_sizes(base: int, q_steps: int, eta: float, mu_g: float) -> list:
-    """Shrinking sample sizes for the stochastic Hessian-inverse product.
-
-    Batch ``i`` (applied first for ``i = Q``) has size
-    ``ceil(B * Q * (1 - eta*mu_g)^(Q-i))``, floored at one.
-    """
-    if not (0.0 < eta * mu_g <= 1.0):
-        raise ConfigurationError("eta * mu_g must lie in (0, 1]")
-    decay = 1.0 - eta * mu_g
-    return [
-        max(1, math.ceil(base * q_steps * decay ** (q_steps - i)))
-        for i in range(1, q_steps + 1)
-    ]
-
-
 def stochastic_hvp_neumann(
     oracles: StochasticOracles,
     x: np.ndarray,
     y_d: np.ndarray,
     v0: np.ndarray,
-    q_steps: int,
     eta: float,
     batches: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Approximate Hessian-inverse product from sampled Hessian products.
 
     Backward recursion nu <- nu - eta * H(batch_i) nu for i = Q..1 starting
-    from ``v0``; the output is eta times the sum of all Q+1 iterates.  With
-    full batches and constant Hessian this equals
+    from ``v0``, with Q = ``len(batches)``; the output is eta times the sum
+    of all Q+1 iterates.  With full batches and constant Hessian this equals
     ``eta * sum_{m=0..Q} (I - eta H)^m v0`` exactly.
     """
-    if len(batches) != q_steps:
-        raise ConfigurationError(f"expected {q_steps} batches, got {len(batches)}")
     for batch in batches:
         if len(batch) == 0:
             raise ConfigurationError("empty sample batch")
     nu = np.array(v0, dtype=float)
     total = nu.copy()
-    for i in range(q_steps, 0, -1):
-        nu = nu - eta * oracles.ll_hvp(x, y_d, nu, batches[i - 1])
+    for batch in reversed(batches):
+        nu = nu - eta * oracles.ll_hvp(x, y_d, nu, batch)
         total += nu
     return eta * total
 
@@ -210,11 +192,11 @@ def build_hypergradient_matrix_stochastic(
     upper-level values ``phi`` for one outer iteration, both fresh arrays.
 
     Makes three sampler calls, in this order: the Jacobian batch and the Q
-    Hessian batches of ``hessian_sizes`` (the run's
-    :func:`neumann_batch_sizes`), both shared by all objectives, then the S
-    upper-level batches, one per objective.  The Hessian-inverse product is
-    seeded from the sampled upper gradient, so no warm start is carried
-    across iterations.
+    Hessian batches of ``hessian_sizes`` (the run's schedule, from
+    :meth:`SolverConfig.validate_stochastic`), both shared by all
+    objectives, then the S upper-level batches, one per objective.  The
+    Hessian-inverse product is seeded from the sampled upper gradient, so
+    no warm start is carried across iterations.
     """
     (jac_batch,) = oracles.sample(JACOBIAN, [config.D_g], rng)
     hess_batches = oracles.sample(HESSIAN, hessian_sizes, rng)
@@ -224,9 +206,7 @@ def build_hypergradient_matrix_stochastic(
     phi = np.empty(s_count)
     for s, ul_batch in enumerate(ul_batches):
         v0 = oracles.ul_grad_y(s, x, y_d, ul_batch)
-        v_q = stochastic_hvp_neumann(
-            oracles, x, y_d, v0, config.Q, config.eta, hess_batches
-        )
+        v_q = stochastic_hvp_neumann(oracles, x, y_d, v0, config.eta, hess_batches)
         cols[:, s] = oracles.ul_grad_x(s, x, y_d, ul_batch) - oracles.ll_jvp(
             x, y_d, v_q, jac_batch
         )

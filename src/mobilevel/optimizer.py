@@ -38,7 +38,6 @@ from .hypergrad import (
     build_hypergradient_matrix,
     build_hypergradient_matrix_stochastic,
     lower_level_solve,
-    neumann_batch_sizes,
     stochastic_lower_solve,
 )
 from .subsolvers import WcSubproblem, solve_wc_subproblem
@@ -53,14 +52,11 @@ TERM_STOP_TOL = "stop_tol"
 
 
 def _check_inputs(problem, x0, y0, r: Optional[Preference]):
-    if np.shape(x0) != (problem.dim_x,):
-        raise ConfigurationError(
-            f"x0 has shape {np.shape(x0)}, expected ({problem.dim_x},)"
-        )
-    if np.shape(y0) != (problem.dim_y,):
-        raise ConfigurationError(
-            f"y0 has shape {np.shape(y0)}, expected ({problem.dim_y},)"
-        )
+    for name, start, dim in (("x0", x0, problem.dim_x), ("y0", y0, problem.dim_y)):
+        if np.shape(start) != (dim,):
+            raise ConfigurationError(f"{name} has shape {np.shape(start)}, expected ({dim},)")
+        if not np.isfinite(start).all():
+            raise ConfigurationError(f"{name} has a non-finite entry")
     if r is not None and len(r) != problem.num_objectives:
         raise ConfigurationError("preference length must equal the objective count")
 
@@ -186,10 +182,8 @@ def run_stochastic(
     _check_inputs(problem, x0, y0, r)
     if problem.constants is None:
         raise ConfigurationError("stochastic runs need problem constants (mu_g)")
-    mu_g = problem.constants.mu_g
     config = config.resolved(problem.constants, r.r_max)
-    config.validate_stochastic(mu_g)
-    sizes = neumann_batch_sizes(config.B, config.Q, config.eta, mu_g)
+    sizes = config.validate_stochastic(problem.constants.mu_g)
     rng = np.random.default_rng(config.seed)
 
     def advance(oracles, x, y):

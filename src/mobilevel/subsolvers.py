@@ -222,7 +222,8 @@ def solve_wc_subproblem(
 
     The start is ``warm_start``'s weights as they are, or the uniform
     weights when it is None; any other start raises ``TypeError`` (project
-    an array with :func:`project_simplex` first).  A start that already
+    an array with :func:`project_simplex` first), and a start with other
+    than one weight per column ``ValueError``.  A start that already
     certifies costs one KKT check and is returned as is, so a certified
     warm start comes back as the same object.
     Otherwise a primal active-set method (Nocedal & Wright, *Numerical
@@ -246,6 +247,8 @@ def solve_wc_subproblem(
         raise TypeError(
             f"warm_start must be SimplexWeights or None, not {type(warm_start).__name__}"
         )
+    elif warm_start.lam.size != s:
+        raise ValueError(f"warm_start has {warm_start.lam.size} weights, expected {s}")
     lam = warm_start.lam
 
     scaled, lin = sp.scaled_gram, sp.linear_term

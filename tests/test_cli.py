@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobilevel import (
+    ConfigurationError,
     IterationRecord,
     OracleCounters,
     Preference,
@@ -879,7 +880,7 @@ class TestSchema:
         other = ({"quadratic", "hypercleaning"} - {family}).pop()
         for section, keys in FAMILY_KEYS[other].items():
             for key in sorted(keys - expected[section]):
-                with pytest.raises(cli.ConfigFileError,
+                with pytest.raises(ConfigurationError,
                                    match=rf"\[{section}\] {key}: unknown key"):
                     cli.load_config(str(tmp_path / "all.ini"), [f"{section}.{key}=1"])
 
@@ -1123,6 +1124,34 @@ traces_dir = {out}/traces
         out = tmp_path / "out"
         config = write_config(tmp_path / "run.ini", QUADRATIC_CONFIG.format(out=out))
         assert cli.main(["sweep", "--config", config, "--grid", "bogus"]) == 2
+        assert capsys.readouterr().err == "config error: unrecognized grid spec 'bogus'\n"
+
+    def test_r1_grid_needs_two_objectives(self, tmp_path, capsys):
+        # Reported as it is, not wrapped in the "grid '...': " of a bad value.
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "run.ini", QUADRATIC_CONFIG.format(out=out))
+        assert cli.main(["sweep", "--config", config, "--grid", "r1=0.3",
+                         "--set", "problem.s=3"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: 'r1=' grids need a two-objective problem\n")
+        assert not out.exists()
+
+    def test_empty_runs(self, tmp_path):
+        # K = 0: each run is empty, so its row has r, empty values and
+        # status ok, and its trace is the header alone.
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "run.ini", QUADRATIC_CONFIG.format(out=out))
+        assert cli.main(["sweep", "--config", config, "--grid", "preferred",
+                         "--set", "solver.k=0",
+                         "--set", f"output.summary_csv={out}/summary.csv",
+                         "--set", f"output.traces_dir={out}/traces"]) == 0
+        assert (out / "summary.csv").read_text() == (
+            "r_1,r_2,phi_1,phi_2,d_norm_sq,status\n"
+            "0.80000000000000004,0.20000000000000001,,,,ok\n"
+            "0.20000000000000001,0.80000000000000004,,,,ok\n"
+        )
+        for name in ("run_000.csv", "run_001.csv"):
+            assert cli.parse_trace_csv((out / "traces" / name).read_text()) == []
 
     @pytest.mark.parametrize("grid, message", [
         ("r1=0,0.5", "strictly positive"),

@@ -19,7 +19,6 @@ from mobilevel import (
     hypergrad_ns,
     lower_level_solve,
     make_quadratic,
-    neumann_batch_sizes,
     stochastic_hvp_neumann,
     wrap_deterministic,
     HESSIAN,
@@ -352,7 +351,7 @@ class TestStochasticHvp:
     def test_zero_seed_gives_zero(self):
         st = constant_hessian_oracles(np.diag([1.0, 2.0]))
         batches = [st.full_batch(HESSIAN)] * 4
-        out = stochastic_hvp_neumann(st, np.zeros(1), np.zeros(2), np.zeros(2), 4, 0.3, batches)
+        out = stochastic_hvp_neumann(st, np.zeros(1), np.zeros(2), np.zeros(2), 0.3, batches)
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_eta_h_identity_truncates_immediately(self):
@@ -363,7 +362,7 @@ class TestStochasticHvp:
         st = constant_hessian_oracles(h)
         v0 = np.array([1.0, -2.0, 0.5])
         batches = [st.full_batch(HESSIAN)] * 6
-        out = stochastic_hvp_neumann(st, np.zeros(1), np.zeros(3), v0, 6, eta, batches)
+        out = stochastic_hvp_neumann(st, np.zeros(1), np.zeros(3), v0, eta, batches)
         np.testing.assert_allclose(out, eta * v0, atol=1e-15)
         np.testing.assert_allclose(out, np.linalg.solve(h, v0), atol=1e-15)
 
@@ -374,7 +373,7 @@ class TestStochasticHvp:
         st = constant_hessian_oracles(h)
         v0 = np.array([1.0, -2.0, 0.5])
         batches = [st.full_batch(HESSIAN)] * q_steps
-        out = stochastic_hvp_neumann(st, np.zeros(1), np.zeros(3), v0, q_steps, eta, batches)
+        out = stochastic_hvp_neumann(st, np.zeros(1), np.zeros(3), v0, eta, batches)
         series = eta * sum(
             np.linalg.matrix_power(np.eye(3) - eta * h, m) @ v0
             for m in range(q_steps + 1)
@@ -385,26 +384,38 @@ class TestStochasticHvp:
         assert np.linalg.norm(out - h_inv_v) <= bound
 
     def test_batch_size_schedule(self):
-        # ceil(B Q (1 - eta mu)^(Q-i)) for i = 1..Q, floored at one.
-        sizes = neumann_batch_sizes(4, 6, 0.19, 1.0)
+        # ceil(B Q (1 - eta mu)^(Q-i)) for i = 1..Q.
+        sizes = SolverConfig(B=4, Q=6, eta=0.19).validate_stochastic(1.0)
         decay = 1.0 - 0.19
-        expected = [max(1, int(np.ceil(4 * 6 * decay ** (6 - i)))) for i in range(1, 7)]
+        expected = [int(np.ceil(4 * 6 * decay ** (6 - i))) for i in range(1, 7)]
         assert sizes == expected
         assert sizes[-1] == 24  # largest batch applied first in the recursion
-        tiny = neumann_batch_sizes(1, 50, 0.9, 1.0)
-        assert min(tiny) == 1
+
+    def test_batches_applied_last_first(self):
+        # Batch i holds the one index i, whose Hessian sample differs from
+        # the other's, so the order of the products shows in the output.
+        samples = [np.diag([1.0, 3.0]), np.diag([2.0, 0.5])]
+        st = StochasticOracles(
+            num_objectives=1, dim_x=1, dim_y=2, dataset_sizes=dict.fromkeys(PURPOSES, 2),
+            ul_value=lambda s, x, y, b: 0.0,
+            ul_grad_x=lambda s, x, y, b: np.zeros(1),
+            ul_grad_y=lambda s, x, y, b: np.zeros(2),
+            ll_grad_y=lambda x, y, b: y,
+            ll_hvp=lambda x, y, v, b: samples[b[0]] @ v,
+            ll_jvp=lambda x, y, v, b: np.zeros(1),
+        )
+        v0, eta = np.array([1.0, 1.0]), 0.1
+        batches = [np.array([0]), np.array([1])]
+        nu_1 = v0 - eta * (samples[1] @ v0)
+        nu_2 = nu_1 - eta * (samples[0] @ nu_1)
+        out = stochastic_hvp_neumann(st, np.zeros(1), np.zeros(2), v0, eta, batches)
+        np.testing.assert_array_equal(out, eta * (v0 + nu_1 + nu_2))
 
     def test_empty_batch_rejected(self):
         st = constant_hessian_oracles(np.eye(2))
         batches = [np.array([], dtype=np.int64)]
         with pytest.raises(ConfigurationError):
-            stochastic_hvp_neumann(st, np.zeros(1), np.zeros(2), np.ones(2), 1, 0.3, batches)
-
-    def test_wrong_batch_count_rejected(self):
-        st = constant_hessian_oracles(np.eye(2))
-        batches = [st.full_batch(HESSIAN)] * 2
-        with pytest.raises(ConfigurationError):
-            stochastic_hvp_neumann(st, np.zeros(1), np.zeros(2), np.ones(2), 3, 0.3, batches)
+            stochastic_hvp_neumann(st, np.zeros(1), np.zeros(2), np.ones(2), 0.3, batches)
 
     def test_random_batches_unbiased(self):
         # Independent batches factorize in expectation, so averaging many
@@ -431,13 +442,13 @@ class TestStochasticHvp:
         v0 = np.array([1.0, 0.5, -0.5])
         eta, q_steps = 0.2, 5
         full = [st.full_batch(HESSIAN)] * q_steps
-        reference = stochastic_hvp_neumann(st, np.zeros(1), np.zeros(q), v0, q_steps, eta, full)
+        reference = stochastic_hvp_neumann(st, np.zeros(1), np.zeros(q), v0, eta, full)
         rng = np.random.default_rng(9)
         draws = []
         for _ in range(200):
             batches = st.sample(HESSIAN, [12] * q_steps, rng)
             draws.append(
-                stochastic_hvp_neumann(st, np.zeros(1), np.zeros(q), v0, q_steps, eta, batches)
+                stochastic_hvp_neumann(st, np.zeros(1), np.zeros(q), v0, eta, batches)
             )
         draws = np.array(draws)
         mean = draws.mean(axis=0)
@@ -484,7 +495,9 @@ class TestBuildMatrix:
         y_d = lower_level_solve(problem, x, np.zeros(4), 200, alpha)
         det_grads, det_phi, _ = build_hypergradient_matrix(problem, x, [y_d], config, [None] * 2)
         rng = np.random.default_rng(0)
-        sizes = neumann_batch_sizes(config.B, config.Q, config.eta, constants.mu_g)
+        # Every batch of the wrapped problem is its one pseudo-sample.  (No
+        # run takes this config: validate_stochastic refuses B = 8, Q = 200.)
+        sizes = [1] * config.Q
         st_grads, st_phi = build_hypergradient_matrix_stochastic(
             stochastic, x, y_d, config, rng, sizes
         )

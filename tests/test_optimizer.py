@@ -76,6 +76,24 @@ class TestRunDeterministic:
             run_deterministic(problem, SolverConfig(), Preference.uniform(3),
                               np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("entry", ["deterministic", "nonpreference", "stochastic"])
+    @pytest.mark.parametrize("name", ["x0", "y0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_start_rejected(self, two_objective, entry, name, bad):
+        # Refused before any oracle call, naming the start, not reported as
+        # a lower-level divergence.
+        _, problem, _ = two_objective
+        starts = {"x0": np.zeros(3), "y0": np.zeros(4)}
+        starts[name][1] = bad
+        config = SolverConfig(K=2, D=2, Q=2)
+        if entry == "stochastic":
+            run, problem, pref = run_stochastic, wrap_deterministic(problem), Preference.uniform(2)
+        else:
+            run = run_deterministic
+            pref = None if entry == "nonpreference" else Preference.uniform(2)
+        with pytest.raises(ConfigurationError, match=f"^{name} has a non-finite entry$"):
+            run(problem, config, pref, starts["x0"], starts["y0"])
+
     def test_stop_tol_early_exit(self, two_objective):
         _, problem, _ = two_objective
         config = SolverConfig(K=500, D=50, N=4, option="cg", u=0.0, stop_tol=1e-4)
@@ -549,19 +567,15 @@ class TestRunStochastic:
             run_stochastic(bad, config, Preference.uniform(2), np.zeros(3), np.zeros(4))
 
     def test_batch_schedule_computed_once_per_run(self, two_objective, monkeypatch):
-        from mobilevel import hypergrad
-
         _, problem, _ = two_objective
         calls = []
-        original = hypergrad.neumann_batch_sizes
+        original = SolverConfig.validate_stochastic
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(self, mu_g):
+            calls.append(mu_g)
+            return original(self, mu_g)
 
-        # Counted wherever the schedule is looked up.
-        monkeypatch.setattr(hypergrad, "neumann_batch_sizes", counting)
-        monkeypatch.setattr(optimizer, "neumann_batch_sizes", counting, raising=False)
+        monkeypatch.setattr(SolverConfig, "validate_stochastic", counting)
         config = SolverConfig(K=5, D=4, Q=3, option="ns", beta=0.05)
         trace = run_stochastic(wrap_deterministic(problem), config, Preference.uniform(2),
                                np.zeros(3), np.zeros(4))

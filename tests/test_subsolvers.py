@@ -610,6 +610,13 @@ class TestSolveWcSubproblem:
         with pytest.raises(TypeError, match="SimplexWeights"):
             solve_wc_subproblem(sp, warm_start=start)
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_warm_start_of_wrong_size_rejected(self, size):
+        sp = WcSubproblem(np.eye(2), np.zeros(2), np.full(2, 0.5), 0.0)
+        start = SimplexWeights(np.full(size, 1.0 / size))
+        with pytest.raises(ValueError, match=f"^warm_start has {size} weights, expected 2$"):
+            solve_wc_subproblem(sp, warm_start=start)
+
     def test_cold_start_interior_optimum_at_scale(self):
         # Columns of size 1e2 with a strong alignment term, started cold: the
         # optimum is interior, at (19/54, 1/12, 61/108), and its gradient
