@@ -131,10 +131,10 @@ def make_quadratic(
 
     The returned constants carry mu_g = lambda_min(H), L equal to the
     spectral norm of the full second-derivative block matrix (at least 1,
-    the upper-level Hessian), and L_phi = L + 2 L^2/mu_g + L^3/mu_g^2, the
-    bound of Ghadimi & Wang (2018) for second derivatives that do not
-    depend on (x, y).  L_phi is ``None`` when that bound overflows the
-    float range, and then runs must set beta.
+    the upper-level Hessian), and the exact L_phi = 1 + ||W||_2^2 with
+    W = H^{-1} C: each Phi_s(x) = 0.5 ||x - xt_s||^2 + 0.5 ||W x - yt_s||^2
+    has the constant Hessian I + W'W.  L_phi is ``None`` when it is not
+    finite, and then runs must set beta.
     """
     h = spec.hessian
     c = spec.coupling
@@ -189,10 +189,18 @@ def make_quadratic(
     # The joint norm is at least lambda_max(H) >= mu_g, but eigvalsh can round
     # it below mu_g (q = 1 with a large hessian_scale).
     l_bound = max(1.0, float(np.abs(np.linalg.eigvalsh(joint)).max()), mu_g)
-    try:
-        l_phi = l_bound + 2.0 * l_bound**2 / mu_g + l_bound**3 / mu_g**2
-    except (OverflowError, ZeroDivisionError):  # a power left the float range
-        l_phi = math.inf
+    # Each Phi_s has the constant Hessian I + W'W.  ||W||_2 is the top
+    # eigenvalue of the symmetric [[0, W'], [W, 0]]: eigvalsh costs no
+    # peak memory where an SVD added 0.4 MB, and unlike eigvalsh(W'W) it
+    # forms no product that can overflow.  W is not finite where H^{-1} or its
+    # product with C overflowed, and then no L_phi is stated.
+    sigma = math.inf
+    if np.isfinite(w).all():
+        embedding = np.zeros_like(joint)
+        embedding[: spec.dim_x, spec.dim_x :] = w.T
+        embedding[spec.dim_x :, : spec.dim_x] = w
+        sigma = float(np.linalg.eigvalsh(embedding)[-1])
+    l_phi = 1.0 + sigma * sigma
     constants = ProblemConstants(
         mu_g=mu_g, L=l_bound, L_phi=l_phi if math.isfinite(l_phi) else None
     )

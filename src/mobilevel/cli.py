@@ -307,7 +307,9 @@ def build_problem(parser: configparser.ConfigParser, path: str):
 
     Returns ``(problem, kind, x0, y0, problem_summary)`` where ``kind`` is
     ``deterministic`` or ``stochastic`` and the summary holds every
-    [problem] value but the initial points and explicit matrices.
+    [problem] value but the initial points and explicit matrices; a
+    quadratic summary adds the lower Hessian's ``condition_number`` and the
+    stated ``L_phi`` behind the default beta (``None`` when not stated).
     """
     section = "problem"
     if not parser.has_section(section):
@@ -339,6 +341,7 @@ def build_problem(parser: configparser.ConfigParser, path: str):
         problem, _ = make_quadratic(spec)
         kind = "deterministic"
         summary["condition_number"] = spec.condition_number
+        summary["L_phi"] = problem.constants.L_phi
     else:
         # The family's keys are the spec's fields.
         spec = HypercleaningToySpec(

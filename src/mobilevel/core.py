@@ -208,9 +208,11 @@ class ProblemConstants:
     every upper-level objective through the lower solution,
     Phi_s(x) = f_s(x, y*(x)).  Both are optional and only set default step
     sizes (``alpha`` and ``eta`` from ``L``, ``beta`` from ``L_phi``);
-    correctness never depends on them.  Nothing is derived from one
-    constant to another: a problem that knows no ``L_phi`` leaves it
-    ``None``, and its runs must set ``beta``.
+    correctness never depends on them, but a loose ``L_phi`` shrinks the
+    default beta in proportion (the quadratic family states its exact
+    value).  Nothing is derived from one constant to another: a problem
+    that knows no ``L_phi`` leaves it ``None``, and its runs must set
+    ``beta``.
     """
 
     mu_g: float

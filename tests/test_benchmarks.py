@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mobilevel import (
     brute_force_simplex_min,
     finite_diff_hypergrad,
     hypergrad_cg,
+    hypergrad_ns,
     lower_level_solve,
     make_hypercleaning_toy,
     make_quadratic,
@@ -24,23 +26,6 @@ from mobilevel import (
     validate_problem,
 )
 from mobilevel.benchmarks import _hypercleaning_data
-
-
-def _generic_l_phi(L, mu, M=0.0, tau=0.0, rho=0.0):
-    """Upper-level smoothness bound of Ghadimi & Wang (2018, arXiv:1802.02246)
-    for Hessian blocks with Lipschitz constants tau (cross) and rho (lower)
-    and value bound M; ``None`` when it leaves the float range.  At
-    tau = rho = M = 0 it is the L_phi that ``make_quadratic`` states."""
-    try:
-        bound = (
-            L
-            + (2.0 * L**2 + tau * M**2) / mu
-            + (rho * L * M + L**3 + tau * L * M) / mu**2
-            + rho * L**2 * M / mu**3
-        )
-    except OverflowError:
-        return None
-    return bound if math.isfinite(bound) else None
 
 
 def _read_only(arr):
@@ -101,8 +86,6 @@ class TestQuadraticFamily:
         ("num_objectives", 0), ("dim_y", 2.5),
     ])
     def test_rejects_bad_counts(self, field, value):
-        from dataclasses import replace
-
         spec = QuadraticBilevelSpec.random(2, 2, 2, seed=0)
         with pytest.raises(InvalidProblemError, match=f"{field} must be an integer"):
             replace(spec, **{field: value})
@@ -137,32 +120,73 @@ class TestQuadraticFamily:
         eigs = np.linalg.eigvalsh(spec.hessian)
         assert constants.mu_g == pytest.approx(eigs.min())
         assert constants.L >= max(1.0, eigs.max()) - 1e-12
-        assert constants.L_phi == _generic_l_phi(constants.L, constants.mu_g)
-        assert constants.L_phi is not None
+        sigma = np.linalg.svd(np.linalg.solve(spec.hessian, spec.coupling), compute_uv=False)
+        assert constants.L_phi == pytest.approx(1.0 + sigma[0] ** 2, rel=1e-12)
         assert problem.constants is constants
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
         dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4)),
         seed=st.integers(0, 2**32 - 1),
-        scale=st.one_of(st.floats(0.0, 1e3), st.sampled_from([1e60, 1e100])),
+        hessian_scale=st.floats(0.0, 1e3),
+        coupling_scale=st.floats(0.0, 100.0),
     )
-    def test_l_phi_is_generic_bound_without_hessian_lipschitz_terms(self, dims, seed, scale):
+    def test_l_phi_is_exact(self, dims, seed, hessian_scale, coupling_scale):
+        # Phi_s(x) = 0.5 ||x - xt_s||^2 + 0.5 ||W x - yt_s||^2 with
+        # W = H^{-1} C has the Hessian I + W'W.  So the stated L_phi bounds
+        # the reference gradient's Lipschitz ratio on every pair, and a step
+        # along W's top right singular vector attains it.
         p, q, s = dims
-        spec = QuadraticBilevelSpec.random(p, q, s, seed=seed, hessian_scale=scale)
-        _, constants = make_quadratic(spec)
-        expected = _generic_l_phi(constants.L, constants.mu_g)
-        assert constants.L_phi == expected  # or both None
-        if scale >= 1e60:
-            assert expected is None
+        spec = QuadraticBilevelSpec.random(
+            p, q, s, seed=seed, hessian_scale=hessian_scale, coupling_scale=coupling_scale
+        )
+        problem, constants = make_quadratic(spec)
+        grad_phi = problem.reference.grad_phi
+        l_phi = constants.L_phi
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            x1, x2 = rng.standard_normal(p), rng.standard_normal(p)
+            ratios = np.linalg.norm(grad_phi(x1) - grad_phi(x2), axis=0) / np.linalg.norm(x1 - x2)
+            assert (ratios <= l_phi * (1.0 + 1e-12)).all()
+        top = np.linalg.svd(np.linalg.solve(spec.hessian, spec.coupling))[2][0]
+        x = rng.standard_normal(p)
+        attained = np.linalg.norm(grad_phi(x + top) - grad_phi(x), axis=0)
+        np.testing.assert_allclose(attained, l_phi, rtol=1e-12)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_coupling_columns_are_ul_grad_x(self, dims, seed):
+        # Without coupling y* does not depend on x: L_phi is exactly 1, and
+        # every cg and ns column is ul_grad_x at the lower iterate, whatever
+        # the lower solve and CG reached.
+        p, q, s = dims
+        spec = QuadraticBilevelSpec.random(p, q, s, seed=seed)
+        spec = replace(spec, coupling=np.zeros((q, p)))
+        problem, constants = make_quadratic(spec)
+        assert constants.L_phi == 1.0
+        rng = np.random.default_rng(seed)
+        x = _read_only(rng.standard_normal(p))
+        alpha = constants.default_ll_step()
+        trajectory = []
+        lower_level_solve(problem, x, rng.standard_normal(q), 4, alpha, trajectory)
+        y_d = trajectory[-1]
+        for k in range(s):
+            expected = problem.ul_grad_x(k, x, y_d).tobytes()
+            cg, _ = hypergrad_cg(problem, x, y_d, k, rng.standard_normal(q), 3)
+            assert cg.tobytes() == expected
+            assert hypergrad_ns(problem, x, trajectory, k, alpha).tobytes() == expected
 
     @pytest.mark.parametrize("seed, scale", [(2, 1e60), (1, 1e100)])
     def test_one_dimensional_lower_level_at_large_scale(self, seed, scale):
-        # eigvalsh rounds the joint norm below mu_g here; L is floored at mu_g.
+        # eigvalsh rounds the joint norm below mu_g here; L is floored at
+        # mu_g.  ||W||^2 is below 1e-200, so L_phi rounds to exactly 1.
         spec = QuadraticBilevelSpec.random(3, 1, 2, seed=seed, hessian_scale=scale)
         _, constants = make_quadratic(spec)
         assert constants.L == constants.mu_g == float(spec.hessian[0, 0])
-        assert constants.L_phi is None
+        assert constants.L_phi == 1.0
 
     def test_validate_clean(self):
         spec = QuadraticBilevelSpec.random(4, 4, 2, seed=11)
@@ -461,8 +485,6 @@ class TestFiniteDifferenceOracle:
             assert np.abs(fd - analytic[:, s]).max() <= 1e-4
 
     def test_constant_objective_gives_zero(self):
-        from dataclasses import replace
-
         spec = QuadraticBilevelSpec.random(2, 3, 1, seed=16)
         problem, _ = make_quadratic(spec)
         constant = replace(problem, ul_value=lambda s, x, y: 4.2)

@@ -512,7 +512,8 @@ family = quadratic
     @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda path: path.name)
     def test_shipped_config_records_its_family_keys(self, tmp_path, config):
         # Every shipped config runs, and its record's solver block holds
-        # exactly the [solver] keys of its problem family.
+        # exactly the [solver] keys of its problem family.  Only the
+        # quadratic family states an L_phi, and only its record shows one.
         out = tmp_path / "out"
         assert cli.main([
             "run", "--config", str(config), "--set", "solver.k=2",
@@ -523,6 +524,28 @@ family = quadratic
         family = record["problem"]["family"]
         assert {key.lower() for key in record["solver"]} == section_keys("solver", family)
         assert record["solver"]["K"] == record["iterations"] == 2
+        assert ("L_phi" in record["problem"]) == (family == "quadratic")
+
+    @pytest.mark.parametrize("overrides, expected", [
+        (["solver.k=2"], 2.2098749105856372),
+        (["problem.p=1", "problem.q=2", "problem.hessian=1e-170,0;0,1",
+          "problem.coupling=1;0", "solver.beta=0.1", "solver.k=0"], None),
+    ])
+    def test_record_states_l_phi(self, tmp_path, overrides, expected):
+        # A quadratic record's problem block shows the L_phi behind the
+        # default beta, 1 + ||H^{-1} C||^2, or null where it overflows (then
+        # beta must be set, and K = 0 since the gradients overflow too).
+        # The shipped instance's value was derived separately, with
+        # np.linalg.svd(np.linalg.solve(H, C)).
+        out = tmp_path / "out"
+        args = ["run", "--config", str(CONFIGS / "quadratic_preferred.ini"),
+                "--set", f"output.trace_csv={out}/trace.csv",
+                "--set", f"output.run_json={out}/run.json"]
+        for override in overrides:
+            args += ["--set", override]
+        assert cli.main(args) == 0
+        problem = json.loads((out / "run.json").read_text())["problem"]
+        assert problem["L_phi"] == (None if expected is None else pytest.approx(expected, rel=1e-12))
 
     def test_record_refuses_config_loop_did_not_run(self, quadratic_config):
         # The record's solver block is the config the loop ran; a different
@@ -546,11 +569,10 @@ family = quadratic
     )
     def test_condition_sweep(self, tmp_path, capsys, option, scale):
         # The shipped quadratic with its default steps over the in-domain
-        # range of hessian_scale: each run completes with finite output, or
-        # fails with a typed error (exit 2 for a config error, exit 1 for a
-        # RunFailure, which writes its partial trace); never a traceback or
-        # a silent NaN.  From 1e60 the smoothness bound behind the default
-        # beta overflows, which is a config error.
+        # range of hessian_scale: never a traceback or a silent NaN.  The
+        # exact L_phi = 1 + ||H^{-1} C||^2 is finite at every scale here (it
+        # tends to 1 as H grows), so every run completes, with finite
+        # output, and ends stationary.
         out = tmp_path / "out"
         code = cli.main([
             "run", "--config", str(CONFIGS / "quadratic_preferred.ini"),
@@ -558,21 +580,14 @@ family = quadratic
             "--set", f"output.trace_csv={out}/trace.csv",
             "--set", f"output.run_json={out}/run.json",
         ])
-        err = capsys.readouterr().err
-        if scale in ("1e60", "1e100"):
-            assert code == 2
-        if code == 0:
-            record = json.loads((out / "run.json").read_text())
-            rows = cli.parse_trace_csv((out / "trace.csv").read_text())
-            assert len(rows) == record["iterations"] == 500
-            finals = record["final_x"] + record["final_y"] + record["final_phi"]
-            assert np.isfinite(finals + [record["final_d_norm_sq"]]).all()
-            assert all(np.isfinite(v) for row in rows for v in row.values() if v is not None)
-        elif code == 2:
-            assert err.startswith("config error:")
-        else:
-            assert code == 1 and err.startswith("run failed:")
-            assert (out / "trace.csv").exists()
+        assert code == 0, capsys.readouterr().err
+        record = json.loads((out / "run.json").read_text())
+        rows = cli.parse_trace_csv((out / "trace.csv").read_text())
+        assert len(rows) == record["iterations"] == 500
+        finals = record["final_x"] + record["final_y"] + record["final_phi"]
+        assert np.isfinite(finals + [record["final_d_norm_sq"]]).all()
+        assert all(np.isfinite(v) for row in rows for v in row.values() if v is not None)
+        assert record["final_d_norm_sq"] <= 1e-10
 
     def test_nonpreference_pattern(self, tmp_path):
         out = tmp_path / "out"
@@ -1018,6 +1033,23 @@ traces_dir = {out}/traces
         lines = (out / "summary.csv").read_text().strip().split("\n")
         assert len(lines) == 6  # header + one row per objective
         assert len(os.listdir(out / "traces")) == 5
+
+    @pytest.mark.parametrize("grid", ["preferred", "extreme"])
+    def test_large_quadratic_default_steps_reach_the_front(self, tmp_path, grid):
+        # The shipped config at p = q = 50, S = 3 and K = 300 with the
+        # default steps: beta from the exact L_phi (about 0.13) brings every
+        # run to a Pareto-stationary point within K.
+        out = tmp_path / "out"
+        assert cli.main([
+            "sweep", "--config", str(CONFIGS / "quadratic_preferred.ini"), "--grid", grid,
+            "--set", "problem.p=50", "--set", "problem.q=50", "--set", "problem.s=3",
+            "--set", "solver.k=300", "--set", f"output.summary_csv={out}/summary.csv",
+            "--set", f"output.traces_dir={out}/traces",
+        ]) == 0
+        header, *rows = (out / "summary.csv").read_text().strip().split("\n")
+        column = header.split(",").index("d_norm_sq")
+        assert len(rows) == 3
+        assert all(float(row.split(",")[column]) <= 1e-10 for row in rows)
 
     def test_single_uniform_matches_run(self, tmp_path):
         out = tmp_path / "out"

@@ -138,21 +138,20 @@ class TestProblemConstants:
         assert ProblemConstants(mu_g=0.5).default_ul_step(0.8) is None
 
     @pytest.mark.parametrize("mu_g, l_bound", [
-        (0.5, 1e103), (0.5, 1e120), (0.5, 1e200), (1e-20, 1e100), (1e-170, 1.0),
+        (0.5, 1e103), (0.5, 1e120), (0.5, 1e200), (1e-20, 1e100), (1e-170, 1.0), (1e-320, 1.0),
     ])
     def test_smoothness_upper_overflow_not_derivable(self, mu_g, l_bound):
-        # make_quadratic states no L_phi where its bound leaves the float
-        # range: L**3 raises OverflowError from about L = 1e103 and L**2 from
-        # about 1e155; at L = 1e100 and mu = 1e-20 the division yields inf,
-        # and below mu = 1e-162 mu**2 is zero.  With no coupling the
-        # Hessian's eigenvalues are mu_g and L.
+        # make_quadratic states no L_phi where 1 + ||H^{-1} C||^2 leaves the
+        # float range.  H = diag(mu_g, l_bound) and C = (1e160 mu_g, 0)' give
+        # ||W|| = 1e160, whose square overflows; at mu_g = 1e-320, H^{-1}
+        # itself overflows, so W is not finite.
         spec = QuadraticBilevelSpec(
             dim_x=1, dim_y=2, num_objectives=1,
-            hessian=np.diag([mu_g, l_bound]), coupling=np.zeros((2, 1)),
+            hessian=np.diag([mu_g, l_bound]), coupling=np.array([[1e160 * mu_g], [0.0]]),
             x_targets=np.zeros((1, 1)), y_targets=np.zeros((1, 2)),
         )
         _, constants = make_quadratic(spec)
-        assert (constants.mu_g, constants.L) == (mu_g, l_bound)
+        assert constants.mu_g == mu_g
         assert constants.L_phi is None
         assert constants.default_ul_step(0.8) is None
         with pytest.raises(ConfigurationError, match="beta"):
