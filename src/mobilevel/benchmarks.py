@@ -134,7 +134,9 @@ def make_quadratic(
     the upper-level Hessian), and the exact L_phi = 1 + ||W||_2^2 with
     W = H^{-1} C: each Phi_s(x) = 0.5 ||x - xt_s||^2 + 0.5 ||W x - yt_s||^2
     has the constant Hessian I + W'W.  L_phi is ``None`` when it is not
-    finite, and then runs must set beta.
+    finite, and then runs must set beta.  ``ll_grad_y.at(x)`` forms ``C x``
+    once for a lower solve's steps, and ``ll_grad_y`` is defined through
+    it, so the two agree by construction.
     """
     h = spec.hessian
     c = spec.coupling
@@ -154,8 +156,18 @@ def make_quadratic(
     def ul_grad_y(s, x, y):
         return y - y_targets[s]
 
+    def ll_grad_y_at(x):
+        cx = c.dot(x)
+
+        def grad(y):
+            return h.dot(y) - cx
+
+        return grad
+
     def ll_grad_y(x, y):
-        return h.dot(y) - c.dot(x)
+        return ll_grad_y_at(x)(y)
+
+    ll_grad_y.at = ll_grad_y_at
 
     def ll_hvp(x, y, v):
         return h.dot(v)
@@ -335,15 +347,19 @@ def make_hypercleaning_toy(
     The lower-level oracles keep the training set sample-major: features
     of shape (n_train, S, d) and labels of shape (n_train, S), both
     read-only and C-contiguous.  A batch is one ``take`` along axis 0 of
-    each, and of the logits ``x`` viewed as (n_train, S), so the oracles
-    work on sample-major (b, S, d) features and (b, S) rows.  The gathered
-    logits and the model logits are stacked as the two rows of one
+    each, and one along axis 1 of the logits ``x`` viewed as (S, n_train),
+    written transposed, so the oracles work on sample-major (b, S, d)
+    features and (b, S) rows, and a batch costs O(b), not O(n_train).  The
+    gathered logits and the model logits are stacked as the two rows of one
     (2, b, S) buffer, so one in-place sigmoid turns them into the sample
-    weights and the model probabilities.  NumPy lays the fancy-indexed
-    ``x_train[:, idx, :]`` and ``t_train[:, idx]`` out sample-major as well
-    (as transposed views), so both batches have the same strides up to the
-    naming of the axes.  ``einsum`` picks its summation order from the
-    strides, so every result is bitwise the one of the fancy-indexed batch
+    weights and the model probabilities.  The toy carries no
+    ``ll_grad_y.at``: binding x would sigmoid all S * n_train sample weights
+    once per lower solve, which gains at small n_train and loses at large.
+    NumPy lays the fancy-indexed ``x_train[:, idx, :]`` and
+    ``t_train[:, idx]`` out sample-major as well (as transposed views), so
+    both batches have the same strides up to the naming of the axes.
+    ``einsum`` picks its summation order from the strides, so every result
+    is bitwise the one of the fancy-indexed batch
     (a C-contiguous (S, b, d) batch is summed in another order when d = 1).
     An oracle updates in place only arrays it created itself, never ``x``,
     ``y``, ``v``, the batch or the data: the loop keeps and re-reads its
@@ -372,7 +388,7 @@ def make_hypercleaning_toy(
         """
         features = x_rows.take(idx, axis=0)
         probs = np.empty((2, idx.size, s_count))
-        x.reshape(s_count, n_tr).T.take(idx, axis=0, out=probs[0])
+        probs[0] = x.reshape(s_count, n_tr).take(idx, axis=1).T
         np.einsum("bsd,sd->bs", features, w_all, out=probs[1])
         _sigmoid(probs)
         return features, probs[0], probs[1]

@@ -385,6 +385,15 @@ class DeterministicOracles:
     (q to q) and must be a symmetric positive-definite map for every fixed
     ``(x, y)``.  ``ll_jvp(x, y, v)`` applies the mixed second derivative
     (q to p).
+
+    ``ll_grad_y`` may carry an attribute ``at``: ``ll_grad_y.at(x)`` does
+    the work that depends on ``x`` alone once and returns a function of
+    ``y`` that must equal ``ll_grad_y(x, y)`` byte for byte.  A lower
+    solve takes D steps at one ``x``, so it binds ``x`` once when ``at``
+    exists, and calls ``ll_grad_y`` per step otherwise.  Any wrapper that
+    replaces ``ll_grad_y`` (``dataclasses.replace``, ``deterministic()``,
+    ``wrap_deterministic``) drops ``at``, and its runs take the per-call
+    path with the same results.
     """
 
     num_objectives: int
@@ -451,6 +460,10 @@ class StochasticOracles:
     ``dataset_sizes`` maps each of the four purpose tags in ``PURPOSES`` to
     its population size ``n``, an integer of at least 1; any other mapping
     raises :class:`InvalidProblemError`.
+
+    ``ll_grad_y`` may carry ``at`` as in :class:`DeterministicOracles`;
+    ``ll_grad_y.at(x)`` returns a function of ``(y, batch)`` equal to
+    ``ll_grad_y(x, y, batch)`` byte for byte.
     """
 
     num_objectives: int
@@ -558,7 +571,9 @@ def counted_oracles(
     forwarding ``*args`` on this hot path.)  One tick per call regardless
     of batch size.  Value evaluations are not counted; only gradients and
     second-order products are.  Dimension checks are assertions only,
-    stripped under ``python -O``.
+    stripped under ``python -O``.  When the wrapped ``ll_grad_y`` carries
+    ``at``, so does the counted one: ``at(x)`` ticks nothing, and each call
+    of the function it returns ticks ``gc_g`` once.
     """
     p, q, s_count = oracles.dim_x, oracles.dim_y, oracles.num_objectives
 
@@ -576,6 +591,22 @@ def counted_oracles(
         assert len(x) == p and len(y) == q
         counters.gc_g += 1
         return oracles.ll_grad_y(x, y) if b is None else oracles.ll_grad_y(x, y, b)
+
+    raw_at = getattr(oracles.ll_grad_y, "at", None)
+    if raw_at is not None:
+
+        def ll_grad_y_at(x):
+            assert len(x) == p
+            bound = raw_at(x)
+
+            def grad(y, b=None):
+                assert len(y) == q
+                counters.gc_g += 1
+                return bound(y) if b is None else bound(y, b)
+
+            return grad
+
+        ll_grad_y.at = ll_grad_y_at
 
     def ll_hvp(x, y, v, b=None):
         assert len(x) == p and len(v) == q
@@ -673,7 +704,9 @@ def validate_problem(
     Eight seeded pairs of random probe vectors check that ``ll_hvp`` is a
     symmetric linear map, that ``ll_jvp`` is linear, and estimate the
     smallest Rayleigh quotient of the lower-level Hessian.  Raises
-    :class:`InvalidProblemError` on dimension mismatches.
+    :class:`InvalidProblemError` on dimension mismatches, and when
+    ``ll_grad_y`` carries ``at`` and ``ll_grad_y.at(x)(y)`` differs from
+    ``ll_grad_y(x, y)`` in a byte.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -694,6 +727,12 @@ def validate_problem(
     probe = problem.ll_jvp(x, y, rng.standard_normal(q))
     if np.shape(probe) != (p,):
         raise InvalidProblemError("ll_jvp output dimension mismatch")
+    at = getattr(problem.ll_grad_y, "at", None)
+    if at is not None:
+        direct = np.asarray(problem.ll_grad_y(x, y))
+        bound = np.asarray(at(x)(y))
+        if bound.shape != direct.shape or bound.tobytes() != direct.tobytes():
+            raise InvalidProblemError("ll_grad_y.at(x)(y) differs from ll_grad_y(x, y)")
 
     sym = 0.0
     hvp_lin = 0.0

@@ -21,6 +21,7 @@ starts spend one of the N applications on the initial residual).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -43,6 +44,13 @@ from .subsolvers import conjugate_gradient
 LL_BLOCK = 1024  # lower SGD steps per sampler call: bounds the batches held at once
 
 
+def _ll_grad_at(oracles, x: np.ndarray):
+    """The lower gradient at fixed ``x``: ``ll_grad_y.at(x)`` when the
+    oracle carries ``at``, else ``ll_grad_y`` with ``x`` bound per call."""
+    at = getattr(oracles.ll_grad_y, "at", None)
+    return at(x) if at is not None else functools.partial(oracles.ll_grad_y, x)
+
+
 def lower_level_solve(
     oracles: DeterministicOracles,
     x: np.ndarray,
@@ -52,7 +60,8 @@ def lower_level_solve(
     trajectory: Optional[list] = None,
 ) -> np.ndarray:
     """Run ``steps`` gradient-descent steps on the lower objective in y; a
-    ``trajectory`` list receives ``y_init`` and every iterate."""
+    ``trajectory`` list receives ``y_init`` and every iterate.  The
+    gradient's work on ``x`` alone is done once (see ``_ll_grad_at``)."""
     if not 0.0 < step_size < math.inf:
         raise ValueError("step_size must be positive and finite")
     if steps < 1:
@@ -60,9 +69,9 @@ def lower_level_solve(
     y = np.array(y_init, dtype=float)
     if trajectory is not None:
         trajectory.append(y)
-    ll_grad_y = oracles.ll_grad_y
+    grad = _ll_grad_at(oracles, x)
     for t in range(1, steps + 1):
-        y = y - step_size * ll_grad_y(x, y)
+        y = y - step_size * grad(y)
         if not all_finite(y):
             raise DivergenceError(f"lower-level iterate diverged at step {t}")
         if trajectory is not None:
@@ -227,18 +236,19 @@ def stochastic_lower_solve(
 
     One sampler call draws the batches of up to ``LL_BLOCK`` steps; the
     sampler consumes ``rng`` in order, so they do not depend on the block.
+    The gradient's work on ``x`` alone is done once (see ``_ll_grad_at``).
     """
     if not 0.0 < step_size < math.inf:
         raise ValueError("step_size must be positive and finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     y = np.array(y_init, dtype=float)
-    ll_grad_y = oracles.ll_grad_y
+    grad = _ll_grad_at(oracles, x)
     for first in range(0, steps, LL_BLOCK):
         block = min(LL_BLOCK, steps - first)
         batches = oracles.sample(LL_STEP, [batch_size] * block, rng)
         for t, batch in enumerate(batches, first + 1):
-            y = y - step_size * ll_grad_y(x, y, batch)
+            y = y - step_size * grad(y, batch)
             if not all_finite(y):
                 raise DivergenceError(f"lower-level iterate diverged at step {t}")
     return y

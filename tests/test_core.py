@@ -334,6 +334,24 @@ class TestValidateProblem:
         diag = validate_problem(problem, np.zeros(2), np.zeros(2))
         assert diag.symmetry_residual > 1e-3
 
+    @pytest.mark.parametrize("offset", [0.0, 1e-16, np.nan])
+    def test_checks_bound_gradient(self, quadratic, offset):
+        # ll_grad_y.at(x)(y) must equal ll_grad_y(x, y) byte for byte: an
+        # offset of 1e-16 moves some entry by an ulp, and a NaN fails too.
+        _, problem, _ = quadratic
+
+        def ll_grad_y(x, y):
+            return problem.ll_grad_y(x, y)
+
+        ll_grad_y.at = lambda x: lambda y: problem.ll_grad_y(x, y) + offset
+        bundle = replace(problem, ll_grad_y=ll_grad_y)
+        x, y = np.full(3, 0.5), np.full(4, 0.25)
+        if offset == 0.0:
+            validate_problem(bundle, x, y)
+        else:
+            with pytest.raises(InvalidProblemError, match="ll_grad_y.at"):
+                validate_problem(bundle, x, y)
+
     def test_dimension_mismatch(self, quadratic):
         _, problem, _ = quadratic
         with pytest.raises(InvalidProblemError):
@@ -558,3 +576,36 @@ class TestCountedOracles:
                 out = getattr(counted, field)(*args, *batch)
                 assert counters.as_tuple() == ticks, field
                 assert np.array_equal(out, getattr(bundle, field)(*args, *batch)), field
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_bound_gradient_ticks_per_call(self, quadratic, stochastic):
+        # ``at(x)`` ticks nothing and each call of the bound function ticks
+        # gc_g once, returning the wrapped ``at``'s result bitwise.
+        _, problem, _ = quadratic
+        bound_x = []
+
+        def ll_grad_y(x, y, *batch):
+            return problem.ll_grad_y(x, y)
+
+        def at(x):
+            bound_x.append(x)
+            grad = problem.ll_grad_y.at(x)
+            return (lambda y, b: grad(y)) if stochastic else grad
+
+        ll_grad_y.at = at
+        bundle = replace(problem, ll_grad_y=ll_grad_y)
+        batch = ()
+        if stochastic:
+            bundle = replace(wrap_deterministic(bundle), ll_grad_y=ll_grad_y)
+            batch = (bundle.full_batch(LL_STEP),)
+        counters = OracleCounters()
+        counted = counted_oracles(bundle, counters)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(3)
+        grad = counted.ll_grad_y.at(x)
+        assert counters.as_tuple() == (0, 0, 0, 0) and bound_x == [x]
+        for calls in (1, 2, 3):
+            y = rng.standard_normal(4)
+            assert np.array_equal(grad(y, *batch), problem.ll_grad_y(x, y))
+            assert counters.as_tuple() == (0, calls, 0, 0)
+        assert len(bound_x) == 1

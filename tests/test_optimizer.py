@@ -1,3 +1,5 @@
+import functools
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from mobilevel import (
 
 
 QUADRATIC_INI = str(Path(__file__).resolve().parent.parent / "configs" / "quadratic_preferred.ini")
+HYPERCLEANING_INI = str(Path(__file__).resolve().parent.parent / "configs" / "hypercleaning.ini")
 
 
 @pytest.fixture(scope="module")
@@ -672,3 +675,83 @@ class TestExpectedCounters:
     def test_unknown_option_rejected(self):
         with pytest.raises(ConfigurationError):
             expected_counters(SolverConfig(), 2, "exact")
+
+
+def _forwarding(problem):
+    """``problem`` with a plain ``ll_grad_y`` that forwards each call: no ``at``."""
+
+    def ll_grad_y(*args):
+        return problem.ll_grad_y(*args)
+
+    return replace(problem, ll_grad_y=ll_grad_y)
+
+
+def _bound(problem, stale=False):
+    """``problem`` whose ``ll_grad_y.at`` is its own or, where it has none
+    (the hyper-cleaning toy), binds x to the per-call gradient; a ``stale``
+    one keeps the first x it sees."""
+    own_at = getattr(problem.ll_grad_y, "at", None)
+    seen = []
+
+    def ll_grad_y(*args):
+        return problem.ll_grad_y(*args)
+
+    def at(x):
+        seen.append(x)
+        x = seen[0] if stale else x
+        return own_at(x) if own_at is not None else functools.partial(problem.ll_grad_y, x)
+
+    ll_grad_y.at = at
+    return replace(problem, ll_grad_y=ll_grad_y)
+
+
+class TestBoundLowerGradient:
+    """The lower solves take ``ll_grad_y.at(x)`` when the oracle carries it;
+    a run through the bound form is byte for byte the per-call run."""
+
+    @staticmethod
+    def _outputs(config_path, overrides, sweep, transform):
+        """Trace CSV, record JSON, records and counters of the config's run,
+        or of a ``pareto_sweep`` over the preferred grid, on ``transform(problem)``."""
+        parser = cli.load_config(config_path, overrides)
+        problem, kind, x0, y0, summary = cli.build_problem(parser, config_path)
+        config = cli.build_solver_config(parser, config_path)
+        s_count = problem.num_objectives
+        problem = transform(problem)
+        if sweep:
+            prefs = [Preference.preferred(s_count, i) for i in range(s_count)]
+            sweep_result = pareto_sweep(problem, config, prefs, x0, y0)
+            traces = [entry.trace for entry in sweep_result.entries]
+        else:
+            prefs = [cli.build_preference(parser, config_path, s_count)]
+            run = run_stochastic if kind == "stochastic" else run_deterministic
+            traces = [run(problem, config, prefs[0], x0, y0)]
+        out = []
+        for pref, trace in zip(prefs, traces):
+            out.append(cli.trace_csv_text(trace, s_count))
+            out.append(json.dumps(cli.run_record(trace, trace.config, summary, pref)))
+            out.append([
+                (rec.k, rec.phi.tobytes(), rec.weights.lam.tobytes(), rec.d_norm_sq,
+                 rec.true_d_norm_sq, rec.counters.as_tuple(), rec.gram.tobytes())
+                for rec in trace.records
+            ])
+            out.append((trace.final_x.tobytes(), trace.final_y.tobytes(),
+                        trace.counters.as_tuple()))
+        return out
+
+    @pytest.mark.parametrize("config_path, overrides, sweep", [
+        (QUADRATIC_INI, [], False),
+        (QUADRATIC_INI, ["solver.option=ns"], False),
+        (QUADRATIC_INI, ["preference.pattern=none"], False),
+        (HYPERCLEANING_INI, ["solver.k=12"], False),
+        (QUADRATIC_INI, ["problem.p=50", "problem.q=50", "problem.s=3", "solver.k=60"], True),
+    ], ids=["cg", "ns", "none", "hypercleaning", "sweep-50"])
+    def test_run_equals_per_call_run(self, config_path, overrides, sweep):
+        def outputs(transform):
+            return self._outputs(config_path, overrides, sweep, transform)
+
+        as_built = outputs(lambda problem: problem)
+        assert as_built == outputs(_forwarding) == outputs(_bound)
+        # The comparison sees a bound gradient that keeps its first x, so the
+        # runs above did go through ``at``.
+        assert as_built != outputs(functools.partial(_bound, stale=True))
