@@ -124,6 +124,11 @@ class QuadraticBilevelSpec:
         return float(eigs[-1] / eigs[0])
 
 
+def _row_products(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix.dot(row)`` for every row of the 2-d ``rows``, stacked."""
+    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+
+
 def make_quadratic(
     spec: QuadraticBilevelSpec,
 ) -> tuple[DeterministicOracles, ProblemConstants]:
@@ -137,6 +142,13 @@ def make_quadratic(
     finite, and then runs must set beta.  ``ll_grad_y.at(x)`` forms ``C x``
     once for a lower solve's steps, and ``ll_grad_y`` is defined through
     it, so the two agree by construction.
+
+    The row forms ``ll_grad_y.at.rows``, ``ll_hvp.rows`` and
+    ``ll_jvp.rows`` apply the very matrices of the vector oracles to every
+    row with one stacked ``matmul`` of a matrix and (m, n, 1) vectors,
+    which runs one matrix-vector product per row, so each row equals its
+    vector oracle byte for byte.  (A matrix-matrix product sums in another
+    order; ``neg_ct`` keeps its F order for the same reason.)
     """
     h = spec.hessian
     c = spec.coupling
@@ -167,16 +179,28 @@ def make_quadratic(
     def ll_grad_y(x, y):
         return ll_grad_y_at(x)(y)
 
+    def ll_grad_y_at_rows(xs):
+        cxs = _row_products(c, xs)
+
+        def grad(ys):
+            return _row_products(h, ys) - cxs
+
+        return grad
+
+    ll_grad_y_at.rows = ll_grad_y_at_rows
     ll_grad_y.at = ll_grad_y_at
 
     def ll_hvp(x, y, v):
         return h.dot(v)
 
+    ll_hvp.rows = lambda xs, ys, vs: _row_products(h, vs)
     neg_ct = -c.T
     neg_ct.setflags(write=False)
 
     def ll_jvp(x, y, v):
         return neg_ct.dot(v)
+
+    ll_jvp.rows = lambda xs, ys, vs: _row_products(neg_ct, vs)
 
     def y_star(x):
         return w.dot(x)

@@ -390,10 +390,20 @@ class DeterministicOracles:
     the work that depends on ``x`` alone once and returns a function of
     ``y`` that must equal ``ll_grad_y(x, y)`` byte for byte.  A lower
     solve takes D steps at one ``x``, so it binds ``x`` once when ``at``
-    exists, and calls ``ll_grad_y`` per step otherwise.  Any wrapper that
-    replaces ``ll_grad_y`` (``dataclasses.replace``, ``deterministic()``,
-    ``wrap_deterministic``) drops ``at``, and its runs take the per-call
-    path with the same results.
+    exists, and calls ``ll_grad_y`` per step otherwise.
+
+    Row forms serve a lockstep sweep, which advances one row per
+    preference.  ``ll_hvp.rows(X, Y, V)``, ``ll_jvp.rows(X, Y, V)`` and
+    ``ll_grad_y.at.rows(X)`` (a function of ``Y``) take row stacks: 2-d
+    arrays with one point per row (X m x p, Y and V m x q).  Row ``i`` of
+    the result must equal the vector oracle at row ``i`` byte for byte.  A
+    sweep uses them only when all three exist, and otherwise calls the
+    vector oracles row by row; :func:`validate_problem` checks them.
+
+    ``dataclasses.replace`` of a field drops that field's attributes, and
+    its runs take the per-call or per-row path with the same results.
+    ``wrap_deterministic`` and ``StochasticOracles.deterministic()`` forward
+    ``at`` but no row forms.
     """
 
     num_objectives: int
@@ -463,7 +473,8 @@ class StochasticOracles:
 
     ``ll_grad_y`` may carry ``at`` as in :class:`DeterministicOracles`;
     ``ll_grad_y.at(x)`` returns a function of ``(y, batch)`` equal to
-    ``ll_grad_y(x, y, batch)`` byte for byte.
+    ``ll_grad_y(x, y, batch)`` byte for byte.  Stochastic runs have one row,
+    so no row form is read.
     """
 
     num_objectives: int
@@ -522,6 +533,19 @@ class StochasticOracles:
     def deterministic(self) -> DeterministicOracles:
         """Full-batch view of this problem as deterministic oracles."""
         full = {purpose: self.full_batch(purpose) for purpose in self.dataset_sizes}
+        ll_step = full[LL_STEP]
+
+        def ll_grad_y(x, y):
+            return self.ll_grad_y(x, y, ll_step)
+
+        at = getattr(self.ll_grad_y, "at", None)
+        if at is not None:
+
+            def ll_grad_y_at(x):
+                bound = at(x)
+                return lambda y: bound(y, ll_step)
+
+            ll_grad_y.at = ll_grad_y_at
 
         return DeterministicOracles(
             num_objectives=self.num_objectives,
@@ -530,7 +554,7 @@ class StochasticOracles:
             ul_value=lambda s, x, y: self.ul_value(s, x, y, full[UL_BATCH]),
             ul_grad_x=lambda s, x, y: self.ul_grad_x(s, x, y, full[UL_BATCH]),
             ul_grad_y=lambda s, x, y: self.ul_grad_y(s, x, y, full[UL_BATCH]),
-            ll_grad_y=lambda x, y: self.ll_grad_y(x, y, full[LL_STEP]),
+            ll_grad_y=ll_grad_y,
             ll_hvp=lambda x, y, v: self.ll_hvp(x, y, v, full[HESSIAN]),
             ll_jvp=lambda x, y, v: self.ll_jvp(x, y, v, full[JACOBIAN]),
             constants=self.constants,
@@ -544,6 +568,19 @@ def wrap_deterministic(oracles: DeterministicOracles) -> StochasticOracles:
     Every purpose has a single pseudo-sample, so every batch is the full
     batch and every sampled oracle returns the wrapped value bitwise.
     """
+
+    def ll_grad_y(x, y, b):
+        return oracles.ll_grad_y(x, y)
+
+    at = getattr(oracles.ll_grad_y, "at", None)
+    if at is not None:
+
+        def ll_grad_y_at(x):
+            bound = at(x)
+            return lambda y, b: bound(y)
+
+        ll_grad_y.at = ll_grad_y_at
+
     return StochasticOracles(
         num_objectives=oracles.num_objectives,
         dim_x=oracles.dim_x,
@@ -552,7 +589,7 @@ def wrap_deterministic(oracles: DeterministicOracles) -> StochasticOracles:
         ul_value=lambda s, x, y, b: oracles.ul_value(s, x, y),
         ul_grad_x=lambda s, x, y, b: oracles.ul_grad_x(s, x, y),
         ul_grad_y=lambda s, x, y, b: oracles.ul_grad_y(s, x, y),
-        ll_grad_y=lambda x, y, b: oracles.ll_grad_y(x, y),
+        ll_grad_y=ll_grad_y,
         ll_hvp=lambda x, y, v, b: oracles.ll_hvp(x, y, v),
         ll_jvp=lambda x, y, v, b: oracles.ll_jvp(x, y, v),
         constants=oracles.constants,
@@ -561,7 +598,8 @@ def wrap_deterministic(oracles: DeterministicOracles) -> StochasticOracles:
 
 
 def counted_oracles(
-    oracles: DeterministicOracles | StochasticOracles, counters: OracleCounters
+    oracles: DeterministicOracles | StochasticOracles,
+    counters: OracleCounters | Sequence[OracleCounters],
 ) -> DeterministicOracles | StochasticOracles:
     """View of ``oracles`` whose calls increment ``counters``.
 
@@ -574,8 +612,16 @@ def counted_oracles(
     stripped under ``python -O``.  When the wrapped ``ll_grad_y`` carries
     ``at``, so does the counted one: ``at(x)`` ticks nothing, and each call
     of the function it returns ticks ``gc_g`` once.
+
+    The row forms (see :class:`DeterministicOracles`) are forwarded the
+    same way.  ``counters`` is then one :class:`OracleCounters` or a
+    sequence of them, one per run of a lockstep batch.  The rows of a
+    row-form call split into equal consecutive blocks, one per run, and
+    each row ticks its run's counters once.  Vector calls need one
+    :class:`OracleCounters`.
     """
     p, q, s_count = oracles.dim_x, oracles.dim_y, oracles.num_objectives
+    runs = (counters,) if isinstance(counters, OracleCounters) else tuple(counters)
 
     def ul_grad_x(s, x, y, b=None):
         assert 0 <= s < s_count and len(x) == p and len(y) == q
@@ -617,6 +663,42 @@ def counted_oracles(
         assert len(x) == p and len(v) == q
         counters.jv_g += 1
         return oracles.ll_jvp(x, y, v) if b is None else oracles.ll_jvp(x, y, v, b)
+
+    # The row forms tick each run once per row of its block.
+    n_runs = len(runs)
+    if raw_at is not None:
+        raw_at_rows = getattr(raw_at, "rows", None)
+        if raw_at_rows is not None:
+
+            def ll_grad_y_at_rows(x):
+                assert x.shape == (len(x), p) and len(x) % n_runs == 0
+                bound = raw_at_rows(x)
+                ticks = len(x) // n_runs
+
+                def grad(y):
+                    assert y.shape == (len(x), q)
+                    for run in runs:
+                        run.gc_g += ticks
+                    return bound(y)
+
+                return grad
+
+            ll_grad_y_at.rows = ll_grad_y_at_rows
+
+    def counted_rows(raw_rows, field):
+        def rows(x, y, v):
+            assert x.shape == (len(v), p) and y.shape == v.shape == (len(v), q)
+            assert len(v) % n_runs == 0
+            ticks = len(v) // n_runs
+            for run in runs:
+                setattr(run, field, getattr(run, field) + ticks)
+            return raw_rows(x, y, v)
+
+        return rows
+
+    for counted, raw, field in ((ll_hvp, oracles.ll_hvp, "hv_g"), (ll_jvp, oracles.ll_jvp, "jv_g")):
+        if hasattr(raw, "rows"):
+            counted.rows = counted_rows(raw.rows, field)
 
     return replace(
         oracles,
@@ -694,6 +776,33 @@ class ProblemDiagnostics:
         )
 
 
+def _check_row_forms(problem: DeterministicOracles, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise :class:`InvalidProblemError` naming the first row form whose
+    rows differ from the vector oracle's outputs in a byte."""
+    rng = np.random.default_rng(1)
+    xs = x + np.vstack([np.zeros(x.size), rng.standard_normal((2, x.size))])
+    ys = y + np.vstack([np.zeros(y.size), rng.standard_normal((2, y.size))])
+    vs = rng.standard_normal(ys.shape)
+    at = getattr(problem.ll_grad_y, "at", None)
+    cases = (
+        ("ll_grad_y.at.rows", getattr(at, "rows", None), lambda form: form(xs)(ys),
+         lambda i: problem.ll_grad_y(xs[i], ys[i])),
+        ("ll_hvp.rows", getattr(problem.ll_hvp, "rows", None), lambda form: form(xs, ys, vs),
+         lambda i: problem.ll_hvp(xs[i], ys[i], vs[i])),
+        ("ll_jvp.rows", getattr(problem.ll_jvp, "rows", None), lambda form: form(xs, ys, vs),
+         lambda i: problem.ll_jvp(xs[i], ys[i], vs[i])),
+    )
+    for name, form, stacked, row in cases:
+        if form is None:
+            continue
+        out = np.asarray(stacked(form))
+        rows = [np.asarray(row(i)) for i in range(len(xs))]
+        if out.shape != (len(xs),) + rows[0].shape or any(
+            out[i].tobytes() != rows[i].tobytes() for i in range(len(xs))
+        ):
+            raise InvalidProblemError(f"{name} differs from the vector oracle row by row")
+
+
 def validate_problem(
     problem: DeterministicOracles,
     x: np.ndarray,
@@ -704,9 +813,11 @@ def validate_problem(
     Eight seeded pairs of random probe vectors check that ``ll_hvp`` is a
     symmetric linear map, that ``ll_jvp`` is linear, and estimate the
     smallest Rayleigh quotient of the lower-level Hessian.  Raises
-    :class:`InvalidProblemError` on dimension mismatches, and when
+    :class:`InvalidProblemError` on dimension mismatches, when
     ``ll_grad_y`` carries ``at`` and ``ll_grad_y.at(x)(y)`` differs from
-    ``ll_grad_y(x, y)`` in a byte.
+    ``ll_grad_y(x, y)`` in a byte, and when a row form differs from its
+    vector oracle in a byte on a three-row stack: the probe point and two
+    seeded perturbations of it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -733,6 +844,7 @@ def validate_problem(
         bound = np.asarray(at(x)(y))
         if bound.shape != direct.shape or bound.tobytes() != direct.tobytes():
             raise InvalidProblemError("ll_grad_y.at(x)(y) differs from ll_grad_y(x, y)")
+    _check_row_forms(problem, x, y)
 
     sym = 0.0
     hvp_lin = 0.0

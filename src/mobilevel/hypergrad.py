@@ -11,6 +11,10 @@ sample batches.  The stochastic routines make one sampler call per purpose:
 the lower solve draws its step batches a block of up to ``LL_BLOCK`` steps
 at a time, and one outer iteration's hypergradient draws its Jacobian
 batch, its Hessian batches and its upper batches with one call each.
+For a lockstep sweep, ``lower_level_solve`` also steps row stacks (one
+run per row) and ``build_hypergradient_rows`` builds every row's columns,
+at once through the problem's row forms; each row is byte for byte its
+run's vector computation, and is charged the same oracle calls.
 
 Oracle-call budgets are exact by construction: a lower solve of D steps
 costs D gradient calls; the series estimator costs one upper gradient pair,
@@ -51,6 +55,10 @@ def _ll_grad_at(oracles, x: np.ndarray):
     return at(x) if at is not None else functools.partial(oracles.ll_grad_y, x)
 
 
+def _rows_finite(v: np.ndarray) -> bool:
+    return all_finite(v.ravel())
+
+
 def lower_level_solve(
     oracles: DeterministicOracles,
     x: np.ndarray,
@@ -61,7 +69,10 @@ def lower_level_solve(
 ) -> np.ndarray:
     """Run ``steps`` gradient-descent steps on the lower objective in y; a
     ``trajectory`` list receives ``y_init`` and every iterate.  The
-    gradient's work on ``x`` alone is done once (see ``_ll_grad_at``)."""
+    gradient's work on ``x`` alone is done once (see ``_ll_grad_at``).
+    Row stacks ``x`` and ``y_init`` step every row at once through the
+    oracle's row form ``ll_grad_y.at.rows``, and then ``trajectory``
+    receives stacks."""
     if not 0.0 < step_size < math.inf:
         raise ValueError("step_size must be positive and finite")
     if steps < 1:
@@ -69,10 +80,13 @@ def lower_level_solve(
     y = np.array(y_init, dtype=float)
     if trajectory is not None:
         trajectory.append(y)
-    grad = _ll_grad_at(oracles, x)
+    if y.ndim == 1:
+        grad, finite = _ll_grad_at(oracles, x), all_finite
+    else:
+        grad, finite = oracles.ll_grad_y.at.rows(x), _rows_finite
     for t in range(1, steps + 1):
         y = y - step_size * grad(y)
-        if not all_finite(y):
+        if not finite(y):
             raise DivergenceError(f"lower-level iterate diverged at step {t}")
         if trajectory is not None:
             trajectory.append(y)
@@ -187,6 +201,60 @@ def build_hypergradient_matrix(
             grad = hypergrad_ns(oracles, x, trajectory, s, config.alpha)
         cols[:, s] = grad
     return cols, phi, new_warm
+
+
+def build_hypergradient_rows(
+    oracles: DeterministicOracles,
+    row_oracles: Sequence[DeterministicOracles],
+    x: np.ndarray,
+    trajectory: Sequence[np.ndarray],
+    config: SolverConfig,
+    warm_v: Sequence,
+) -> list:
+    """``build_hypergradient_matrix`` for m rows, each byte for byte its own
+    call; returns one ``(grads, phi, warm)`` per row.
+
+    ``x`` is the m-by-p row stack and ``trajectory`` holds m-by-q stacks.
+    ``row_oracles[i]`` evaluates row ``i``'s upper-level oracles, and
+    ``oracles`` serves the lower-level row forms for all m * S columns,
+    row ``i``'s S columns in a consecutive block.  ``warm_v[i]`` holds row
+    ``i``'s S CG starts (``None`` entries for zero starts).  Lockstep CG
+    needs every start zero or every one nonzero; when they mix, each row
+    calls ``build_hypergradient_matrix`` through its own oracles instead.
+    """
+    m, s_count = len(row_oracles), oracles.num_objectives
+    y_d = trajectory[-1]
+    if config.option == "cg":
+        v0 = np.array([np.zeros(oracles.dim_y) if v is None else v
+                       for warm in warm_v for v in warm])
+        started = np.count_nonzero(v0.any(axis=1))
+        if 0 < started < len(v0):
+            return [build_hypergradient_matrix(row, x_i, [y_i], config, warm)
+                    for row, x_i, y_i, warm in zip(row_oracles, x, y_d, warm_v)]
+    phi, grad_x, grad_y = [], [], []
+    for row, x_i, y_i in zip(row_oracles, x, y_d):
+        for s in range(s_count):
+            phi.append(row.ul_value(s, x_i, y_i))
+            grad_x.append(row.ul_grad_x(s, x_i, y_i))
+            grad_y.append(row.ul_grad_y(s, x_i, y_i))
+    phi = np.array(phi, dtype=float).reshape(m, s_count)
+    grad_x, grad_y = np.array(grad_x, dtype=float), np.array(grad_y, dtype=float)
+    xs = np.repeat(x, s_count, axis=0)
+    if config.option == "cg":
+        ys = np.repeat(y_d, s_count, axis=0)
+        v, _ = conjugate_gradient(lambda w: oracles.ll_hvp.rows(xs, ys, w), grad_y, v0, config.N)
+        cols = grad_x - oracles.ll_jvp.rows(xs, ys, v)
+        new_warm = [list(v[i * s_count:(i + 1) * s_count]) for i in range(m)]
+    else:
+        w, total = grad_y, np.zeros_like(grad_x)
+        for y_t in reversed(trajectory):
+            ys = np.repeat(y_t, s_count, axis=0)
+            total += oracles.ll_jvp.rows(xs, ys, w)
+            w = w - config.alpha * oracles.ll_hvp.rows(xs, ys, w)
+        cols = grad_x - config.alpha * total
+        new_warm = [[None] * s_count for _ in range(m)]
+    grads = cols.reshape(m, s_count, oracles.dim_x).transpose(0, 2, 1).copy()
+    return list(zip(grads, phi, new_warm))
 
 
 def build_hypergradient_matrix_stochastic(

@@ -39,10 +39,19 @@ def conjugate_gradient(
     ``(v, residual_norm)``.  A nonzero ``v0`` spends one application on the
     initial residual, leaving ``applications - 1`` CG updates; a zero
     ``v0`` spends all of them on updates.
+
+    Given row stacks ``b`` and ``v0`` (one system per row) and a map that
+    applies to every row, solves all rows in lockstep, each with its own
+    scalars, and returns the stack ``v`` and the rows' residual norms.
+    Each row is byte for byte the solve of that row alone, so long as
+    ``apply_A``'s rows are; every ``v0`` row must then be nonzero, or every
+    one zero.
     """
     if applications < 1:
         raise ValueError("applications must be at least 1")
     b = np.asarray(b, dtype=float)
+    if b.ndim == 2:
+        return _conjugate_gradient_rows(apply_A, b, v0, applications)
     v = np.array(v0, dtype=float)
     if v.any():
         r = b - apply_A(v)
@@ -72,6 +81,46 @@ def conjugate_gradient(
             p = r + (rr_new / rr if rr > 0.0 else 0.0) * p
         rr = rr_new
     return v, math.sqrt(rr)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i].dot(b[i])`` for every row: a stacked ``matmul`` of (m, 1, n)
+    and (m, n, 1) runs ``ndarray.dot``'s kernel on each row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _conjugate_gradient_rows(apply_A, b, v0, applications):
+    """``conjugate_gradient`` on every row of ``b`` at once: the same
+    operations, with the scalars as vectors over the rows."""
+    v = np.array(v0, dtype=float)
+    warm = v.any(axis=1)
+    if warm.all():
+        r = b - apply_A(v)
+        applications -= 1
+    elif not warm.any():
+        r = b.copy()
+    else:
+        raise ValueError("lockstep CG needs every start row nonzero or every one zero")
+    if not all_finite(r.ravel()):
+        raise NumericalBreakdownError("non-finite residual at iteration 0")
+    rr = _row_dots(r, r)
+    p = r.copy()
+    last = applications - 1
+    for i in range(applications):
+        ap = apply_A(p)
+        if not all_finite(ap.ravel()):
+            raise NumericalBreakdownError(f"non-finite map output at iteration {i + 1}")
+        pap = _row_dots(p, ap)
+        step = np.divide(rr, pap, out=np.zeros_like(rr), where=(pap > 0.0) & (rr > 0.0))
+        v += step[:, None] * p
+        r -= step[:, None] * ap
+        rr_new = _row_dots(r, r)
+        if not all_finite(rr_new):
+            raise NumericalBreakdownError(f"non-finite residual at iteration {i + 1}")
+        if i < last:
+            p = r + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0.0)[:, None] * p
+        rr = rr_new
+    return v, np.sqrt(rr)
 
 
 def project_simplex(z: np.ndarray) -> SimplexWeights:

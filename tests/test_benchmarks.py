@@ -25,6 +25,7 @@ from mobilevel import (
     run_stochastic,
     validate_problem,
 )
+from mobilevel import subsolvers
 from mobilevel.benchmarks import _hypercleaning_data
 
 
@@ -328,6 +329,35 @@ def toy():
     )
     problem, constants = make_hypercleaning_toy(spec)
     return spec, problem, constants
+
+
+class TestQuadraticRowForms:
+    """The quadratic's row forms and the stacked row dot equal the vector
+    products row by row, byte for byte: on this numpy, stacked ``matmul``
+    must run one matrix-vector product (one dot) per row."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_row_forms_match_vector_oracles(self, data):
+        rows = data.draw(st.integers(1, 20), label="rows")
+        p = data.draw(st.integers(1, 200), label="p")
+        q = data.draw(st.integers(1, 200), label="q")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        problem, _ = make_quadratic(QuadraticBilevelSpec.random(p, q, 1, seed=seed % 1000))
+        rng = np.random.default_rng(seed)
+
+        def stack(n):
+            out = rng.standard_normal((rows, n))
+            return np.asfortranarray(out) if data.draw(st.booleans(), label="F order") else out
+
+        xs, ys, vs = stack(p), stack(q), stack(q)
+        stacked = (problem.ll_grad_y.at.rows(xs)(ys), problem.ll_hvp.rows(xs, ys, vs),
+                   problem.ll_jvp.rows(xs, ys, vs), subsolvers._row_dots(vs, ys))
+        for i in range(rows):
+            vector = (problem.ll_grad_y.at(xs[i])(ys[i]), problem.ll_hvp(xs[i], ys[i], vs[i]),
+                      problem.ll_jvp(xs[i], ys[i], vs[i]), np.float64(vs[i].dot(ys[i])))
+            for out, expected in zip(stacked, vector):
+                assert out[i].tobytes() == expected.tobytes()
 
 
 class TestHypercleaningToy:

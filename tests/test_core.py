@@ -352,6 +352,49 @@ class TestValidateProblem:
             with pytest.raises(InvalidProblemError, match="ll_grad_y.at"):
                 validate_problem(bundle, x, y)
 
+    @pytest.mark.parametrize("form", ["ll_grad_y.at.rows", "ll_hvp.rows", "ll_jvp.rows"])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_checks_row_forms(self, quadratic, form, perturbed):
+        # Each row form must equal its vector oracle row by row, byte for
+        # byte: moving one entry of one row by an ulp is named.
+        _, problem, _ = quadratic
+
+        def nudged(out):
+            out = np.array(out)
+            if perturbed:
+                out[-1, 0] = np.nextafter(out[-1, 0], np.inf)
+            return out
+
+        def ll_grad_y(x, y):
+            return problem.ll_grad_y(x, y)
+
+        def ll_hvp(x, y, v):
+            return problem.ll_hvp(x, y, v)
+
+        def ll_jvp(x, y, v):
+            return problem.ll_jvp(x, y, v)
+
+        def at(x):
+            return problem.ll_grad_y.at(x)
+
+        at.rows = lambda xs: problem.ll_grad_y.at.rows(xs)
+        ll_grad_y.at = at
+        ll_hvp.rows = problem.ll_hvp.rows
+        ll_jvp.rows = problem.ll_jvp.rows
+        if form == "ll_grad_y.at.rows":
+            at.rows = lambda xs: lambda ys: nudged(problem.ll_grad_y.at.rows(xs)(ys))
+        elif form == "ll_hvp.rows":
+            ll_hvp.rows = lambda xs, ys, vs: nudged(problem.ll_hvp.rows(xs, ys, vs))
+        else:
+            ll_jvp.rows = lambda xs, ys, vs: nudged(problem.ll_jvp.rows(xs, ys, vs))
+        bundle = replace(problem, ll_grad_y=ll_grad_y, ll_hvp=ll_hvp, ll_jvp=ll_jvp)
+        x, y = np.full(3, 0.5), np.full(4, 0.25)
+        if perturbed:
+            with pytest.raises(InvalidProblemError, match=form.replace(".", r"\.")):
+                validate_problem(bundle, x, y)
+        else:
+            validate_problem(bundle, x, y)
+
     def test_dimension_mismatch(self, quadratic):
         _, problem, _ = quadratic
         with pytest.raises(InvalidProblemError):
@@ -380,6 +423,22 @@ class TestStochasticWrapper:
             assert np.array_equal(
                 stochastic.ul_grad_y(s, x, y, batch), problem.ul_grad_y(s, x, y)
             )
+
+    def test_wrappers_forward_the_bound_gradient(self, quadratic):
+        # wrap_deterministic and deterministic() keep ``ll_grad_y.at``
+        # (equal to the per-call gradient byte for byte) and drop the row forms.
+        _, problem, _ = quadratic
+        stochastic = wrap_deterministic(problem)
+        det = stochastic.deterministic()
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(3), rng.standard_normal(4)
+        batch = stochastic.full_batch(LL_STEP)
+        expected = problem.ll_grad_y(x, y).tobytes()
+        assert stochastic.ll_grad_y.at(x)(y, batch).tobytes() == expected
+        assert det.ll_grad_y.at(x)(y).tobytes() == expected
+        for bundle in (stochastic, det):
+            assert not hasattr(bundle.ll_grad_y.at, "rows")
+            assert not hasattr(bundle.ll_hvp, "rows") and not hasattr(bundle.ll_jvp, "rows")
 
     def test_sampler_reproducible(self, quadratic):
         _, problem, _ = quadratic
@@ -609,3 +668,29 @@ class TestCountedOracles:
             assert np.array_equal(grad(y, *batch), problem.ll_grad_y(x, y))
             assert counters.as_tuple() == (0, calls, 0, 0)
         assert len(bound_x) == 1
+
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    def test_row_forms_charge_each_run(self, quadratic, runs):
+        # The rows of a call split into one block per run, and each row
+        # ticks its run's counters once; binding x ticks nothing.
+        _, problem, _ = quadratic
+        counters = [OracleCounters() for _ in range(runs)]
+        counted = counted_oracles(problem, counters[0] if runs == 1 else counters)
+        rng = np.random.default_rng(0)
+        rows = 2 * runs
+        xs, ys, vs = (rng.standard_normal((rows, n)) for n in (3, 4, 4))
+        grad = counted.ll_grad_y.at.rows(xs)
+        assert all(c.as_tuple() == (0, 0, 0, 0) for c in counters)
+        outs = (grad(ys), counted.ll_jvp.rows(xs, ys, vs), counted.ll_hvp.rows(xs, ys, vs))
+        assert all(c.as_tuple() == (0, 2, 2, 2) for c in counters)
+        raw = (problem.ll_grad_y.at.rows(xs)(ys), problem.ll_jvp.rows(xs, ys, vs),
+               problem.ll_hvp.rows(xs, ys, vs))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(outs, raw))
+
+    def test_row_forms_forwarded_only_when_present(self, quadratic):
+        _, problem, _ = quadratic
+        counted = counted_oracles(problem, OracleCounters())
+        assert hasattr(counted.ll_hvp, "rows") and hasattr(counted.ll_grad_y.at, "rows")
+        plain = replace(problem, ll_hvp=lambda x, y, v: problem.ll_hvp(x, y, v))
+        counted = counted_oracles(plain, OracleCounters())
+        assert not hasattr(counted.ll_hvp, "rows") and hasattr(counted.ll_jvp, "rows")

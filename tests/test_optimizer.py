@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -755,3 +757,228 @@ class TestBoundLowerGradient:
         # The comparison sees a bound gradient that keeps its first x, so the
         # runs above did go through ``at``.
         assert as_built != outputs(functools.partial(_bound, stale=True))
+
+
+def _without_row_forms(problem):
+    """``problem`` with its vector oracles and ``ll_grad_y.at``, but no row forms."""
+
+    def ll_grad_y(x, y):
+        return problem.ll_grad_y(x, y)
+
+    def ll_hvp(x, y, v):
+        return problem.ll_hvp(x, y, v)
+
+    def ll_jvp(x, y, v):
+        return problem.ll_jvp(x, y, v)
+
+    ll_grad_y.at = lambda x: problem.ll_grad_y.at(x)
+    return replace(problem, ll_grad_y=ll_grad_y, ll_hvp=ll_hvp, ll_jvp=ll_jvp)
+
+
+def _overflowing(problem, coordinate, limit):
+    """``problem`` whose lower gradient, in every form, is scaled by 1e300
+    wherever ``x[coordinate] > limit``: a run that crosses the limit fails
+    in its lower solve (an overflow warning, or a non-finite iterate)."""
+    at = problem.ll_grad_y.at
+
+    def scale(x):
+        return 1e300 if x[coordinate] > limit else 1.0
+
+    def ll_grad_y(x, y):
+        return problem.ll_grad_y(x, y) * scale(x)
+
+    def ll_grad_y_at(x):
+        grad, factor = at(x), scale(x)
+        return lambda y: grad(y) * factor
+
+    def ll_grad_y_at_rows(xs):
+        grad = at.rows(xs)
+        factors = np.where(xs[:, coordinate] > limit, 1e300, 1.0)[:, None]
+        return lambda ys: grad(ys) * factors
+
+    ll_grad_y_at.rows = ll_grad_y_at_rows
+    ll_grad_y.at = ll_grad_y_at
+    return replace(problem, ll_grad_y=ll_grad_y)
+
+
+def _outputs(trace, error, s_count):
+    """Everything a run hands out: trace CSV, records, final iterates, error."""
+    records = [
+        (rec.k, rec.phi.tobytes(), rec.weights.lam.tobytes(), rec.d_norm_sq,
+         rec.true_d_norm_sq, rec.counters.as_tuple(), rec.gram.tobytes())
+        for rec in trace.records
+    ]
+    return (cli.trace_csv_text(trace, s_count), records, trace.final_x.tobytes(),
+            trace.final_y.tobytes(), trace.termination, error)
+
+
+def _sweep_outputs(problem, config, prefs, x0, y0):
+    sweep = pareto_sweep(problem, config, prefs, x0, y0)
+    return [_outputs(e.trace, e.error, problem.num_objectives) for e in sweep.entries]
+
+
+def _solo_outputs(problem, config, prefs, x0, y0):
+    out = []
+    for pref in prefs:
+        try:
+            trace, error = run_deterministic(problem, config, pref, x0, y0), None
+        except RunFailure as failure:
+            trace, error = failure.trace, str(failure)
+        out.append(_outputs(trace, error, problem.num_objectives))
+    return out
+
+
+class TestLockstepSweep:
+    """``pareto_sweep`` advances its preferences in lockstep through the row
+    forms; each entry is byte for byte its preference's solo run, and the
+    sweep without row forms (row by row) is too."""
+
+    @staticmethod
+    def _sweep_50(overrides=()):
+        parser = cli.load_config(QUADRATIC_INI, [
+            "problem.p=50", "problem.q=50", "problem.s=3", "solver.k=40", *overrides])
+        problem, _, x0, y0, _ = cli.build_problem(parser, QUADRATIC_INI)
+        config = cli.build_solver_config(parser, QUADRATIC_INI)
+        prefs = [Preference.preferred(3, i) for i in range(3)]
+        prefs += [Preference.extreme(3, i) for i in range(3)]
+        return problem, config, prefs, x0, y0
+
+    @staticmethod
+    def _assert_equal_everywhere(problem, config, prefs, x0, y0):
+        swept = _sweep_outputs(problem, config, prefs, x0, y0)
+        assert swept == _solo_outputs(problem, config, prefs, x0, y0)
+        assert swept == _sweep_outputs(_without_row_forms(problem), config, prefs, x0, y0)
+        return swept
+
+    @pytest.mark.parametrize("option", ["cg", "ns"])
+    def test_entries_equal_solo_runs(self, option, monkeypatch):
+        problem, config, prefs, x0, y0 = self._sweep_50([f"solver.option={option}"])
+        calls = []
+        lockstep = optimizer.build_hypergradient_rows
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return lockstep(*args)
+
+        monkeypatch.setattr(optimizer, "build_hypergradient_rows", counting)
+        swept = self._assert_equal_everywhere(problem, config, prefs, x0, y0)
+        # Every iteration of the sweep with row forms ran all six rows at once.
+        assert calls == [len(prefs)] * config.K
+        expected = expected_counters(config, 3, option).as_tuple()
+        for _, records, _, _, termination, error in swept:
+            assert error is None and termination == "completed"
+            assert records[-1][5] == expected
+
+    @pytest.mark.parametrize("warning_filter", ["error", "ignore"])
+    @pytest.mark.parametrize("option", ["cg", "ns"])
+    def test_diverging_row_leaves_the_batch(self, two_objective, option, warning_filter):
+        # Only the first preference drives x[2] above 0.05, after its first
+        # iteration; its lower solve then overflows.  With warnings as
+        # errors the overflow warning fails it, otherwise the non-finite
+        # iterate does; the other rows go on in lockstep.
+        _, problem, _ = two_objective
+        failing = _overflowing(problem, 2, 0.05)
+        config = SolverConfig(K=12, D=8, N=3, option=option, u=1.0)
+        prefs = [Preference.preferred(2, 0), Preference.uniform(2), Preference.preferred(2, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_filter)
+            swept = self._assert_equal_everywhere(failing, config, prefs, np.zeros(3), np.zeros(4))
+        errors = [out[5] for out in swept]
+        assert errors[0] is not None and errors[1:] == [None, None]
+        assert len(swept[0][1]) >= 1
+        message = "overflow" if warning_filter == "error" else "diverged"
+        assert message in errors[0]
+
+    def test_rows_stop_on_stop_tol_at_their_own_iteration(self):
+        problem, config, prefs, x0, y0 = self._sweep_50(["solver.k=300"])
+        config = replace(config, stop_tol=1e-12)
+        swept = self._assert_equal_everywhere(problem, config, prefs, x0, y0)
+        iterations = [len(out[1]) for out in swept]
+        assert all(out[4] == "stop_tol" for out in swept)
+        assert len(set(iterations)) > 1 and max(iterations) < config.K
+
+    def test_lockstep_error_that_no_run_repeats_is_raised(self, two_objective):
+        # A row form that raises where its vector oracle does not breaks the
+        # row contract.  The loop redoes the iteration run by run, finds no
+        # failing run, and raises instead of hiding the error.
+        _, problem, _ = two_objective
+        calls = []
+        hvp_rows = problem.ll_hvp.rows
+
+        def ll_hvp(x, y, v):
+            return problem.ll_hvp(x, y, v)
+
+        def flaky_rows(xs, ys, vs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise FloatingPointError("injected")
+            return hvp_rows(xs, ys, vs)
+
+        ll_hvp.rows = flaky_rows
+        config = SolverConfig(K=6, D=4, N=3, option="cg", u=1.0)
+        prefs = [Preference.preferred(2, 0), Preference.preferred(2, 1)]
+        flaky = replace(problem, ll_hvp=ll_hvp)
+        # Three Hessian products per iteration: the fifth is in iteration 1.
+        with pytest.raises(RuntimeError, match="lockstep iteration 1 raised") as info:
+            pareto_sweep(flaky, config, prefs, np.zeros(3), np.zeros(4))
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_mixed_cg_starts_build_columns_row_by_row(self, monkeypatch):
+        # Objective 0 is a regularizer on x alone.  Its ``ul_grad_y`` is
+        # zero, so its CG iterate stays zero while the others' do not, and
+        # lockstep CG needs every start zero or every one nonzero.  From the
+        # second iteration on, each row builds its columns alone after the
+        # lockstep lower solve, with no failed attempt to redo.
+        problem, config, prefs, x0, y0 = self._sweep_50(["solver.k=10"])
+        ul_value, ul_grad_x, ul_grad_y = problem.ul_value, problem.ul_grad_x, problem.ul_grad_y
+
+        def value(s, x, y):
+            return 0.5 * float(x.dot(x)) if s == 0 else ul_value(s, x, y)
+
+        def grad_x(s, x, y):
+            return x.copy() if s == 0 else ul_grad_x(s, x, y)
+
+        def grad_y(s, x, y):
+            return np.zeros(len(y)) if s == 0 else ul_grad_y(s, x, y)
+
+        regularized = replace(problem, ul_value=value, ul_grad_x=grad_x, ul_grad_y=grad_y,
+                              reference=None)
+        built = []
+        per_row = hypergrad.build_hypergradient_matrix
+
+        def counting(*args):
+            built.append(None)
+            return per_row(*args)
+
+        def no_redo(run):
+            raise AssertionError("a lockstep attempt failed")
+
+        monkeypatch.setattr(hypergrad, "build_hypergradient_matrix", counting)
+        monkeypatch.setattr(optimizer._Run, "rewind_counters", no_redo)
+        swept = self._assert_equal_everywhere(regularized, config, prefs, x0, y0)
+        assert len(built) == len(prefs) * (config.K - 1)
+        expected = expected_counters(config, 3, "cg").as_tuple()
+        assert all(out[1][-1][5] == expected and out[5] is None for out in swept)
+
+
+class TestStochasticCounterRun:
+    """The stochastic run of the ``counter-identity`` check goes through
+    ``wrap_deterministic``, which forwards ``ll_grad_y.at``."""
+
+    @staticmethod
+    def _run(transform):
+        spec = QuadraticBilevelSpec.random(3, 4, 3, seed=2, hessian_scale=0.2)
+        problem, _ = make_quadratic(spec)
+        config = SolverConfig(K=5, D=7, Q=6, option="ns", beta=0.05)
+        trace = run_stochastic(wrap_deterministic(transform(problem)), config,
+                               Preference.uniform(3), np.zeros(3), np.zeros(4))
+        return _outputs(trace, None, 3)
+
+    def test_takes_the_bound_gradient_with_unchanged_output(self):
+        as_built = self._run(lambda problem: problem)
+        # The trace digest of this run before the wrappers forwarded ``at``.
+        digest = hashlib.sha256(as_built[0].encode()).hexdigest()
+        assert digest == "4739b8790b8e2d122928d71afdffb69b24ef89de9996dfb301228caafbf618f0"
+        assert as_built[1][-1][5] == (30, 35, 15, 90)
+        assert as_built == self._run(_forwarding)
+        assert as_built != self._run(functools.partial(_bound, stale=True))

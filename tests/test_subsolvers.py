@@ -186,6 +186,41 @@ class TestConjugateGradient:
         assert np.float64(res).tobytes() == np.float64(ref_res).tobytes()
 
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_row_stacks_solve_each_row_bitwise(self, data):
+        # Lockstep CG on a row stack, with the rows' map a stacked matmul:
+        # every row is byte for byte the vector solve of that row, for zero
+        # and warm starts, zero right-hand-side rows and budgets of 1 to 6.
+        q = data.draw(st.integers(1, 60), label="q")
+        rows = data.draw(st.integers(1, 20), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = 10.0 ** data.draw(st.floats(-3.0, 3.0), label="log10 scale") * rng.standard_normal((q, q))
+        a = m.T @ m + data.draw(st.sampled_from([1e-6, 1.0]), label="eps") * np.eye(q)
+        b = rng.standard_normal((rows, q))
+        b[rng.random(rows) < 0.2] = 0.0
+        warm = data.draw(st.booleans(), label="warm")
+        v0 = rng.standard_normal((rows, q)) if warm else np.zeros((rows, q))
+        budget = data.draw(st.integers(1, 6), label="applications")
+        calls = []
+
+        def apply_rows(w):
+            calls.append(1)
+            return np.matmul(a, w[:, :, None])[:, :, 0]
+
+        v, res = conjugate_gradient(apply_rows, b, v0, budget)
+        assert len(calls) == budget
+        for i in range(rows):
+            ref_v, ref_res = conjugate_gradient(a.dot, b[i], v0[i], budget)
+            assert v[i].tobytes() == ref_v.tobytes()
+            assert res[i].tobytes() == np.float64(ref_res).tobytes()
+
+    def test_row_stacks_need_uniform_starts(self):
+        v0 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="every start row"):
+            conjugate_gradient(lambda w: w, np.ones((2, 2)), v0, 2)
+
+
 def reference_conjugate_gradient(apply_A, b, v0, applications):
     """CG with every direction update, the last one included, which the
     kernel skips since nothing reads it; no finiteness checks (the maps
