@@ -31,6 +31,7 @@ from .core import (
     LL_STEP,
     UL_BATCH,
 )
+from .subsolvers import _row_dots
 
 
 def _require_integers(least: int, **values) -> None:
@@ -148,7 +149,13 @@ def make_quadratic(
     row with one stacked ``matmul`` of a matrix and (m, n, 1) vectors,
     which runs one matrix-vector product per row, so each row equals its
     vector oracle byte for byte.  (A matrix-matrix product sums in another
-    order; ``neg_ct`` keeps its F order for the same reason.)
+    order; ``neg_ct`` keeps its F order for the same reason.)  The upper
+    row forms ``ul_grad_x.rows`` and ``ul_grad_y.rows`` are elementwise,
+    and ``ul_value.rows`` takes its dots as stacked (1, n) by (n, 1)
+    ``matmul`` products, which run ``ndarray.dot``'s kernel on each row.
+    ``reference.grad_phi.rows`` maps ``W`` over the rows the same way and
+    multiplies each row's (S, q) block by ``W`` with one stacked
+    ``matmul``, one matrix product per row as in ``grad_phi``.
     """
     h = spec.hessian
     c = spec.coupling
@@ -167,6 +174,16 @@ def make_quadratic(
 
     def ul_grad_y(s, x, y):
         return y - y_targets[s]
+
+    def ul_value_rows(xs, ys):
+        m, s_count = len(xs), len(x_targets)
+        dx = (xs[:, None, :] - x_targets).reshape(m * s_count, -1)
+        dy = (ys[:, None, :] - y_targets).reshape(m * s_count, -1)
+        return (0.5 * _row_dots(dx, dx) + 0.5 * _row_dots(dy, dy)).reshape(m, s_count)
+
+    ul_value.rows = ul_value_rows
+    ul_grad_x.rows = lambda xs, ys: xs[:, None, :] - x_targets
+    ul_grad_y.rows = lambda xs, ys: ys[:, None, :] - y_targets
 
     def ll_grad_y_at(x):
         cx = c.dot(x)
@@ -215,6 +232,13 @@ def make_quadratic(
         ys = w.dot(x)
         cols = (x[None, :] - x_targets) + (ys[None, :] - y_targets).dot(w)
         return cols.T
+
+    def grad_phi_rows(xs):
+        ys = _row_products(w, xs)
+        cols = (xs[:, None, :] - x_targets) + np.matmul(ys[:, None, :] - y_targets, w)
+        return cols.transpose(0, 2, 1)
+
+    grad_phi.rows = grad_phi_rows
 
     eigs = np.linalg.eigvalsh(h)
     mu_g = float(eigs[0])

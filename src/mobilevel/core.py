@@ -369,7 +369,10 @@ class AnalyticReference:
 
     ``y_star`` maps x to the exact lower-level solution, ``phi`` to the
     vector of upper-level values at that solution, and ``grad_phi`` to the
-    p-by-S matrix of exact total derivatives.
+    p-by-S matrix of exact total derivatives.  ``grad_phi`` may carry the
+    row form ``grad_phi.rows(X)``: X is an m-by-p row stack, and entry
+    ``[i]`` of the m x p x S result must equal ``grad_phi(X[i])`` byte for
+    byte.  A lockstep sweep needs it (see :class:`DeterministicOracles`).
     """
 
     y_star: Callable[[np.ndarray], np.ndarray]
@@ -393,12 +396,19 @@ class DeterministicOracles:
     exists, and calls ``ll_grad_y`` per step otherwise.
 
     Row forms serve a lockstep sweep, which advances one row per
-    preference.  ``ll_hvp.rows(X, Y, V)``, ``ll_jvp.rows(X, Y, V)`` and
-    ``ll_grad_y.at.rows(X)`` (a function of ``Y``) take row stacks: 2-d
-    arrays with one point per row (X m x p, Y and V m x q).  Row ``i`` of
-    the result must equal the vector oracle at row ``i`` byte for byte.  A
-    sweep uses them only when all three exist, and otherwise calls the
-    vector oracles row by row; :func:`validate_problem` checks them.
+    preference.  They take row stacks: 2-d arrays with one point per row
+    (X m x p, Y and V m x q).
+    - ``ll_grad_y.at.rows(X)`` returns a function of ``Y`` (m x q), and
+      ``ll_hvp.rows(X, Y, V)`` and ``ll_jvp.rows(X, Y, V)`` return m x q
+      and m x p; row ``i`` must equal the vector oracle at row ``i``.
+    - ``ul_value.rows(X, Y)``, ``ul_grad_x.rows(X, Y)`` and
+      ``ul_grad_y.rows(X, Y)`` return m x S, m x S x p and m x S x q;
+      entry ``[i, s]`` must equal the vector oracle ``(s, X[i], Y[i])``.
+    - ``reference.grad_phi.rows(X)`` (see :class:`AnalyticReference`).
+    Each must match byte for byte.  A sweep uses them only when all six
+    exist, and ``grad_phi.rows`` too when a reference exists; otherwise
+    it calls the vector oracles row by row.  :func:`validate_problem`
+    checks them.
 
     ``dataclasses.replace`` of a field drops that field's attributes, and
     its runs take the per-call or per-row path with the same results.
@@ -617,7 +627,9 @@ def counted_oracles(
     same way.  ``counters`` is then one :class:`OracleCounters` or a
     sequence of them, one per run of a lockstep batch.  The rows of a
     row-form call split into equal consecutive blocks, one per run, and
-    each row ticks its run's counters once.  Vector calls need one
+    each row ticks its run's counters once, or once per objective for
+    ``ul_grad_x.rows`` and ``ul_grad_y.rows``.  ``ul_value`` is not
+    counted, so its row form passes through.  Vector calls need one
     :class:`OracleCounters`.
     """
     p, q, s_count = oracles.dim_x, oracles.dim_y, oracles.num_objectives
@@ -699,6 +711,21 @@ def counted_oracles(
     for counted, raw, field in ((ll_hvp, oracles.ll_hvp, "hv_g"), (ll_jvp, oracles.ll_jvp, "jv_g")):
         if hasattr(raw, "rows"):
             counted.rows = counted_rows(raw.rows, field)
+
+    def counted_upper_rows(raw_rows):
+        def rows(x, y):
+            assert x.shape == (len(x), p) and y.shape == (len(x), q)
+            assert len(x) % n_runs == 0
+            ticks = len(x) // n_runs * s_count
+            for run in runs:
+                run.gc_f += ticks
+            return raw_rows(x, y)
+
+        return rows
+
+    for counted, raw in ((ul_grad_x, oracles.ul_grad_x), (ul_grad_y, oracles.ul_grad_y)):
+        if hasattr(raw, "rows"):
+            counted.rows = counted_upper_rows(raw.rows)
 
     return replace(
         oracles,
@@ -784,6 +811,13 @@ def _check_row_forms(problem: DeterministicOracles, x: np.ndarray, y: np.ndarray
     ys = y + np.vstack([np.zeros(y.size), rng.standard_normal((2, y.size))])
     vs = rng.standard_normal(ys.shape)
     at = getattr(problem.ll_grad_y, "at", None)
+    reference = problem.reference
+    objectives = range(problem.num_objectives)
+
+    def upper(oracle):
+        return (getattr(oracle, "rows", None), lambda form: form(xs, ys),
+                lambda i: np.array([oracle(s, xs[i], ys[i]) for s in objectives], dtype=float))
+
     cases = (
         ("ll_grad_y.at.rows", getattr(at, "rows", None), lambda form: form(xs)(ys),
          lambda i: problem.ll_grad_y(xs[i], ys[i])),
@@ -791,6 +825,11 @@ def _check_row_forms(problem: DeterministicOracles, x: np.ndarray, y: np.ndarray
          lambda i: problem.ll_hvp(xs[i], ys[i], vs[i])),
         ("ll_jvp.rows", getattr(problem.ll_jvp, "rows", None), lambda form: form(xs, ys, vs),
          lambda i: problem.ll_jvp(xs[i], ys[i], vs[i])),
+        ("ul_value.rows", *upper(problem.ul_value)),
+        ("ul_grad_x.rows", *upper(problem.ul_grad_x)),
+        ("ul_grad_y.rows", *upper(problem.ul_grad_y)),
+        ("reference.grad_phi.rows", getattr(getattr(reference, "grad_phi", None), "rows", None),
+         lambda form: form(xs), lambda i: reference.grad_phi(xs[i])),
     )
     for name, form, stacked, row in cases:
         if form is None:
@@ -815,9 +854,10 @@ def validate_problem(
     smallest Rayleigh quotient of the lower-level Hessian.  Raises
     :class:`InvalidProblemError` on dimension mismatches, when
     ``ll_grad_y`` carries ``at`` and ``ll_grad_y.at(x)(y)`` differs from
-    ``ll_grad_y(x, y)`` in a byte, and when a row form differs from its
-    vector oracle in a byte on a three-row stack: the probe point and two
-    seeded perturbations of it.
+    ``ll_grad_y(x, y)`` in a byte, and when a row form (the seven of
+    :class:`DeterministicOracles`) differs from its vector oracle in a
+    byte on a three-row stack: the probe point and two seeded
+    perturbations of it.  The error names the first form that differs.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

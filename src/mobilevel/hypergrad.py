@@ -13,8 +13,9 @@ at a time, and one outer iteration's hypergradient draws its Jacobian
 batch, its Hessian batches and its upper batches with one call each.
 For a lockstep sweep, ``lower_level_solve`` also steps row stacks (one
 run per row) and ``build_hypergradient_rows`` builds every row's columns,
-at once through the problem's row forms; each row is byte for byte its
-run's vector computation, and is charged the same oracle calls.
+at once through the problem's row forms: one call per upper oracle and
+per lower step or product; each row is byte for byte its run's vector
+computation, and is charged the same oracle calls.
 
 Oracle-call budgets are exact by construction: a lower solve of D steps
 costs D gradient calls; the series estimator costs one upper gradient pair,
@@ -215,12 +216,13 @@ def build_hypergradient_rows(
     call; returns one ``(grads, phi, warm)`` per row.
 
     ``x`` is the m-by-p row stack and ``trajectory`` holds m-by-q stacks.
-    ``row_oracles[i]`` evaluates row ``i``'s upper-level oracles, and
-    ``oracles`` serves the lower-level row forms for all m * S columns,
-    row ``i``'s S columns in a consecutive block.  ``warm_v[i]`` holds row
-    ``i``'s S CG starts (``None`` entries for zero starts).  Lockstep CG
-    needs every start zero or every one nonzero; when they mix, each row
-    calls ``build_hypergradient_matrix`` through its own oracles instead.
+    ``oracles`` serves the row forms: one call of each upper oracle's for
+    all m rows, and the lower ones for all m * S columns, row ``i``'s S
+    columns in a consecutive block.  ``warm_v[i]`` holds row ``i``'s S CG
+    starts (``None`` entries for zero starts).  Lockstep CG needs every
+    start zero or every one nonzero; when they mix, each row calls
+    ``build_hypergradient_matrix`` through its own ``row_oracles[i]``
+    instead.
     """
     m, s_count = len(row_oracles), oracles.num_objectives
     y_d = trajectory[-1]
@@ -231,14 +233,9 @@ def build_hypergradient_rows(
         if 0 < started < len(v0):
             return [build_hypergradient_matrix(row, x_i, [y_i], config, warm)
                     for row, x_i, y_i, warm in zip(row_oracles, x, y_d, warm_v)]
-    phi, grad_x, grad_y = [], [], []
-    for row, x_i, y_i in zip(row_oracles, x, y_d):
-        for s in range(s_count):
-            phi.append(row.ul_value(s, x_i, y_i))
-            grad_x.append(row.ul_grad_x(s, x_i, y_i))
-            grad_y.append(row.ul_grad_y(s, x_i, y_i))
-    phi = np.array(phi, dtype=float).reshape(m, s_count)
-    grad_x, grad_y = np.array(grad_x, dtype=float), np.array(grad_y, dtype=float)
+    phi = oracles.ul_value.rows(x, y_d)
+    grad_x = oracles.ul_grad_x.rows(x, y_d).reshape(m * s_count, oracles.dim_x)
+    grad_y = oracles.ul_grad_y.rows(x, y_d).reshape(m * s_count, oracles.dim_y)
     xs = np.repeat(x, s_count, axis=0)
     if config.option == "cg":
         ys = np.repeat(y_d, s_count, axis=0)

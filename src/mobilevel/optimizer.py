@@ -11,7 +11,9 @@ hypergradient columns: cg or ns on a deterministic problem
 starts), or the sampled Neumann recursion on a stochastic one
 (``run_stochastic``, which carries the generator and the fixed Hessian
 batch sizes).  A deterministic entry point also hands it ``advance_rows``,
-which does the same for all rows at once through the problem's row forms.
+which does the same for all rows at once through the problem's row forms,
+one stacked call per oracle; the records' exact directions then come
+from one ``reference.grad_phi.rows`` call.
 A deterministic run with no preference (``r=None``) is the non-preference
 variant: it drops the preference scaling and uses the plain minimum-norm
 weights.
@@ -66,8 +68,13 @@ def _check_inputs(problem, x0, y0, r: Optional[Preference]):
 
 
 def _has_row_forms(oracles) -> bool:
-    at = getattr(oracles.ll_grad_y, "at", None)
-    return all(hasattr(f, "rows") for f in (at, oracles.ll_hvp, oracles.ll_jvp))
+    """All six oracle row forms, and ``reference.grad_phi.rows`` when the
+    problem has a reference: a lockstep iteration needs every one."""
+    forms = [getattr(oracles.ll_grad_y, "at", None), oracles.ll_hvp, oracles.ll_jvp,
+             oracles.ul_value, oracles.ul_grad_x, oracles.ul_grad_y]
+    if oracles.reference is not None:
+        forms.append(oracles.reference.grad_phi)
+    return all(hasattr(f, "rows") for f in forms)
 
 
 class _Run:
@@ -128,14 +135,17 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
     ``advance_rows(batch, runs)`` returns the same for every run at once,
     one tuple per run, through ``batch``: the problem counted with one
     counters per run.  The loop calls it while two or more runs are left
-    and ``batch`` carries the row forms: two rows already pay (the shipped
-    two-preference p = q = 3 sweeps took 0.95-0.99x the time of row by
-    row, numpy 2.4.6, 2 shared vCPUs).  If it raises, or a warning raised
-    as an error interrupts it, the counters are set back and the
-    iteration is redone run by run, so that a failing run fails as it
-    would alone and the others take the same values.  Each row computes
-    what its run would alone, so a run must then fail; if none does, the
-    row path is at fault and the loop raises ``RuntimeError``.
+    and ``batch`` carries every row form (``_has_row_forms``): two rows
+    already pay (the shipped two-preference p = q = 3 sweeps took
+    0.95-0.99x the time of row by row, numpy 2.4.6, 2 shared vCPUs).  If
+    it raises, or a warning raised as an error interrupts it, the counters
+    are set back and the iteration is redone run by run, so that a failing
+    run fails as it would alone and the others take the same values.  Each
+    row computes what its run would alone, so a run must then fail; if
+    none does, the row path is at fault and the loop raises
+    ``RuntimeError``.  In such an iteration the reference's exact
+    directions come from one ``grad_phi.rows`` call over the runs whose
+    weights were found, never at the ``x`` of a run that failed there.
     """
     active = list(runs)
     batch = None
@@ -145,11 +155,12 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
         if not active:
             break
         results = lockstep_error = None
-        if batched and len(active) > 1:
+        lockstep = batched and len(active) > 1
+        if lockstep:
             if batch is None:
                 batch = counted_oracles(problem, [run.counters for run in active])
-                batched = _has_row_forms(batch)
-            if batched:
+                batched = lockstep = _has_row_forms(batch)
+            if lockstep:
                 try:
                     results = advance_rows(batch, active)
                 except Exception as exc:  # noqa: BLE001 - redone run by run below
@@ -157,27 +168,37 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
                     for run in active:
                         run.rewind_counters()
 
-        left = []
-        failed = False
+        passed = []
         for i, run in enumerate(active):
-            config, weight_vec, x = run.config, run.weight_vec, run.x
             try:
                 y, grads, phi = advance(run) if results is None else results[i]
-                subproblem = WcSubproblem(grads, phi, weight_vec, config.u)
+                subproblem = WcSubproblem(grads, phi, run.weight_vec, run.config.u)
                 # A certified warm start comes back as the same object.
                 weights, _ = solve_wc_subproblem(subproblem, warm_start=run.weights)
             except Exception as exc:  # noqa: BLE001 - the run fails with its partial trace
                 run.fail(k, exc, estimator)
-                failed = True
                 continue
             run.y, run.weights = y, weights
+            passed.append((run, grads, subproblem))
+        if lockstep_error is not None and len(passed) == len(active):
+            # No run fails alone, so the row path itself is at fault.
+            raise RuntimeError(
+                f"lockstep iteration {k} raised, but every run passes it alone"
+            ) from lockstep_error
 
-            scaled_lam = weight_vec * weights.lam
+        true_grads = None
+        if lockstep and reference is not None and passed:
+            true_grads = reference.grad_phi.rows(np.array([run.x for run, _, _ in passed]))
+        left = []
+        for j, (run, grads, subproblem) in enumerate(passed):
+            config, weights = run.config, run.weights
+            scaled_lam = run.weight_vec * weights.lam
             direction = grads.dot(scaled_lam)
             d_norm_sq = float(direction.dot(direction))
             true_d_norm_sq = None
             if reference is not None:
-                true_direction = reference.grad_phi(x).dot(scaled_lam)
+                true_grad = reference.grad_phi(run.x) if true_grads is None else true_grads[j]
+                true_direction = true_grad.dot(scaled_lam)
                 true_d_norm_sq = float(true_direction.dot(true_direction))
             run.records.append(
                 IterationRecord(
@@ -193,13 +214,8 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
             if d_norm_sq <= config.stop_tol:
                 run.finish(TERM_STATIONARY if d_norm_sq == 0.0 else TERM_STOP_TOL, estimator)
                 continue
-            run.x = x - config.beta * direction
+            run.x = run.x - config.beta * direction
             left.append(run)
-        if lockstep_error is not None and not failed:
-            # No run fails alone, so the row path itself is at fault.
-            raise RuntimeError(
-                f"lockstep iteration {k} raised, but every run passes it alone"
-            ) from lockstep_error
         if len(left) < len(active):
             batch = None
         active = left
@@ -353,9 +369,10 @@ def pareto_sweep(
 
     The runs advance in lockstep, one row per preference, and each entry
     is byte for byte the ``run_deterministic`` run of its preference.
-    With the problem's row forms (see :class:`DeterministicOracles`) the
-    rows share each lower step and each CG update, and oracle calls
-    interleave across preferences and objectives.  Individual run failures
+    With all of the problem's row forms (see :class:`DeterministicOracles`)
+    the rows share each oracle call, lower step and CG update, and oracle
+    calls interleave across preferences and objectives; without any one
+    of them the runs advance row by row.  Individual run failures
     are recorded in their entry without aborting the rest of the sweep.
     """
     if not preferences:

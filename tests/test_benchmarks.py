@@ -334,7 +334,8 @@ def toy():
 class TestQuadraticRowForms:
     """The quadratic's row forms and the stacked row dot equal the vector
     products row by row, byte for byte: on this numpy, stacked ``matmul``
-    must run one matrix-vector product (one dot) per row."""
+    must run one matrix-vector product (one dot, one matrix product) per
+    row."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(data=st.data())
@@ -358,6 +359,38 @@ class TestQuadraticRowForms:
                       problem.ll_jvp(xs[i], ys[i], vs[i]), np.float64(vs[i].dot(ys[i])))
             for out, expected in zip(stacked, vector):
                 assert out[i].tobytes() == expected.tobytes()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_all_seven_forms_match_over_small_shapes(self, data):
+        # Entry [i, s] of an upper row form is the vector oracle (s, X[i],
+        # Y[i]), and entry [i] of reference.grad_phi.rows is grad_phi(X[i]):
+        # every size down to 1 takes its own matmul and dot special cases.
+        p, q, s_count, rows = (data.draw(st.integers(1, 6), label=name)
+                               for name in ("p", "q", "S", "rows"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        problem, _ = make_quadratic(QuadraticBilevelSpec.random(p, q, s_count, seed=seed % 1000))
+        rng = np.random.default_rng(seed)
+        xs, ys, vs = (rng.standard_normal((rows, n)) for n in (p, q, q))
+        lower = (problem.ll_grad_y.at.rows(xs)(ys), problem.ll_hvp.rows(xs, ys, vs),
+                 problem.ll_jvp.rows(xs, ys, vs))
+        upper = (problem.ul_value.rows(xs, ys), problem.ul_grad_x.rows(xs, ys),
+                 problem.ul_grad_y.rows(xs, ys))
+        true_grads = problem.reference.grad_phi.rows(xs)
+        assert [out.shape for out in upper] == [(rows, s_count), (rows, s_count, p),
+                                                (rows, s_count, q)]
+        for i in range(rows):
+            x, y, v = xs[i], ys[i], vs[i]
+            vector = (problem.ll_grad_y.at(x)(y), problem.ll_hvp(x, y, v),
+                      problem.ll_jvp(x, y, v))
+            for out, expected in zip(lower, vector):
+                assert out[i].tobytes() == expected.tobytes()
+            for s in range(s_count):
+                vector = (np.float64(problem.ul_value(s, x, y)), problem.ul_grad_x(s, x, y),
+                          problem.ul_grad_y(s, x, y))
+                for out, expected in zip(upper, vector):
+                    assert out[i, s].tobytes() == expected.tobytes()
+            assert true_grads[i].tobytes() == problem.reference.grad_phi(x).tobytes()
 
 
 class TestHypercleaningToy:

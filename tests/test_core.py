@@ -352,7 +352,10 @@ class TestValidateProblem:
             with pytest.raises(InvalidProblemError, match="ll_grad_y.at"):
                 validate_problem(bundle, x, y)
 
-    @pytest.mark.parametrize("form", ["ll_grad_y.at.rows", "ll_hvp.rows", "ll_jvp.rows"])
+    @pytest.mark.parametrize("form", [
+        "ll_grad_y.at.rows", "ll_hvp.rows", "ll_jvp.rows", "ul_value.rows", "ul_grad_x.rows",
+        "ul_grad_y.rows", "reference.grad_phi.rows",
+    ])
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_checks_row_forms(self, quadratic, form, perturbed):
         # Each row form must equal its vector oracle row by row, byte for
@@ -362,32 +365,37 @@ class TestValidateProblem:
         def nudged(out):
             out = np.array(out)
             if perturbed:
-                out[-1, 0] = np.nextafter(out[-1, 0], np.inf)
+                entry = (-1,) + (0,) * (out.ndim - 1)
+                out[entry] = np.nextafter(out[entry], np.inf)
             return out
+
+        def with_rows(oracle, name):
+            """A plain function calling ``oracle``, with its row form,
+            nudged when it is the form under test."""
+
+            def vector(*args):
+                return oracle(*args)
+
+            rows = oracle.rows
+            vector.rows = (lambda *args: nudged(rows(*args))) if name == form else rows
+            return vector
 
         def ll_grad_y(x, y):
             return problem.ll_grad_y(x, y)
 
-        def ll_hvp(x, y, v):
-            return problem.ll_hvp(x, y, v)
-
-        def ll_jvp(x, y, v):
-            return problem.ll_jvp(x, y, v)
-
         def at(x):
             return problem.ll_grad_y.at(x)
 
-        at.rows = lambda xs: problem.ll_grad_y.at.rows(xs)
+        at_rows = problem.ll_grad_y.at.rows
+        at.rows = (lambda xs: lambda ys: nudged(at_rows(xs)(ys))) \
+            if form == "ll_grad_y.at.rows" else at_rows
         ll_grad_y.at = at
-        ll_hvp.rows = problem.ll_hvp.rows
-        ll_jvp.rows = problem.ll_jvp.rows
-        if form == "ll_grad_y.at.rows":
-            at.rows = lambda xs: lambda ys: nudged(problem.ll_grad_y.at.rows(xs)(ys))
-        elif form == "ll_hvp.rows":
-            ll_hvp.rows = lambda xs, ys, vs: nudged(problem.ll_hvp.rows(xs, ys, vs))
-        else:
-            ll_jvp.rows = lambda xs, ys, vs: nudged(problem.ll_jvp.rows(xs, ys, vs))
-        bundle = replace(problem, ll_grad_y=ll_grad_y, ll_hvp=ll_hvp, ll_jvp=ll_jvp)
+        fields = {"ll_grad_y": ll_grad_y}
+        for field in ("ll_hvp", "ll_jvp", "ul_value", "ul_grad_x", "ul_grad_y"):
+            fields[field] = with_rows(getattr(problem, field), f"{field}.rows")
+        fields["reference"] = replace(problem.reference, grad_phi=with_rows(
+            problem.reference.grad_phi, "reference.grad_phi.rows"))
+        bundle = replace(problem, **fields)
         x, y = np.full(3, 0.5), np.full(4, 0.25)
         if perturbed:
             with pytest.raises(InvalidProblemError, match=form.replace(".", r"\.")):
@@ -686,11 +694,20 @@ class TestCountedOracles:
         raw = (problem.ll_grad_y.at.rows(xs)(ys), problem.ll_jvp.rows(xs, ys, vs),
                problem.ll_hvp.rows(xs, ys, vs))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(outs, raw))
+        # The upper row forms tick gc_f once per row and objective (S = 2);
+        # values are not counted, so ul_value's row form passes through.
+        outs = (counted.ul_grad_x.rows(xs, ys), counted.ul_grad_y.rows(xs, ys))
+        assert all(c.as_tuple() == (8, 2, 2, 2) for c in counters)
+        raw = (problem.ul_grad_x.rows(xs, ys), problem.ul_grad_y.rows(xs, ys))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(outs, raw))
+        assert counted.ul_value.rows is problem.ul_value.rows
 
     def test_row_forms_forwarded_only_when_present(self, quadratic):
         _, problem, _ = quadratic
         counted = counted_oracles(problem, OracleCounters())
         assert hasattr(counted.ll_hvp, "rows") and hasattr(counted.ll_grad_y.at, "rows")
-        plain = replace(problem, ll_hvp=lambda x, y, v: problem.ll_hvp(x, y, v))
+        plain = replace(problem, ll_hvp=lambda x, y, v: problem.ll_hvp(x, y, v),
+                        ul_grad_x=lambda s, x, y: problem.ul_grad_x(s, x, y))
         counted = counted_oracles(plain, OracleCounters())
         assert not hasattr(counted.ll_hvp, "rows") and hasattr(counted.ll_jvp, "rows")
+        assert not hasattr(counted.ul_grad_x, "rows") and hasattr(counted.ul_grad_y, "rows")

@@ -759,20 +759,54 @@ class TestBoundLowerGradient:
         assert as_built != outputs(functools.partial(_bound, stale=True))
 
 
+UPPER_FORMS = ("ul_value", "ul_grad_x", "ul_grad_y", "reference.grad_phi")
+
+
+def _forwarding_upper(problem, fields, wrap):
+    """``problem`` with each named upper oracle (``UPPER_FORMS``) replaced
+    by ``wrap(name, oracle)``; a missing reference stays missing."""
+    changes = {f: wrap(f, getattr(problem, f)) for f in fields if f != "reference.grad_phi"}
+    if "reference.grad_phi" in fields and problem.reference is not None:
+        changes["reference"] = replace(problem.reference, grad_phi=wrap(
+            "reference.grad_phi", problem.reference.grad_phi))
+    return replace(problem, **changes)
+
+
+def _plain(name, oracle):
+    """A function forwarding each call to ``oracle``, with no row form."""
+
+    def vector(*args):
+        return oracle(*args)
+
+    return vector
+
+
 def _without_row_forms(problem):
-    """``problem`` with its vector oracles and ``ll_grad_y.at``, but no row forms."""
+    """``problem`` with its vector oracles and ``ll_grad_y.at``, but none
+    of the seven row forms."""
 
     def ll_grad_y(x, y):
         return problem.ll_grad_y(x, y)
 
-    def ll_hvp(x, y, v):
-        return problem.ll_hvp(x, y, v)
-
-    def ll_jvp(x, y, v):
-        return problem.ll_jvp(x, y, v)
-
     ll_grad_y.at = lambda x: problem.ll_grad_y.at(x)
-    return replace(problem, ll_grad_y=ll_grad_y, ll_hvp=ll_hvp, ll_jvp=ll_jvp)
+    problem = _forwarding_upper(problem, UPPER_FORMS, _plain)
+    return replace(problem, ll_grad_y=ll_grad_y, ll_hvp=_plain("ll_hvp", problem.ll_hvp),
+                   ll_jvp=_plain("ll_jvp", problem.ll_jvp))
+
+
+def _watching(problem, calls):
+    """``problem`` whose vector upper oracles and ``reference.grad_phi``
+    append their name to ``calls``; every row form is kept."""
+
+    def watched(name, oracle):
+        def vector(*args):
+            calls.append(name)
+            return oracle(*args)
+
+        vector.rows = oracle.rows
+        return vector
+
+    return _forwarding_upper(problem, UPPER_FORMS, watched)
 
 
 def _overflowing(problem, coordinate, limit):
@@ -864,10 +898,32 @@ class TestLockstepSweep:
         swept = self._assert_equal_everywhere(problem, config, prefs, x0, y0)
         # Every iteration of the sweep with row forms ran all six rows at once.
         assert calls == [len(prefs)] * config.K
+        # ... and made one stacked call per upper oracle and one of
+        # grad_phi.rows, no vector call.
+        vector_calls = []
+        watched = _watching(problem, vector_calls)
+        assert _sweep_outputs(watched, config, prefs, x0, y0) == swept
+        assert vector_calls == []
         expected = expected_counters(config, 3, option).as_tuple()
         for _, records, _, _, termination, error in swept:
             assert error is None and termination == "completed"
             assert records[-1][5] == expected
+            # Each iteration charges each run gc_f = 2 S, as a solo run.
+            assert [record[5][0] for record in records] == [6 * (k + 1) for k in range(config.K)]
+
+    @pytest.mark.parametrize("missing", UPPER_FORMS)
+    def test_one_missing_upper_form_sweeps_row_by_row(self, missing, monkeypatch):
+        # All or none: without any one row form the sweep takes the row by
+        # row path for every oracle, with the same outputs.
+        problem, config, prefs, x0, y0 = self._sweep_50(["solver.k=12"])
+        swept = _sweep_outputs(problem, config, prefs, x0, y0)
+
+        def lockstep(*args):
+            raise AssertionError("a lockstep iteration ran")
+
+        monkeypatch.setattr(optimizer, "build_hypergradient_rows", lockstep)
+        lacking = _forwarding_upper(problem, [missing], _plain)
+        assert _sweep_outputs(lacking, config, prefs, x0, y0) == swept
 
     @pytest.mark.parametrize("warning_filter", ["error", "ignore"])
     @pytest.mark.parametrize("option", ["cg", "ns"])
@@ -888,6 +944,23 @@ class TestLockstepSweep:
         assert len(swept[0][1]) >= 1
         message = "overflow" if warning_filter == "error" else "diverged"
         assert message in errors[0]
+        # The reference is never evaluated at the x where the row failed.
+        seen = []
+
+        def watched(name, grad_phi):
+            def vector(x):
+                return grad_phi(x)
+
+            vector.rows = lambda xs: seen.append(xs.copy()) or grad_phi.rows(xs)
+            return vector
+
+        watching = _forwarding_upper(failing, ["reference.grad_phi"], watched)
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_filter)
+            sweep = pareto_sweep(watching, config, prefs, np.zeros(3), np.zeros(4))
+        failed_at = sweep.entries[0].trace.final_x
+        assert [len(xs) for xs in seen] == [3] * len(swept[0][1]) + [2] * (config.K - len(swept[0][1]))
+        assert not any((xs == failed_at).all(axis=1).any() for xs in seen)
 
     def test_rows_stop_on_stop_tol_at_their_own_iteration(self):
         problem, config, prefs, x0, y0 = self._sweep_50(["solver.k=300"])
@@ -941,6 +1014,23 @@ class TestLockstepSweep:
         def grad_y(s, x, y):
             return np.zeros(len(y)) if s == 0 else ul_grad_y(s, x, y)
 
+        # The row forms, so that the sweep still runs in lockstep.
+        def value_rows(xs, ys):
+            out = ul_value.rows(xs, ys)
+            out[:, 0] = 0.5 * subsolvers._row_dots(xs, xs)
+            return out
+
+        def grad_x_rows(xs, ys):
+            out = ul_grad_x.rows(xs, ys)
+            out[:, 0] = xs
+            return out
+
+        def grad_y_rows(xs, ys):
+            out = ul_grad_y.rows(xs, ys)
+            out[:, 0] = 0.0
+            return out
+
+        value.rows, grad_x.rows, grad_y.rows = value_rows, grad_x_rows, grad_y_rows
         regularized = replace(problem, ul_value=value, ul_grad_x=grad_x, ul_grad_y=grad_y,
                               reference=None)
         built = []
