@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -369,10 +370,8 @@ class AnalyticReference:
 
     ``y_star`` maps x to the exact lower-level solution, ``phi`` to the
     vector of upper-level values at that solution, and ``grad_phi`` to the
-    p-by-S matrix of exact total derivatives.  ``grad_phi`` may carry the
-    row form ``grad_phi.rows(X)``: X is an m-by-p row stack, and entry
-    ``[i]`` of the m x p x S result must equal ``grad_phi(X[i])`` byte for
-    byte.  A lockstep sweep needs it (see :class:`DeterministicOracles`).
+    p-by-S matrix of exact total derivatives.  ``grad_phi`` may carry a
+    row form, as the oracles of :class:`DeterministicOracles` may.
     """
 
     y_star: Callable[[np.ndarray], np.ndarray]
@@ -389,31 +388,22 @@ class DeterministicOracles:
     ``(x, y)``.  ``ll_jvp(x, y, v)`` applies the mixed second derivative
     (q to p).
 
-    ``ll_grad_y`` may carry an attribute ``at``: ``ll_grad_y.at(x)`` does
-    the work that depends on ``x`` alone once and returns a function of
-    ``y`` that must equal ``ll_grad_y(x, y)`` byte for byte.  A lower
-    solve takes D steps at one ``x``, so it binds ``x`` once when ``at``
-    exists, and calls ``ll_grad_y`` per step otherwise.
-
-    Row forms serve a lockstep sweep, which advances one row per
-    preference.  They take row stacks: 2-d arrays with one point per row
-    (X m x p, Y and V m x q).
-    - ``ll_grad_y.at.rows(X)`` returns a function of ``Y`` (m x q), and
-      ``ll_hvp.rows(X, Y, V)`` and ``ll_jvp.rows(X, Y, V)`` return m x q
-      and m x p; row ``i`` must equal the vector oracle at row ``i``.
-    - ``ul_value.rows(X, Y)``, ``ul_grad_x.rows(X, Y)`` and
-      ``ul_grad_y.rows(X, Y)`` return m x S, m x S x p and m x S x q;
-      entry ``[i, s]`` must equal the vector oracle ``(s, X[i], Y[i])``.
-    - ``reference.grad_phi.rows(X)`` (see :class:`AnalyticReference`).
-    Each must match byte for byte.  A sweep uses them only when all six
-    exist, and ``grad_phi.rows`` too when a reference exists; otherwise
-    it calls the vector oracles row by row.  :func:`validate_problem`
-    checks them.
-
-    ``dataclasses.replace`` of a field drops that field's attributes, and
-    its runs take the per-call or per-row path with the same results.
-    ``wrap_deterministic`` and ``StochasticOracles.deterministic()`` forward
-    ``at`` but no row forms.
+    The oracles may carry the optional forms of the table ``_FORMS``,
+    attributes that must match their vector oracle byte for byte and that
+    :func:`validate_problem` checks.
+    - ``ll_grad_y.at(x)`` does the work that depends on ``x`` alone once
+      and returns a function of ``y``.  A lower solve binds ``x`` once for
+      its D steps when ``at`` exists, and calls ``ll_grad_y`` per step
+      otherwise.
+    - A ``rows`` form takes row stacks, 2-d arrays with one point per row
+      (X m x p, Y and V m x q); row ``i`` of its output (entry ``[i, s]``
+      for an oracle of objective ``s``) is the vector oracle at row ``i``.
+      A lockstep sweep, one row per preference, uses them only when the
+      bundle carries every one (:func:`has_row_forms`), and otherwise
+      calls the vector oracles row by row.  README's "Row forms" gives
+      each one's shape.
+    ``dataclasses.replace`` of a field drops that field's forms, and its
+    runs take the per-call or per-row path with the same results.
     """
 
     num_objectives: int
@@ -427,6 +417,69 @@ class DeterministicOracles:
     ll_jvp: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     constants: Optional[ProblemConstants] = None
     reference: Optional[AnalyticReference] = None
+
+
+class _Form(NamedTuple):
+    """An optional oracle form: its attribute path on a bundle, the
+    :class:`OracleCounters` field that ``counted_oracles`` ticks for it
+    (``None``: not counted), and the arguments of its vector oracle (the
+    path without ``at`` and ``rows``), on which ``validate_problem`` probes
+    it.  An ``at`` form binds ``x`` of ``ll_grad_y``, and what it returns
+    ticks ``gc_g`` per call (per row for a row form).  Other row forms
+    tick per row, or per row and objective when their oracle takes ``s``."""
+
+    path: tuple
+    counter: Optional[str]
+    args: str
+    name = property(lambda self: ".".join(self.path))
+    rows = property(lambda self: self.path[-1] == "rows")
+    binds = property(lambda self: "at" in self.path)
+
+
+# The optional forms, each after the form it hangs on.
+_FORMS = (
+    _Form(("ll_grad_y", "at"), "gc_g", "xy"),
+    _Form(("ll_grad_y", "at", "rows"), "gc_g", "xy"),
+    _Form(("ll_hvp", "rows"), "hv_g", "xyv"),
+    _Form(("ll_jvp", "rows"), "jv_g", "xyv"),
+    _Form(("ul_value", "rows"), None, "sxy"),
+    _Form(("ul_grad_x", "rows"), "gc_f", "sxy"),
+    _Form(("ul_grad_y", "rows"), "gc_f", "sxy"),
+    _Form(("reference", "grad_phi", "rows"), None, "x"),
+)
+
+
+def optional_form(bundle, *path):
+    """What the attribute ``path`` reaches on ``bundle``, such as a form of
+    ``_FORMS``, or ``None`` where a link is missing."""
+    for attr in path:
+        bundle = getattr(bundle, attr, None)
+    return bundle
+
+
+def has_row_forms(bundle) -> bool:
+    """Whether ``bundle`` carries every row form of ``_FORMS`` on its
+    fields that are not ``None``: a lockstep iteration needs them all."""
+    return all(optional_form(bundle, *form.path) is not None for form in _FORMS
+               if form.rows and getattr(bundle, form.path[0]) is not None)
+
+
+def forward_forms(raw, fields: dict, wrap) -> dict:
+    """Hang on the oracles ``fields`` each form that ``raw`` carries there,
+    as ``wrap(form, raw_form)``.  ``fields`` maps fields of the bundle
+    ``raw`` to the callables that replace them.  Where ``wrap`` returns
+    ``None``, the form and the forms on it are dropped.  A field left out
+    of ``fields``, or replaced by its raw object, keeps its forms."""
+    replaced = SimpleNamespace(**fields)
+    for form in _FORMS:
+        *owner_path, attr = form.path
+        owner, raw_owner = optional_form(replaced, *owner_path), optional_form(raw, *owner_path)
+        raw_form = getattr(raw_owner, attr, None)
+        if owner is not None and owner is not raw_owner and raw_form is not None:
+            wrapped = wrap(form, raw_form)
+            if wrapped is not None:
+                setattr(owner, attr, wrapped)
+    return fields
 
 
 # Populations up to this size are sampled by sorting random keys, larger ones
@@ -481,10 +534,11 @@ class StochasticOracles:
     its population size ``n``, an integer of at least 1; any other mapping
     raises :class:`InvalidProblemError`.
 
-    ``ll_grad_y`` may carry ``at`` as in :class:`DeterministicOracles`;
-    ``ll_grad_y.at(x)`` returns a function of ``(y, batch)`` equal to
-    ``ll_grad_y(x, y, batch)`` byte for byte.  Stochastic runs have one row,
-    so no row form is read.
+    The oracles may carry the forms of ``_FORMS`` without ``rows``, with
+    the batch last: ``ll_grad_y.at(x)`` returns a function of ``(y, batch)``
+    equal to ``ll_grad_y(x, y, batch)`` byte for byte.  Stochastic runs have
+    one row, so the views ``deterministic()`` and ``wrap_deterministic``
+    forward no row form.
     """
 
     num_objectives: int
@@ -545,30 +599,28 @@ class StochasticOracles:
         full = {purpose: self.full_batch(purpose) for purpose in self.dataset_sizes}
         ll_step = full[LL_STEP]
 
-        def ll_grad_y(x, y):
-            return self.ll_grad_y(x, y, ll_step)
-
-        at = getattr(self.ll_grad_y, "at", None)
-        if at is not None:
-
-            def ll_grad_y_at(x):
+        def add_batch(form, at):
+            def bind(x):
                 bound = at(x)
                 return lambda y: bound(y, ll_step)
 
-            ll_grad_y.at = ll_grad_y_at
+            return None if form.rows else bind
 
+        fields = forward_forms(self, dict(
+            ul_value=lambda s, x, y: self.ul_value(s, x, y, full[UL_BATCH]),
+            ul_grad_x=lambda s, x, y: self.ul_grad_x(s, x, y, full[UL_BATCH]),
+            ul_grad_y=lambda s, x, y: self.ul_grad_y(s, x, y, full[UL_BATCH]),
+            ll_grad_y=lambda x, y: self.ll_grad_y(x, y, ll_step),
+            ll_hvp=lambda x, y, v: self.ll_hvp(x, y, v, full[HESSIAN]),
+            ll_jvp=lambda x, y, v: self.ll_jvp(x, y, v, full[JACOBIAN]),
+        ), add_batch)
         return DeterministicOracles(
             num_objectives=self.num_objectives,
             dim_x=self.dim_x,
             dim_y=self.dim_y,
-            ul_value=lambda s, x, y: self.ul_value(s, x, y, full[UL_BATCH]),
-            ul_grad_x=lambda s, x, y: self.ul_grad_x(s, x, y, full[UL_BATCH]),
-            ul_grad_y=lambda s, x, y: self.ul_grad_y(s, x, y, full[UL_BATCH]),
-            ll_grad_y=ll_grad_y,
-            ll_hvp=lambda x, y, v: self.ll_hvp(x, y, v, full[HESSIAN]),
-            ll_jvp=lambda x, y, v: self.ll_jvp(x, y, v, full[JACOBIAN]),
             constants=self.constants,
             reference=self.reference,
+            **fields,
         )
 
 
@@ -579,31 +631,29 @@ def wrap_deterministic(oracles: DeterministicOracles) -> StochasticOracles:
     batch and every sampled oracle returns the wrapped value bitwise.
     """
 
-    def ll_grad_y(x, y, b):
-        return oracles.ll_grad_y(x, y)
-
-    at = getattr(oracles.ll_grad_y, "at", None)
-    if at is not None:
-
-        def ll_grad_y_at(x):
+    def drop_batch(form, at):
+        def bind(x):
             bound = at(x)
             return lambda y, b: bound(y)
 
-        ll_grad_y.at = ll_grad_y_at
+        return None if form.rows else bind
 
+    fields = forward_forms(oracles, dict(
+        ul_value=lambda s, x, y, b: oracles.ul_value(s, x, y),
+        ul_grad_x=lambda s, x, y, b: oracles.ul_grad_x(s, x, y),
+        ul_grad_y=lambda s, x, y, b: oracles.ul_grad_y(s, x, y),
+        ll_grad_y=lambda x, y, b: oracles.ll_grad_y(x, y),
+        ll_hvp=lambda x, y, v, b: oracles.ll_hvp(x, y, v),
+        ll_jvp=lambda x, y, v, b: oracles.ll_jvp(x, y, v),
+    ), drop_batch)
     return StochasticOracles(
         num_objectives=oracles.num_objectives,
         dim_x=oracles.dim_x,
         dim_y=oracles.dim_y,
         dataset_sizes={purpose: 1 for purpose in PURPOSES},
-        ul_value=lambda s, x, y, b: oracles.ul_value(s, x, y),
-        ul_grad_x=lambda s, x, y, b: oracles.ul_grad_x(s, x, y),
-        ul_grad_y=lambda s, x, y, b: oracles.ul_grad_y(s, x, y),
-        ll_grad_y=ll_grad_y,
-        ll_hvp=lambda x, y, v, b: oracles.ll_hvp(x, y, v),
-        ll_jvp=lambda x, y, v, b: oracles.ll_jvp(x, y, v),
         constants=oracles.constants,
         reference=oracles.reference,
+        **fields,
     )
 
 
@@ -619,18 +669,12 @@ def counted_oracles(
     forwarding ``*args`` on this hot path.)  One tick per call regardless
     of batch size.  Value evaluations are not counted; only gradients and
     second-order products are.  Dimension checks are assertions only,
-    stripped under ``python -O``.  When the wrapped ``ll_grad_y`` carries
-    ``at``, so does the counted one: ``at(x)`` ticks nothing, and each call
-    of the function it returns ticks ``gc_g`` once.
+    stripped under ``python -O``.
 
-    The row forms (see :class:`DeterministicOracles`) are forwarded the
-    same way.  ``counters`` is then one :class:`OracleCounters` or a
-    sequence of them, one per run of a lockstep batch.  The rows of a
-    row-form call split into equal consecutive blocks, one per run, and
-    each row ticks its run's counters once, or once per objective for
-    ``ul_grad_x.rows`` and ``ul_grad_y.rows``.  ``ul_value`` is not
-    counted, so its row form passes through.  Vector calls need one
-    :class:`OracleCounters`.
+    The optional forms tick as the table ``_FORMS`` says, and binding
+    ``x`` ticks nothing.  For row forms alone, ``counters`` may hold one
+    :class:`OracleCounters` per run of a lockstep batch: a row-form call's
+    rows split into equal consecutive blocks, one per run.
     """
     p, q, s_count = oracles.dim_x, oracles.dim_y, oracles.num_objectives
     runs = (counters,) if isinstance(counters, OracleCounters) else tuple(counters)
@@ -650,22 +694,6 @@ def counted_oracles(
         counters.gc_g += 1
         return oracles.ll_grad_y(x, y) if b is None else oracles.ll_grad_y(x, y, b)
 
-    raw_at = getattr(oracles.ll_grad_y, "at", None)
-    if raw_at is not None:
-
-        def ll_grad_y_at(x):
-            assert len(x) == p
-            bound = raw_at(x)
-
-            def grad(y, b=None):
-                assert len(y) == q
-                counters.gc_g += 1
-                return bound(y) if b is None else bound(y, b)
-
-            return grad
-
-        ll_grad_y.at = ll_grad_y_at
-
     def ll_hvp(x, y, v, b=None):
         assert len(x) == p and len(v) == q
         counters.hv_g += 1
@@ -676,65 +704,56 @@ def counted_oracles(
         counters.jv_g += 1
         return oracles.ll_jvp(x, y, v) if b is None else oracles.ll_jvp(x, y, v, b)
 
-    # The row forms tick each run once per row of its block.
-    n_runs = len(runs)
-    if raw_at is not None:
-        raw_at_rows = getattr(raw_at, "rows", None)
-        if raw_at_rows is not None:
+    def count(form, raw):
+        field, per_row = form.counter, s_count if "s" in form.args else 1
 
-            def ll_grad_y_at_rows(x):
-                assert x.shape == (len(x), p) and len(x) % n_runs == 0
-                bound = raw_at_rows(x)
-                ticks = len(x) // n_runs
+        def bind(x):
+            assert len(x) == p
+            bound = raw(x)
 
-                def grad(y):
-                    assert y.shape == (len(x), q)
-                    for run in runs:
-                        run.gc_g += ticks
-                    return bound(y)
+            def grad(y, b=None):
+                assert len(y) == q
+                counters.gc_g += 1
+                return bound(y) if b is None else bound(y, b)
 
-                return grad
+            return grad
 
-            ll_grad_y_at.rows = ll_grad_y_at_rows
+        def bind_rows(x):
+            assert x.shape == (len(x), p) and len(x) % len(runs) == 0
+            bound, ticks = raw(x), len(x) // len(runs)
 
-    def counted_rows(raw_rows, field):
-        def rows(x, y, v):
-            assert x.shape == (len(v), p) and y.shape == v.shape == (len(v), q)
-            assert len(v) % n_runs == 0
-            ticks = len(v) // n_runs
+            def grad(y):
+                assert y.shape == (len(x), q)
+                for run in runs:
+                    run.gc_g += ticks
+                return bound(y)
+
+            return grad
+
+        def rows(x, *stacks):
+            assert x.shape == (len(x), p) and len(x) % len(runs) == 0
+            for v in stacks:
+                assert v.shape == (len(x), q)
+            ticks = len(x) // len(runs) * per_row
             for run in runs:
                 setattr(run, field, getattr(run, field) + ticks)
-            return raw_rows(x, y, v)
+            return raw(x, *stacks)
 
-        return rows
+        if form.binds:
+            # Binders bind x of ll_grad_y, and a lower solve calls what they
+            # return at every step, so they tick gc_g literally: a setattr by
+            # name cost 70 ns more (2% of quad-cg, Python 3.11 on x86_64).
+            assert field == "gc_g", form.name
+            return bind_rows if form.rows else bind
+        return raw if field is None else rows
 
-    for counted, raw, field in ((ll_hvp, oracles.ll_hvp, "hv_g"), (ll_jvp, oracles.ll_jvp, "jv_g")):
-        if hasattr(raw, "rows"):
-            counted.rows = counted_rows(raw.rows, field)
-
-    def counted_upper_rows(raw_rows):
-        def rows(x, y):
-            assert x.shape == (len(x), p) and y.shape == (len(x), q)
-            assert len(x) % n_runs == 0
-            ticks = len(x) // n_runs * s_count
-            for run in runs:
-                run.gc_f += ticks
-            return raw_rows(x, y)
-
-        return rows
-
-    for counted, raw in ((ul_grad_x, oracles.ul_grad_x), (ul_grad_y, oracles.ul_grad_y)):
-        if hasattr(raw, "rows"):
-            counted.rows = counted_upper_rows(raw.rows)
-
-    return replace(
-        oracles,
+    return replace(oracles, **forward_forms(oracles, dict(
         ul_grad_x=ul_grad_x,
         ul_grad_y=ul_grad_y,
         ll_grad_y=ll_grad_y,
         ll_hvp=ll_hvp,
         ll_jvp=ll_jvp,
-    )
+    ), count))
 
 
 @dataclass(frozen=True)
@@ -803,43 +822,36 @@ class ProblemDiagnostics:
         )
 
 
-def _check_row_forms(problem: DeterministicOracles, x: np.ndarray, y: np.ndarray) -> None:
-    """Raise :class:`InvalidProblemError` naming the first row form whose
-    rows differ from the vector oracle's outputs in a byte."""
+def _check_forms(problem: DeterministicOracles, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise :class:`InvalidProblemError` naming the first form of
+    ``_FORMS`` that differs in a byte from its vector oracle: a form
+    without ``rows`` at the probe point, a row form row by row on a
+    three-row stack, the probe point and two seeded perturbations of it."""
     rng = np.random.default_rng(1)
     xs = x + np.vstack([np.zeros(x.size), rng.standard_normal((2, x.size))])
     ys = y + np.vstack([np.zeros(y.size), rng.standard_normal((2, y.size))])
     vs = rng.standard_normal(ys.shape)
-    at = getattr(problem.ll_grad_y, "at", None)
-    reference = problem.reference
+    stacks, point = {"x": xs, "y": ys, "v": vs}, {"x": x[None], "y": y[None], "v": vs[:1]}
     objectives = range(problem.num_objectives)
-
-    def upper(oracle):
-        return (getattr(oracle, "rows", None), lambda form: form(xs, ys),
-                lambda i: np.array([oracle(s, xs[i], ys[i]) for s in objectives], dtype=float))
-
-    cases = (
-        ("ll_grad_y.at.rows", getattr(at, "rows", None), lambda form: form(xs)(ys),
-         lambda i: problem.ll_grad_y(xs[i], ys[i])),
-        ("ll_hvp.rows", getattr(problem.ll_hvp, "rows", None), lambda form: form(xs, ys, vs),
-         lambda i: problem.ll_hvp(xs[i], ys[i], vs[i])),
-        ("ll_jvp.rows", getattr(problem.ll_jvp, "rows", None), lambda form: form(xs, ys, vs),
-         lambda i: problem.ll_jvp(xs[i], ys[i], vs[i])),
-        ("ul_value.rows", *upper(problem.ul_value)),
-        ("ul_grad_x.rows", *upper(problem.ul_grad_x)),
-        ("ul_grad_y.rows", *upper(problem.ul_grad_y)),
-        ("reference.grad_phi.rows", getattr(getattr(reference, "grad_phi", None), "rows", None),
-         lambda form: form(xs), lambda i: reference.grad_phi(xs[i])),
-    )
-    for name, form, stacked, row in cases:
-        if form is None:
+    for form in _FORMS:
+        raw = optional_form(problem, *form.path)
+        if raw is None:
             continue
-        out = np.asarray(stacked(form))
-        rows = [np.asarray(row(i)) for i in range(len(xs))]
-        if out.shape != (len(xs),) + rows[0].shape or any(
-            out[i].tobytes() != rows[i].tobytes() for i in range(len(xs))
+        oracle_path = [attr for attr in form.path if attr not in ("at", "rows")]
+        oracle = optional_form(problem, *oracle_path)
+        args = [(stacks if form.rows else point)[a] for a in form.args if a != "s"]
+        points = list(zip(*args))
+        call = args if form.rows else points[0]  # one stacked call, or one vector call
+        out = np.asarray(raw(call[0])(*call[1:]) if form.binds else raw(*call))
+        out = out if form.rows else out[None]
+        rows = [np.array([oracle(s, *a) for s in objectives], dtype=float)
+                if "s" in form.args else np.asarray(oracle(*a)) for a in points]
+        if out.shape != (len(rows),) + rows[0].shape or any(
+            out[i].tobytes() != rows[i].tobytes() for i in range(len(rows))
         ):
-            raise InvalidProblemError(f"{name} differs from the vector oracle row by row")
+            raise InvalidProblemError(
+                f"{form.name} differs from the vector oracle row by row" if form.rows
+                else f"{form.name}(x)(y) differs from {'.'.join(oracle_path)}(x, y)")
 
 
 def validate_problem(
@@ -852,12 +864,12 @@ def validate_problem(
     Eight seeded pairs of random probe vectors check that ``ll_hvp`` is a
     symmetric linear map, that ``ll_jvp`` is linear, and estimate the
     smallest Rayleigh quotient of the lower-level Hessian.  Raises
-    :class:`InvalidProblemError` on dimension mismatches, when
-    ``ll_grad_y`` carries ``at`` and ``ll_grad_y.at(x)(y)`` differs from
-    ``ll_grad_y(x, y)`` in a byte, and when a row form (the seven of
-    :class:`DeterministicOracles`) differs from its vector oracle in a
-    byte on a three-row stack: the probe point and two seeded
-    perturbations of it.  The error names the first form that differs.
+    :class:`InvalidProblemError` on dimension mismatches, and when an
+    optional form of the table ``_FORMS`` differs from its vector oracle
+    in a byte: an ``at`` form such as ``ll_grad_y.at(x)(y)`` at the probe
+    point, a row form on a three-row stack, the probe point and two
+    seeded perturbations of it.  The error names the first form that
+    differs.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -878,13 +890,7 @@ def validate_problem(
     probe = problem.ll_jvp(x, y, rng.standard_normal(q))
     if np.shape(probe) != (p,):
         raise InvalidProblemError("ll_jvp output dimension mismatch")
-    at = getattr(problem.ll_grad_y, "at", None)
-    if at is not None:
-        direct = np.asarray(problem.ll_grad_y(x, y))
-        bound = np.asarray(at(x)(y))
-        if bound.shape != direct.shape or bound.tobytes() != direct.tobytes():
-            raise InvalidProblemError("ll_grad_y.at(x)(y) differs from ll_grad_y(x, y)")
-    _check_row_forms(problem, x, y)
+    _check_forms(problem, x, y)
 
     sym = 0.0
     hvp_lin = 0.0

@@ -43,6 +43,7 @@ from .core import (
     LL_STEP,
     UL_BATCH,
     all_finite,
+    optional_form,
 )
 from .subsolvers import conjugate_gradient
 
@@ -52,7 +53,7 @@ LL_BLOCK = 1024  # lower SGD steps per sampler call: bounds the batches held at 
 def _ll_grad_at(oracles, x: np.ndarray):
     """The lower gradient at fixed ``x``: ``ll_grad_y.at(x)`` when the
     oracle carries ``at``, else ``ll_grad_y`` with ``x`` bound per call."""
-    at = getattr(oracles.ll_grad_y, "at", None)
+    at = optional_form(oracles, "ll_grad_y", "at")
     return at(x) if at is not None else functools.partial(oracles.ll_grad_y, x)
 
 
@@ -84,7 +85,7 @@ def lower_level_solve(
     if y.ndim == 1:
         grad, finite = _ll_grad_at(oracles, x), all_finite
     else:
-        grad, finite = oracles.ll_grad_y.at.rows(x), _rows_finite
+        grad, finite = optional_form(oracles, "ll_grad_y", "at", "rows")(x), _rows_finite
     for t in range(1, steps + 1):
         y = y - step_size * grad(y)
         if not finite(y):

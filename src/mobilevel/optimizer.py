@@ -38,6 +38,7 @@ from .core import (
     SolverConfig,
     StochasticOracles,
     counted_oracles,
+    has_row_forms,
 )
 from .hypergrad import (
     build_hypergradient_matrix,
@@ -65,16 +66,6 @@ def _check_inputs(problem, x0, y0, r: Optional[Preference]):
             raise ConfigurationError(f"{name} has a non-finite entry")
     if r is not None and len(r) != problem.num_objectives:
         raise ConfigurationError("preference length must equal the objective count")
-
-
-def _has_row_forms(oracles) -> bool:
-    """All six oracle row forms, and ``reference.grad_phi.rows`` when the
-    problem has a reference: a lockstep iteration needs every one."""
-    forms = [getattr(oracles.ll_grad_y, "at", None), oracles.ll_hvp, oracles.ll_jvp,
-             oracles.ul_value, oracles.ul_grad_x, oracles.ul_grad_y]
-    if oracles.reference is not None:
-        forms.append(oracles.reference.grad_phi)
-    return all(hasattr(f, "rows") for f in forms)
 
 
 class _Run:
@@ -135,7 +126,7 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
     ``advance_rows(batch, runs)`` returns the same for every run at once,
     one tuple per run, through ``batch``: the problem counted with one
     counters per run.  The loop calls it while two or more runs are left
-    and ``batch`` carries every row form (``_has_row_forms``): two rows
+    and ``batch`` carries every row form (``has_row_forms``): two rows
     already pay (the shipped two-preference p = q = 3 sweeps took
     0.95-0.99x the time of row by row, numpy 2.4.6, 2 shared vCPUs).  If
     it raises, or a warning raised as an error interrupts it, the counters
@@ -159,7 +150,7 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
         if lockstep:
             if batch is None:
                 batch = counted_oracles(problem, [run.counters for run in active])
-                batched = lockstep = _has_row_forms(batch)
+                batched = lockstep = has_row_forms(batch)
             if lockstep:
                 try:
                     results = advance_rows(batch, active)

@@ -1,6 +1,8 @@
+import ast
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,10 +354,7 @@ class TestValidateProblem:
             with pytest.raises(InvalidProblemError, match="ll_grad_y.at"):
                 validate_problem(bundle, x, y)
 
-    @pytest.mark.parametrize("form", [
-        "ll_grad_y.at.rows", "ll_hvp.rows", "ll_jvp.rows", "ul_value.rows", "ul_grad_x.rows",
-        "ul_grad_y.rows", "reference.grad_phi.rows",
-    ])
+    @pytest.mark.parametrize("form", [form.name for form in core._FORMS if form.rows])
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_checks_row_forms(self, quadratic, form, perturbed):
         # Each row form must equal its vector oracle row by row, byte for
@@ -711,3 +710,85 @@ class TestCountedOracles:
         counted = counted_oracles(plain, OracleCounters())
         assert not hasattr(counted.ll_hvp, "rows") and hasattr(counted.ll_jvp, "rows")
         assert not hasattr(counted.ul_grad_x, "rows") and hasattr(counted.ul_grad_y, "rows")
+
+
+# A row form of the vector oracle ``ll_grad_y`` that the table does not
+# list: ``ll_grad_y.rows(X, Y)``, m x q, ticking gc_g once per row.
+DUMMY_FORM = core._Form(("ll_grad_y", "rows"), "gc_g", "xy")
+
+
+class TestFormTable:
+    """Every consumer of the optional forms walks ``core._FORMS``, so a form
+    added to the table alone is forwarded, counted, checked and required."""
+
+    @pytest.fixture
+    def dummy(self, quadratic, monkeypatch):
+        """The quadratic with the dummy form, and the table listing it."""
+        monkeypatch.setattr(core, "_FORMS", core._FORMS + (DUMMY_FORM,))
+        _, problem, _ = quadratic
+
+        def ll_grad_y(x, y):
+            return problem.ll_grad_y(x, y)
+
+        ll_grad_y.at = problem.ll_grad_y.at
+        ll_grad_y.rows = lambda xs, ys: problem.ll_grad_y.at.rows(xs)(ys)
+        return replace(problem, ll_grad_y=ll_grad_y)
+
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    def test_counted_oracles_forward_and_tick(self, dummy, runs, monkeypatch):
+        counters = [OracleCounters() for _ in range(runs)]
+        counted = counted_oracles(dummy, counters[0] if runs == 1 else counters)
+        rng = np.random.default_rng(0)
+        xs, ys = rng.standard_normal((2 * runs, 3)), rng.standard_normal((2 * runs, 4))
+        out = counted.ll_grad_y.rows(xs, ys)
+        assert out.tobytes() == dummy.ll_grad_y.rows(xs, ys).tobytes()
+        assert all(c.as_tuple() == (0, 2, 0, 0) for c in counters)
+        monkeypatch.setattr(core, "_FORMS", core._FORMS[:-1])
+        assert not hasattr(counted_oracles(dummy, OracleCounters()).ll_grad_y, "rows")
+
+    def test_views_drop_it(self, dummy):
+        # A row form: the stochastic views keep ``at`` and drop it.
+        stochastic = wrap_deterministic(dummy)
+        assert hasattr(stochastic.ll_grad_y, "at") and not hasattr(stochastic.ll_grad_y, "rows")
+        stochastic.ll_grad_y.rows = lambda xs, ys, b: dummy.ll_grad_y.rows(xs, ys)
+        det = stochastic.deterministic()
+        assert hasattr(det.ll_grad_y, "at") and not hasattr(det.ll_grad_y, "rows")
+
+    def test_validate_problem_names_it(self, dummy):
+        # One ulp off in one entry of one row.
+        x, y = np.full(3, 0.5), np.full(4, 0.25)
+        validate_problem(dummy, x, y)
+        rows = dummy.ll_grad_y.rows
+
+        def nudged(xs, ys):
+            out = np.array(rows(xs, ys))
+            out[-1, 0] = np.nextafter(out[-1, 0], np.inf)
+            return out
+
+        dummy.ll_grad_y.rows = nudged
+        message = r"^ll_grad_y\.rows differs from the vector oracle row by row$"
+        with pytest.raises(InvalidProblemError, match=message):
+            validate_problem(dummy, x, y)
+
+    def test_lockstep_requires_it(self, dummy, quadratic):
+        _, problem, _ = quadratic
+        assert core.has_row_forms(dummy)
+        assert core.has_row_forms(counted_oracles(dummy, [OracleCounters(), OracleCounters()]))
+        assert not core.has_row_forms(problem)
+
+
+def test_forms_are_looked_up_only_in_core():
+    # Outside core.py no module looks an optional form up by name: each goes
+    # through the table's accessors (calling a form, as in
+    # ``oracles.ul_grad_x.rows(x, y)``, is fine).
+    found = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in ("at", "rows")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

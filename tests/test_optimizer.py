@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mobilevel import cli, hypergrad, optimizer, subsolvers
+from mobilevel import cli, core, hypergrad, optimizer, subsolvers
 from mobilevel import (
     ConfigurationError,
     Preference,
@@ -760,6 +760,7 @@ class TestBoundLowerGradient:
 
 
 UPPER_FORMS = ("ul_value", "ul_grad_x", "ul_grad_y", "reference.grad_phi")
+ORACLE_FIELDS = ("ul_value", "ul_grad_x", "ul_grad_y", "ll_grad_y", "ll_hvp", "ll_jvp")
 
 
 def _forwarding_upper(problem, fields, wrap):
@@ -792,6 +793,17 @@ def _without_row_forms(problem):
     problem = _forwarding_upper(problem, UPPER_FORMS, _plain)
     return replace(problem, ll_grad_y=ll_grad_y, ll_hvp=_plain("ll_hvp", problem.ll_hvp),
                    ll_jvp=_plain("ll_jvp", problem.ll_jvp))
+
+
+def _without_form(problem, name):
+    """``problem`` with every oracle and optional form forwarded by a plain
+    function, but without the form ``name`` (and the forms on it)."""
+    fields = {field: _plain(field, getattr(problem, field)) for field in ORACLE_FIELDS}
+    fields["reference"] = replace(problem.reference, grad_phi=_plain(
+        "reference.grad_phi", problem.reference.grad_phi))
+    core.forward_forms(problem, fields, lambda form, raw: (
+        None if form.name == name else _plain(form.name, raw)))
+    return replace(problem, **fields)
 
 
 def _watching(problem, calls):
@@ -911,10 +923,11 @@ class TestLockstepSweep:
             # Each iteration charges each run gc_f = 2 S, as a solo run.
             assert [record[5][0] for record in records] == [6 * (k + 1) for k in range(config.K)]
 
-    @pytest.mark.parametrize("missing", UPPER_FORMS)
+    @pytest.mark.parametrize("missing", [form.name for form in core._FORMS if form.rows],
+                             ids=lambda name: name.rsplit(".", 1)[0])
     def test_one_missing_upper_form_sweeps_row_by_row(self, missing, monkeypatch):
-        # All or none: without any one row form the sweep takes the row by
-        # row path for every oracle, with the same outputs.
+        # All or none: without any one row form, upper or lower, the sweep
+        # takes the row by row path for every oracle, with the same outputs.
         problem, config, prefs, x0, y0 = self._sweep_50(["solver.k=12"])
         swept = _sweep_outputs(problem, config, prefs, x0, y0)
 
@@ -922,7 +935,7 @@ class TestLockstepSweep:
             raise AssertionError("a lockstep iteration ran")
 
         monkeypatch.setattr(optimizer, "build_hypergradient_rows", lockstep)
-        lacking = _forwarding_upper(problem, [missing], _plain)
+        lacking = _without_form(problem, missing)
         assert _sweep_outputs(lacking, config, prefs, x0, y0) == swept
 
     @pytest.mark.parametrize("warning_filter", ["error", "ignore"])
