@@ -107,13 +107,11 @@ def hypergrad_cg(
 
     Returns ``(gradient, v)`` where ``v`` is the CG iterate, reusable as a
     warm start.  The solve spends exactly ``n_steps`` Hessian-vector
-    products: all of them on CG updates from a zero (or ``None``) start,
+    products: all of them on CG updates from the zero start ``v0=None``,
     or one on the initial residual plus ``n_steps - 1`` updates from a
-    warm start.
+    warm start ``v0``, an array, zero or not.
     """
     b = oracles.ul_grad_y(s, x, y_d)
-    if v0 is None:
-        v0 = np.zeros(oracles.dim_y)
     v, _ = conjugate_gradient(lambda w: oracles.ll_hvp(x, y_d, w), b, v0, n_steps)
     grad = oracles.ul_grad_x(s, x, y_d) - oracles.ll_jvp(x, y_d, v)
     return grad, v
@@ -207,7 +205,6 @@ def build_hypergradient_matrix(
 
 def build_hypergradient_rows(
     oracles: DeterministicOracles,
-    row_oracles: Sequence[DeterministicOracles],
     x: np.ndarray,
     trajectory: Sequence[np.ndarray],
     config: SolverConfig,
@@ -220,26 +217,20 @@ def build_hypergradient_rows(
     ``oracles`` serves the row forms: one call of each upper oracle's for
     all m rows, and the lower ones for all m * S columns, row ``i``'s S
     columns in a consecutive block.  ``warm_v[i]`` holds row ``i``'s S CG
-    starts (``None`` entries for zero starts).  Lockstep CG needs every
-    start zero or every one nonzero; when they mix, each row calls
-    ``build_hypergradient_matrix`` through its own ``row_oracles[i]``
-    instead.
+    starts.  The rows of a sweep start together, so either every start is
+    ``None`` (the first iteration: one lockstep solve from zero) or every
+    one is an array (stacked as the warm start of one lockstep solve).
     """
-    m, s_count = len(row_oracles), oracles.num_objectives
+    m, s_count = len(x), oracles.num_objectives
     y_d = trajectory[-1]
-    if config.option == "cg":
-        v0 = np.array([np.zeros(oracles.dim_y) if v is None else v
-                       for warm in warm_v for v in warm])
-        started = np.count_nonzero(v0.any(axis=1))
-        if 0 < started < len(v0):
-            return [build_hypergradient_matrix(row, x_i, [y_i], config, warm)
-                    for row, x_i, y_i, warm in zip(row_oracles, x, y_d, warm_v)]
     phi = oracles.ul_value.rows(x, y_d)
     grad_x = oracles.ul_grad_x.rows(x, y_d).reshape(m * s_count, oracles.dim_x)
     grad_y = oracles.ul_grad_y.rows(x, y_d).reshape(m * s_count, oracles.dim_y)
     xs = np.repeat(x, s_count, axis=0)
     if config.option == "cg":
         ys = np.repeat(y_d, s_count, axis=0)
+        starts = [v for warm in warm_v for v in warm]
+        v0 = None if starts[0] is None else np.array(starts)
         v, _ = conjugate_gradient(lambda w: oracles.ll_hvp.rows(xs, ys, w), grad_y, v0, config.N)
         cols = grad_x - oracles.ll_jvp.rows(xs, ys, v)
         new_warm = [list(v[i * s_count:(i + 1) * s_count]) for i in range(m)]

@@ -10,10 +10,10 @@ hypergradient columns: cg or ns on a deterministic problem
 (``run_deterministic`` and ``pareto_sweep``; each run carries its CG warm
 starts), or the sampled Neumann recursion on a stochastic one
 (``run_stochastic``, which carries the generator and the fixed Hessian
-batch sizes).  A deterministic entry point also hands it ``advance_rows``,
-which does the same for all rows at once through the problem's row forms,
-one stacked call per oracle; the records' exact directions then come
-from one ``reference.grad_phi.rows`` call.
+batch sizes).  A deterministic entry point whose problem carries every
+row form also hands it ``advance_rows``, which does the same for all rows
+at once through those forms, one stacked call per oracle; the records'
+exact directions then come from one ``reference.grad_phi.rows`` call.
 A deterministic run with no preference (``r=None``) is the non-preference
 variant: it drops the preference scaling and uses the plain minimum-norm
 weights.
@@ -123,41 +123,39 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
     both; the loop reads ``grads`` only to step.  ``estimator`` names the
     estimator in the traces.
 
-    ``advance_rows(batch, runs)`` returns the same for every run at once,
-    one tuple per run, through ``batch``: the problem counted with one
-    counters per run.  The loop calls it while two or more runs are left
-    and ``batch`` carries every row form (``has_row_forms``): two rows
-    already pay (the shipped two-preference p = q = 3 sweeps took
-    0.95-0.99x the time of row by row, numpy 2.4.6, 2 shared vCPUs).  If
-    it raises, or a warning raised as an error interrupts it, the counters
-    are set back and the iteration is redone run by run, so that a failing
-    run fails as it would alone and the others take the same values.  Each
-    row computes what its run would alone, so a run must then fail; if
-    none does, the row path is at fault and the loop raises
-    ``RuntimeError``.  In such an iteration the reference's exact
-    directions come from one ``grad_phi.rows`` call over the runs whose
-    weights were found, never at the ``x`` of a run that failed there.
+    ``advance_rows(batch, runs)``, given only for a problem that carries
+    every row form (``has_row_forms``), returns the same for every run at
+    once, one tuple per run, through ``batch``: the problem counted with
+    one counters per run, which forwards every form.  The loop calls it in
+    every iteration with two or more runs left: two rows already pay
+    (the shipped two-preference p = q = 3 sweeps took 0.95-0.99x the time
+    of row by row, numpy 2.4.6, 2 shared vCPUs).  If it raises, or a
+    warning raised as an error interrupts it, the counters are set back
+    and the iteration is redone run by run, so that a failing run fails as
+    it would alone and the others take the same values.  Each row computes
+    what its run would alone, so a run must then fail; if none does, the
+    row path is at fault and the loop raises ``RuntimeError``.  In such
+    an iteration the reference's exact directions come from one
+    ``grad_phi.rows`` call over the runs whose weights were found, never
+    at the ``x`` of a run that failed there.
     """
     active = list(runs)
     batch = None
-    batched = advance_rows is not None and len(runs) > 1
     reference = problem.reference
     for k in range(runs[0].config.K):
         if not active:
             break
         results = lockstep_error = None
-        lockstep = batched and len(active) > 1
+        lockstep = advance_rows is not None and len(active) > 1
         if lockstep:
             if batch is None:
                 batch = counted_oracles(problem, [run.counters for run in active])
-                batched = lockstep = has_row_forms(batch)
-            if lockstep:
-                try:
-                    results = advance_rows(batch, active)
-                except Exception as exc:  # noqa: BLE001 - redone run by run below
-                    lockstep_error = exc
-                    for run in active:
-                        run.rewind_counters()
+            try:
+                results = advance_rows(batch, active)
+            except Exception as exc:  # noqa: BLE001 - redone run by run below
+                lockstep_error = exc
+                for run in active:
+                    run.rewind_counters()
 
         passed = []
         for i, run in enumerate(active):
@@ -256,8 +254,7 @@ def _deterministic_runs(problem, config, preferences, x0, y0) -> list:
         trajectory = [] if series else None
         y = lower_level_solve(batch, x, y, steps, alpha, trajectory)
         columns = build_hypergradient_rows(
-            batch, [run.oracles for run in active], x, trajectory or [y], shared,
-            [run.warm for run in active],
+            batch, x, trajectory or [y], shared, [run.warm for run in active]
         )
         results = []
         for run, y_i, (grads, phi, warm) in zip(active, y, columns):
@@ -265,7 +262,8 @@ def _deterministic_runs(problem, config, preferences, x0, y0) -> list:
             results.append((y_i, grads, phi))
         return results
 
-    return _run_loop(problem, shared.option, runs, advance, advance_rows)
+    rows = advance_rows if has_row_forms(problem) else None
+    return _run_loop(problem, shared.option, runs, advance, rows)
 
 
 def run_deterministic(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,34 +30,34 @@ FACE_SOLVES_PER_WEIGHT = 10
 def conjugate_gradient(
     apply_A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
-    v0: np.ndarray,
+    v0: Optional[np.ndarray],
     applications: int,
 ) -> tuple[np.ndarray, float]:
     """Solve ``A v = b`` for an SPD linear map by conjugate gradient.
 
     Applies the map exactly ``applications`` times and returns
-    ``(v, residual_norm)``.  A nonzero ``v0`` spends one application on the
-    initial residual, leaving ``applications - 1`` CG updates; a zero
-    ``v0`` spends all of them on updates.
+    ``(v, residual_norm)``.  ``v0=None`` starts from zero and spends all of
+    them on CG updates; an array ``v0``, zero included, is a warm start
+    and spends one application on the initial residual, leaving
+    ``applications - 1`` updates.
 
-    Given row stacks ``b`` and ``v0`` (one system per row) and a map that
-    applies to every row, solves all rows in lockstep, each with its own
-    scalars, and returns the stack ``v`` and the rows' residual norms.
-    Each row is byte for byte the solve of that row alone, so long as
-    ``apply_A``'s rows are; every ``v0`` row must then be nonzero, or every
-    one zero.
+    Given a row stack ``b`` (one system per row), a stack ``v0`` or
+    ``None``, and a map that applies to every row, solves all rows in
+    lockstep, each with its own scalars, and returns the stack ``v`` and
+    the rows' residual norms.  Each row is byte for byte the solve of that
+    row alone, so long as ``apply_A``'s rows are.
     """
     if applications < 1:
         raise ValueError("applications must be at least 1")
     b = np.asarray(b, dtype=float)
-    if b.ndim == 2:
-        return _conjugate_gradient_rows(apply_A, b, v0, applications)
-    v = np.array(v0, dtype=float)
-    if v.any():
+    if v0 is None:
+        v, r = np.zeros_like(b), b.copy()
+    else:
+        v = np.array(v0, dtype=float)
         r = b - apply_A(v)
         applications -= 1
-    else:
-        r = b.copy()
+    if b.ndim == 2:
+        return _conjugate_gradient_rows(apply_A, v, r, applications)
     if not all_finite(r):
         raise NumericalBreakdownError("non-finite residual at iteration 0")
     rr = float(r.dot(r))
@@ -89,18 +89,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _conjugate_gradient_rows(apply_A, b, v0, applications):
-    """``conjugate_gradient`` on every row of ``b`` at once: the same
-    operations, with the scalars as vectors over the rows."""
-    v = np.array(v0, dtype=float)
-    warm = v.any(axis=1)
-    if warm.all():
-        r = b - apply_A(v)
-        applications -= 1
-    elif not warm.any():
-        r = b.copy()
-    else:
-        raise ValueError("lockstep CG needs every start row nonzero or every one zero")
+def _conjugate_gradient_rows(apply_A, v, r, applications):
+    """``conjugate_gradient`` on every row of a stack at once, from its
+    start ``v`` and residual ``r``: the same operations, with the scalars
+    as vectors over the rows."""
     if not all_finite(r.ravel()):
         raise NumericalBreakdownError("non-finite residual at iteration 0")
     rr = _row_dots(r, r)

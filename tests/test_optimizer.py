@@ -11,12 +11,14 @@ import pytest
 from mobilevel import cli, core, hypergrad, optimizer, subsolvers
 from mobilevel import (
     ConfigurationError,
+    OracleCounters,
     Preference,
     ProblemConstants,
     QuadraticBilevelSpec,
     RunFailure,
     SolverConfig,
     brute_force_min_norm,
+    counted_oracles,
     expected_counters,
     make_quadratic,
     pareto_sweep,
@@ -938,6 +940,18 @@ class TestLockstepSweep:
         lacking = _without_form(problem, missing)
         assert _sweep_outputs(lacking, config, prefs, x0, y0) == swept
 
+    @pytest.mark.parametrize("missing", [None] + [form.name for form in core._FORMS],
+                             ids=lambda name: f"without-{name}" if name else "full")
+    def test_counted_batch_has_the_problems_row_forms(self, two_objective, missing):
+        # The sweep asks ``has_row_forms`` once, of the raw problem, for
+        # every counted batch it makes: the two answers agree.
+        _, problem, _ = two_objective
+        if missing is not None:
+            problem = _without_form(problem, missing)
+        batch = counted_oracles(problem, [OracleCounters(), OracleCounters()])
+        # Without ``ll_grad_y.at`` the form on it, ``at.rows``, goes too.
+        assert core.has_row_forms(batch) == core.has_row_forms(problem) == (missing is None)
+
     @pytest.mark.parametrize("warning_filter", ["error", "ignore"])
     @pytest.mark.parametrize("option", ["cg", "ns"])
     def test_diverging_row_leaves_the_batch(self, two_objective, option, warning_filter):
@@ -1009,12 +1023,12 @@ class TestLockstepSweep:
             pareto_sweep(flaky, config, prefs, np.zeros(3), np.zeros(4))
         assert isinstance(info.value.__cause__, FloatingPointError)
 
-    def test_mixed_cg_starts_build_columns_row_by_row(self, monkeypatch):
+    def test_zero_upper_gradient_objective_runs_in_lockstep(self, monkeypatch):
         # Objective 0 is a regularizer on x alone.  Its ``ul_grad_y`` is
-        # zero, so its CG iterate stays zero while the others' do not, and
-        # lockstep CG needs every start zero or every one nonzero.  From the
-        # second iteration on, each row builds its columns alone after the
-        # lockstep lower solve, with no failed attempt to redo.
+        # zero, so its CG iterate stays exactly zero while the others' do
+        # not; that zero is a warm start like any other, so every iteration
+        # builds all six rows' columns in lockstep, with no failed attempt
+        # to redo.
         problem, config, prefs, x0, y0 = self._sweep_50(["solver.k=10"])
         ul_value, ul_grad_x, ul_grad_y = problem.ul_value, problem.ul_grad_x, problem.ul_grad_y
 
@@ -1027,7 +1041,7 @@ class TestLockstepSweep:
         def grad_y(s, x, y):
             return np.zeros(len(y)) if s == 0 else ul_grad_y(s, x, y)
 
-        # The row forms, so that the sweep still runs in lockstep.
+        # The row forms, so that the sweep runs in lockstep.
         def value_rows(xs, ys):
             out = ul_value.rows(xs, ys)
             out[:, 0] = 0.5 * subsolvers._row_dots(xs, xs)
@@ -1046,22 +1060,26 @@ class TestLockstepSweep:
         value.rows, grad_x.rows, grad_y.rows = value_rows, grad_x_rows, grad_y_rows
         regularized = replace(problem, ul_value=value, ul_grad_x=grad_x, ul_grad_y=grad_y,
                               reference=None)
-        built = []
-        per_row = hypergrad.build_hypergradient_matrix
+        calls = []
+        lockstep = optimizer.build_hypergradient_rows
 
-        def counting(*args):
-            built.append(None)
-            return per_row(*args)
+        def counting(oracles, x, *args):
+            calls.append(len(x))
+            return lockstep(oracles, x, *args)
 
         def no_redo(run):
             raise AssertionError("a lockstep attempt failed")
 
-        monkeypatch.setattr(hypergrad, "build_hypergradient_matrix", counting)
+        monkeypatch.setattr(optimizer, "build_hypergradient_rows", counting)
         monkeypatch.setattr(optimizer._Run, "rewind_counters", no_redo)
         swept = self._assert_equal_everywhere(regularized, config, prefs, x0, y0)
-        assert len(built) == len(prefs) * (config.K - 1)
+        assert calls == [len(prefs)] * config.K
         expected = expected_counters(config, 3, "cg").as_tuple()
         assert all(out[1][-1][5] == expected and out[5] is None for out in swept)
+        # The entries' traces as the row by row columns built them before
+        # a zero CG iterate became a warm start.
+        digest = hashlib.sha256("".join(out[0] for out in swept).encode()).hexdigest()
+        assert digest == "f1b500d59afb49a9b32e5eba52ead290340aacb78bc30ea0df3373148a5d5f2e"
 
 
 class TestStochasticCounterRun:

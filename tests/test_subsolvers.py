@@ -21,14 +21,14 @@ from mobilevel import (
 class TestConjugateGradient:
     def test_identity_one_iteration(self):
         b = np.array([3.0, -1.0, 2.0])
-        v, res = conjugate_gradient(lambda w: w, b, np.zeros(3), 1)
+        v, res = conjugate_gradient(lambda w: w, b, None, 1)
         np.testing.assert_allclose(v, b, atol=1e-15)
         assert res <= 1e-15
 
     def test_diagonal_two_iterations(self):
         # Direct solve: v = (1/1, 2/2) = (1, 1).
         a = np.diag([1.0, 2.0])
-        v, res = conjugate_gradient(lambda w: a @ w, np.array([1.0, 2.0]), np.zeros(2), 2)
+        v, res = conjugate_gradient(lambda w: a @ w, np.array([1.0, 2.0]), None, 2)
         np.testing.assert_allclose(v, [1.0, 1.0], atol=1e-12)
         assert res <= 1e-12
 
@@ -44,7 +44,7 @@ class TestConjugateGradient:
         m = rng.standard_normal((6, 6))
         a = m.T @ m + 0.5 * np.eye(6)
         b = rng.standard_normal(6)
-        v, res = conjugate_gradient(lambda w: a @ w, b, np.zeros(6), 6)
+        v, res = conjugate_gradient(lambda w: a @ w, b, None, 6)
         np.testing.assert_allclose(v, np.linalg.solve(a, b), atol=1e-9)
 
     def test_fixed_application_count(self):
@@ -55,7 +55,7 @@ class TestConjugateGradient:
             return w
 
         b = np.array([1.0, 2.0])
-        conjugate_gradient(apply_a, b, np.zeros(2), 5)
+        conjugate_gradient(apply_a, b, None, 5)
         # Zero start: the residual is free, all five applications are CG
         # steps even though the system converges after one.
         assert len(calls) == 5
@@ -69,7 +69,7 @@ class TestConjugateGradient:
             return np.full_like(w, np.nan)
 
         with pytest.raises(NumericalBreakdownError, match="iteration 1"):
-            conjugate_gradient(bad, np.ones(2), np.zeros(2), 3)
+            conjugate_gradient(bad, np.ones(2), None, 3)
 
     def test_late_breakdown_names_iteration(self):
         calls = []
@@ -80,7 +80,7 @@ class TestConjugateGradient:
 
         with pytest.raises(NumericalBreakdownError,
                            match=r"^non-finite map output at iteration 3$"):
-            conjugate_gradient(inf_on_third, np.array([1.0, -2.0, 0.5]), np.zeros(3), 5)
+            conjugate_gradient(inf_on_third, np.array([1.0, -2.0, 0.5]), None, 5)
         assert len(calls) == 3
 
     @pytest.mark.parametrize("size", [63, 65])  # either side of all_finite's sum cap
@@ -93,7 +93,7 @@ class TestConjugateGradient:
 
         with pytest.raises(NumericalBreakdownError,
                            match=r"^non-finite map output at iteration 3$"):
-            conjugate_gradient(inf_on_third, np.resize([1.0, -2.0, 0.5], size), np.zeros(size), 5)
+            conjugate_gradient(inf_on_third, np.resize([1.0, -2.0, 0.5], size), None, 5)
         assert len(calls) == 3
 
     @pytest.mark.parametrize("start", ["zero", "warm"])
@@ -106,10 +106,10 @@ class TestConjugateGradient:
         m = rng.standard_normal((5, 5))
         a = m.T @ m + 0.1 * np.eye(5)
         b = rng.standard_normal(5)
-        v0 = np.zeros(5) if start == "zero" else rng.standard_normal(5)
+        v0 = None if start == "zero" else rng.standard_normal(5)
         v, res = conjugate_gradient(lambda w: a @ w, b, v0, applications)
 
-        ref = v0.copy()
+        ref = np.zeros(5) if v0 is None else v0.copy()
         r = b - a @ ref if start == "warm" else b.copy()
         p = r.copy()
         rr = float(r @ r)
@@ -128,7 +128,7 @@ class TestConjugateGradient:
     @given(data=st.data())
     def test_application_count_property(self, data):
         # Random SPD maps H = (sM)'(sM) + eps I with q <= 12, s = 10^[-3, 3];
-        # zero, random and exact-solution starts, zero and nonzero right-hand
+        # zero, all-zero array, random and exact-solution starts, zero and nonzero right-hand
         # sides (a zero residual must not end the loop early), and budgets
         # from 1 to q + 3 (past convergence).  The map is applied exactly
         # `applications` times and the output stays finite.
@@ -138,9 +138,11 @@ class TestConjugateGradient:
         m = scale * rng.standard_normal((q, q))
         a = m.T @ m + data.draw(st.sampled_from([1e-6, 1e-2, 1.0]), label="eps") * np.eye(q)
         b = rng.standard_normal(q) if data.draw(st.booleans(), label="nonzero b") else np.zeros(q)
-        start = data.draw(st.sampled_from(["zero", "random", "solution"]), label="start")
+        start = data.draw(st.sampled_from(["zero", "zero array", "random", "solution"]),
+                          label="start")
         v0 = {
-            "zero": np.zeros(q),
+            "zero": None,
+            "zero array": np.zeros(q),
             "random": rng.standard_normal(q),
             "solution": np.linalg.solve(a, b),
         }[start]
@@ -159,15 +161,17 @@ class TestConjugateGradient:
     @given(data=st.data())
     def test_matches_reference_kernel_bitwise(self, data):
         # The kernel against the textbook recurrence, which also forms the
-        # direction after the last update: zero and warm starts, zero
-        # right-hand sides (the rr == 0 branch from a zero start) and
-        # budgets of 1 to 6, with exactly `applications` map calls each.
+        # direction after the last update: zero starts and warm ones (an
+        # all-zero array among them), zero right-hand sides (the rr == 0
+        # branch) and budgets of 1 to 6, with exactly `applications` map
+        # calls each.
         q = data.draw(st.integers(1, 8), label="q")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         m = 10.0 ** data.draw(st.floats(-3.0, 3.0), label="log10 scale") * rng.standard_normal((q, q))
         a = m.T @ m + data.draw(st.sampled_from([1e-6, 1.0]), label="eps") * np.eye(q)
         b = rng.standard_normal(q) if data.draw(st.booleans(), label="nonzero b") else np.zeros(q)
-        v0 = rng.standard_normal(q) if data.draw(st.booleans(), label="warm") else np.zeros(q)
+        v0 = {"zero": None, "zero array": np.zeros(q), "warm": rng.standard_normal(q)}[
+            data.draw(st.sampled_from(["zero", "zero array", "warm"]), label="start")]
         budget = data.draw(st.integers(1, 6), label="applications")
         calls, ref_calls = [], []
 
@@ -191,7 +195,8 @@ class TestConjugateGradient:
     def test_row_stacks_solve_each_row_bitwise(self, data):
         # Lockstep CG on a row stack, with the rows' map a stacked matmul:
         # every row is byte for byte the vector solve of that row, for zero
-        # and warm starts, zero right-hand-side rows and budgets of 1 to 6.
+        # and warm starts (a warm stack may mix zero and nonzero rows), zero
+        # right-hand-side rows and budgets of 1 to 6.
         q = data.draw(st.integers(1, 60), label="q")
         rows = data.draw(st.integers(1, 20), label="rows")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -199,8 +204,10 @@ class TestConjugateGradient:
         a = m.T @ m + data.draw(st.sampled_from([1e-6, 1.0]), label="eps") * np.eye(q)
         b = rng.standard_normal((rows, q))
         b[rng.random(rows) < 0.2] = 0.0
-        warm = data.draw(st.booleans(), label="warm")
-        v0 = rng.standard_normal((rows, q)) if warm else np.zeros((rows, q))
+        start = data.draw(st.sampled_from(["zero", "warm", "mixed"]), label="start")
+        v0 = None if start == "zero" else rng.standard_normal((rows, q))
+        if start == "mixed":
+            v0[rng.random(rows) < 0.5] = 0.0
         budget = data.draw(st.integers(1, 6), label="applications")
         calls = []
 
@@ -211,14 +218,37 @@ class TestConjugateGradient:
         v, res = conjugate_gradient(apply_rows, b, v0, budget)
         assert len(calls) == budget
         for i in range(rows):
-            ref_v, ref_res = conjugate_gradient(a.dot, b[i], v0[i], budget)
+            start_i = None if v0 is None else v0[i]
+            ref_v, ref_res = conjugate_gradient(a.dot, b[i], start_i, budget)
             assert v[i].tobytes() == ref_v.tobytes()
             assert res[i].tobytes() == np.float64(ref_res).tobytes()
 
-    def test_row_stacks_need_uniform_starts(self):
-        v0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="every start row"):
-            conjugate_gradient(lambda w: w, np.ones((2, 2)), v0, 2)
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)], ids=["vector", "rows"])
+    @pytest.mark.parametrize("applications", [1, 2, 5])
+    def test_zero_array_is_a_warm_start(self, shape, applications):
+        # An all-zero array is a warm start: the first application forms
+        # the residual at zero, and the other applications - 1 are the
+        # updates of the zero start.  With b = 0 nothing moves, and the two
+        # starts give the same bytes.
+        a = np.diag([1.0, 2.0, 4.0])
+        calls = []
+
+        def apply_a(w):
+            calls.append(w.copy())
+            return np.matmul(a, w[..., None])[..., 0]
+
+        b = np.resize([1.0, -2.0, 0.5, 3.0], shape)
+        v, res = conjugate_gradient(apply_a, b, np.zeros(shape), applications)
+        assert len(calls) == applications and not calls[0].any()
+        if applications > 1:
+            cold_v, cold_res = conjugate_gradient(apply_a, b, None, applications - 1)
+            assert v.tobytes() == cold_v.tobytes()
+            assert np.float64(res).tobytes() == np.float64(cold_res).tobytes()
+        zero = np.zeros(shape)
+        warm_v, warm_res = conjugate_gradient(apply_a, zero, np.zeros(shape), applications)
+        cold_v, cold_res = conjugate_gradient(apply_a, zero, None, applications)
+        assert warm_v.tobytes() == cold_v.tobytes() == zero.tobytes()
+        assert np.float64(warm_res).tobytes() == np.float64(cold_res).tobytes()
 
 
 def reference_conjugate_gradient(apply_A, b, v0, applications):
@@ -226,12 +256,12 @@ def reference_conjugate_gradient(apply_A, b, v0, applications):
     kernel skips since nothing reads it; no finiteness checks (the maps
     here stay finite)."""
     b = np.asarray(b, dtype=float)
-    v = np.array(v0, dtype=float)
-    if v.any():
+    if v0 is None:
+        v, r = np.zeros_like(b), b.copy()
+    else:
+        v = np.array(v0, dtype=float)
         r = b - apply_A(v)
         applications -= 1
-    else:
-        r = b.copy()
     rr = float(r.dot(r))
     p = r.copy()
     for _ in range(applications):
