@@ -659,7 +659,7 @@ def wrap_deterministic(oracles: DeterministicOracles) -> StochasticOracles:
 
 def counted_oracles(
     oracles: DeterministicOracles | StochasticOracles,
-    counters: OracleCounters | Sequence[OracleCounters],
+    counters: OracleCounters,
 ) -> DeterministicOracles | StochasticOracles:
     """View of ``oracles`` whose calls increment ``counters``.
 
@@ -671,13 +671,10 @@ def counted_oracles(
     second-order products are.  Dimension checks are assertions only,
     stripped under ``python -O``.
 
-    The optional forms tick as the table ``_FORMS`` says, and binding
-    ``x`` ticks nothing.  For row forms alone, ``counters`` may hold one
-    :class:`OracleCounters` per run of a lockstep batch: a row-form call's
-    rows split into equal consecutive blocks, one per run.
+    The optional forms tick as the table ``_FORMS`` says: each row of a
+    row-form call as its vector calls would, and binding ``x`` not at all.
     """
     p, q, s_count = oracles.dim_x, oracles.dim_y, oracles.num_objectives
-    runs = (counters,) if isinstance(counters, OracleCounters) else tuple(counters)
 
     def ul_grad_x(s, x, y, b=None):
         assert 0 <= s < s_count and len(x) == p and len(y) == q
@@ -719,24 +716,21 @@ def counted_oracles(
             return grad
 
         def bind_rows(x):
-            assert x.shape == (len(x), p) and len(x) % len(runs) == 0
-            bound, ticks = raw(x), len(x) // len(runs)
+            assert x.shape == (len(x), p)
+            bound, ticks = raw(x), len(x)
 
             def grad(y):
-                assert y.shape == (len(x), q)
-                for run in runs:
-                    run.gc_g += ticks
+                assert y.shape == (ticks, q)
+                counters.gc_g += ticks
                 return bound(y)
 
             return grad
 
         def rows(x, *stacks):
-            assert x.shape == (len(x), p) and len(x) % len(runs) == 0
+            assert x.shape == (len(x), p)
             for v in stacks:
                 assert v.shape == (len(x), q)
-            ticks = len(x) // len(runs) * per_row
-            for run in runs:
-                setattr(run, field, getattr(run, field) + ticks)
+            setattr(counters, field, getattr(counters, field) + len(x) * per_row)
             return raw(x, *stacks)
 
         if form.binds:

@@ -10,9 +10,9 @@ hypergradient columns: cg or ns on a deterministic problem
 (``run_deterministic`` and ``pareto_sweep``; each run carries its CG warm
 starts), or the sampled Neumann recursion on a stochastic one
 (``run_stochastic``, which carries the generator and the fixed Hessian
-batch sizes).  A deterministic entry point whose problem carries every
-row form also hands it ``advance_rows``, which does the same for all rows
-at once through those forms, one stacked call per oracle; the records'
+batch sizes).  A sweep of two or more runs whose counted problem carries
+every row form also hands it ``advance_rows``, which does the same for all
+rows at once through those forms, one stacked call per oracle; the records'
 exact directions then come from one ``reference.grad_phi.rows`` call.
 A deterministic run with no preference (``r=None``) is the non-preference
 variant: it drops the preference scaling and uses the plain minimum-norm
@@ -101,13 +101,6 @@ class _Run:
         self.outcome = RunFailure(f"run aborted at iteration {k}: {exc}", trace=self.outcome)
         self.outcome.__cause__ = exc
 
-    def rewind_counters(self):
-        """Set the counters back to the last record's, undoing a failed
-        lockstep attempt at the iteration."""
-        last = self.records[-1].counters if self.records else OracleCounters()
-        c = self.counters
-        c.gc_f, c.gc_g, c.jv_g, c.hv_g = last.as_tuple()
-
 
 def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
     """The outer loop shared by every variant; returns each run's
@@ -123,24 +116,22 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
     both; the loop reads ``grads`` only to step.  ``estimator`` names the
     estimator in the traces.
 
-    ``advance_rows(batch, runs)``, given only for a problem that carries
-    every row form (``has_row_forms``), returns the same for every run at
-    once, one tuple per run, through ``batch``: the problem counted with
-    one counters per run, which forwards every form.  The loop calls it in
-    every iteration with two or more runs left: two rows already pay
-    (the shipped two-preference p = q = 3 sweeps took 0.95-0.99x the time
-    of row by row, numpy 2.4.6, 2 shared vCPUs).  If it raises, or a
-    warning raised as an error interrupts it, the counters are set back
-    and the iteration is redone run by run, so that a failing run fails as
-    it would alone and the others take the same values.  Each row computes
-    what its run would alone, so a run must then fail; if none does, the
-    row path is at fault and the loop raises ``RuntimeError``.  In such
-    an iteration the reference's exact directions come from one
-    ``grad_phi.rows`` call over the runs whose weights were found, never
-    at the ``x`` of a run that failed there.
+    ``advance_rows(runs)`` returns the same for every run at once, one
+    tuple per run, and charges each run's counters only once every stacked
+    call has returned.  The loop calls it in every iteration with two or
+    more runs left: two rows already pay (the shipped two-preference
+    p = q = 3 sweeps took 0.95-0.99x the time of row by row, numpy 2.4.6,
+    2 shared vCPUs).  If it raises, or a warning raised as an error
+    interrupts it, no run has been charged, and the iteration is redone run
+    by run, so that a failing run fails as it would alone and the others
+    take the same values.  Each row computes what its run would alone, so
+    a run must then fail; if none does, the row path is at fault and the
+    loop raises ``RuntimeError``.  In such an iteration the reference's
+    exact directions come from one ``grad_phi.rows`` call over the runs
+    whose weights were found, never at the ``x`` of a run that failed
+    there.
     """
     active = list(runs)
-    batch = None
     reference = problem.reference
     for k in range(runs[0].config.K):
         if not active:
@@ -148,14 +139,10 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
         results = lockstep_error = None
         lockstep = advance_rows is not None and len(active) > 1
         if lockstep:
-            if batch is None:
-                batch = counted_oracles(problem, [run.counters for run in active])
             try:
-                results = advance_rows(batch, active)
+                results = advance_rows(active)
             except Exception as exc:  # noqa: BLE001 - redone run by run below
                 lockstep_error = exc
-                for run in active:
-                    run.rewind_counters()
 
         passed = []
         for i, run in enumerate(active):
@@ -205,8 +192,6 @@ def _run_loop(problem, estimator, runs, advance, advance_rows=None) -> list:
                 continue
             run.x = run.x - config.beta * direction
             left.append(run)
-        if len(left) < len(active):
-            batch = None
         active = left
 
     for run in active:
@@ -222,7 +207,13 @@ def _trace_or_raise(outcome) -> RunTrace:
 
 def _deterministic_runs(problem, config, preferences, x0, y0) -> list:
     """Every preference's run (``None`` for the non-preference variant),
-    advanced in lockstep by ``_run_loop`` from the same start."""
+    advanced in lockstep by ``_run_loop`` from the same start.  Two or more
+    runs share one counted batch on one tally; every stacked call covers
+    all active rows alike, so each run is charged an equal share of it.
+    """
+    if isinstance(problem, StochasticOracles):
+        raise ConfigurationError("deterministic runs and sweeps take DeterministicOracles: "
+                                 "pass problem.deterministic()")
     runs = []
     for r in preferences:
         _check_inputs(problem, x0, y0, r)
@@ -248,7 +239,13 @@ def _deterministic_runs(problem, config, preferences, x0, y0) -> list:
         )
         return y, grads, phi
 
-    def advance_rows(batch, active):
+    if len(runs) < 2:
+        return _run_loop(problem, shared.option, runs, advance)
+    tally = OracleCounters()
+    batch = counted_oracles(problem, tally)
+
+    def advance_rows(active):
+        before = tally.as_tuple()
         x = np.array([run.x for run in active])
         y = np.array([run.y for run in active])
         trajectory = [] if series else None
@@ -256,13 +253,16 @@ def _deterministic_runs(problem, config, preferences, x0, y0) -> list:
         columns = build_hypergradient_rows(
             batch, x, trajectory or [y], shared, [run.warm for run in active]
         )
+        share = [(after - b) // len(active) for after, b in zip(tally.as_tuple(), before)]
         results = []
         for run, y_i, (grads, phi, warm) in zip(active, y, columns):
+            c = run.counters
+            c.gc_f, c.gc_g, c.jv_g, c.hv_g = (n + t for n, t in zip(c.as_tuple(), share))
             run.warm = warm
             results.append((y_i, grads, phi))
         return results
 
-    rows = advance_rows if has_row_forms(problem) else None
+    rows = advance_rows if has_row_forms(batch) else None
     return _run_loop(problem, shared.option, runs, advance, rows)
 
 
@@ -298,6 +298,9 @@ def run_stochastic(
     is fixed for the run.  One generator seeded with ``config.seed`` makes
     every draw, so the first k records of a run do not depend on ``K``.
     """
+    if isinstance(problem, DeterministicOracles):
+        raise ConfigurationError("stochastic runs take StochasticOracles: "
+                                 "pass wrap_deterministic(problem)")
     if r is None:
         raise ConfigurationError("the non-preference variant needs a deterministic problem")
     _check_inputs(problem, x0, y0, r)

@@ -1004,6 +1004,20 @@ class TestCmdSweep:
             "0.25,0.75,,,,failed\n"
         )
 
+    def test_diverging_sweep_exits_1(self, tmp_path, capsys):
+        # A lower step of 10 diverges both runs' lower solves; the sweep
+        # still writes its summary, every row marked failed.
+        out = tmp_path / "out"
+        assert cli.main([
+            "sweep", "--config", str(CONFIGS / "quadratic_preferred.ini"), "--grid", "preferred",
+            "--set", "solver.alpha=10", "--set", "solver.k=50",
+            "--set", f"output.summary_csv={out}/summary.csv",
+            "--set", f"output.traces_dir={out}/traces",
+        ]) == 1
+        assert "2 runs (2 failed)" in capsys.readouterr().out
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",failed") for row in rows)
+
     def test_preferred_grid_rows(self, tmp_path):
         out = tmp_path / "out"
         config = write_config(tmp_path / "run.ini", f"""

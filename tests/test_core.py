@@ -678,25 +678,25 @@ class TestCountedOracles:
 
     @pytest.mark.parametrize("runs", [1, 2, 3])
     def test_row_forms_charge_each_run(self, quadratic, runs):
-        # The rows of a call split into one block per run, and each row
-        # ticks its run's counters once; binding x ticks nothing.
+        # Each row of a call ticks the one counter once, as its vector call
+        # would, so a stack of ``runs`` runs' two rows each ticks it ``runs``
+        # times what one run's rows do; binding x ticks nothing.
         _, problem, _ = quadratic
-        counters = [OracleCounters() for _ in range(runs)]
-        counted = counted_oracles(problem, counters[0] if runs == 1 else counters)
+        counters = OracleCounters()
+        counted = counted_oracles(problem, counters)
         rng = np.random.default_rng(0)
-        rows = 2 * runs
-        xs, ys, vs = (rng.standard_normal((rows, n)) for n in (3, 4, 4))
+        xs, ys, vs = (rng.standard_normal((2 * runs, n)) for n in (3, 4, 4))
         grad = counted.ll_grad_y.at.rows(xs)
-        assert all(c.as_tuple() == (0, 0, 0, 0) for c in counters)
+        assert counters.as_tuple() == (0, 0, 0, 0)
         outs = (grad(ys), counted.ll_jvp.rows(xs, ys, vs), counted.ll_hvp.rows(xs, ys, vs))
-        assert all(c.as_tuple() == (0, 2, 2, 2) for c in counters)
+        assert counters.as_tuple() == (0, 2 * runs, 2 * runs, 2 * runs)
         raw = (problem.ll_grad_y.at.rows(xs)(ys), problem.ll_jvp.rows(xs, ys, vs),
                problem.ll_hvp.rows(xs, ys, vs))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(outs, raw))
         # The upper row forms tick gc_f once per row and objective (S = 2);
         # values are not counted, so ul_value's row form passes through.
         outs = (counted.ul_grad_x.rows(xs, ys), counted.ul_grad_y.rows(xs, ys))
-        assert all(c.as_tuple() == (8, 2, 2, 2) for c in counters)
+        assert counters.as_tuple() == (8 * runs, 2 * runs, 2 * runs, 2 * runs)
         raw = (problem.ul_grad_x.rows(xs, ys), problem.ul_grad_y.rows(xs, ys))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(outs, raw))
         assert counted.ul_value.rows is problem.ul_value.rows
@@ -736,13 +736,14 @@ class TestFormTable:
 
     @pytest.mark.parametrize("runs", [1, 2, 3])
     def test_counted_oracles_forward_and_tick(self, dummy, runs, monkeypatch):
-        counters = [OracleCounters() for _ in range(runs)]
-        counted = counted_oracles(dummy, counters[0] if runs == 1 else counters)
+        # One tick per row.
+        counters = OracleCounters()
+        counted = counted_oracles(dummy, counters)
         rng = np.random.default_rng(0)
         xs, ys = rng.standard_normal((2 * runs, 3)), rng.standard_normal((2 * runs, 4))
         out = counted.ll_grad_y.rows(xs, ys)
         assert out.tobytes() == dummy.ll_grad_y.rows(xs, ys).tobytes()
-        assert all(c.as_tuple() == (0, 2, 0, 0) for c in counters)
+        assert counters.as_tuple() == (0, 2 * runs, 0, 0)
         monkeypatch.setattr(core, "_FORMS", core._FORMS[:-1])
         assert not hasattr(counted_oracles(dummy, OracleCounters()).ll_grad_y, "rows")
 
@@ -773,7 +774,7 @@ class TestFormTable:
     def test_lockstep_requires_it(self, dummy, quadratic):
         _, problem, _ = quadratic
         assert core.has_row_forms(dummy)
-        assert core.has_row_forms(counted_oracles(dummy, [OracleCounters(), OracleCounters()]))
+        assert core.has_row_forms(counted_oracles(dummy, OracleCounters()))
         assert not core.has_row_forms(problem)
 
 

@@ -40,6 +40,21 @@ def two_objective():
     return spec, problem, constants
 
 
+def _no_run(*args):
+    raise AssertionError("a run started")
+
+
+def _toy_without_runs(monkeypatch):
+    """The hyper-cleaning toy, a ``StochasticOracles``, with no run able to
+    start: a rejected bundle must be rejected before any run starts."""
+    from mobilevel import HypercleaningToySpec, make_hypercleaning_toy
+
+    monkeypatch.setattr(optimizer, "_Run", _no_run)
+    toy, _ = make_hypercleaning_toy(HypercleaningToySpec(
+        feature_dim=3, n_train=20, n_val=20, corruption_rates=(0.0, 0.2, 0.4)))
+    return toy
+
+
 class TestRunDeterministic:
     def test_stationary_start_stays_put(self, two_objective):
         # Solve the weighted first-order condition in closed form and start
@@ -73,6 +88,12 @@ class TestRunDeterministic:
         assert trace.final_phi is None
         assert trace.counters.as_tuple() == (0, 0, 0, 0)
         np.testing.assert_array_equal(trace.final_x, np.zeros(3))
+
+    def test_rejects_stochastic_bundle(self, monkeypatch):
+        toy = _toy_without_runs(monkeypatch)
+        with pytest.raises(ConfigurationError, match=r"pass problem\.deterministic\(\)$"):
+            run_deterministic(toy, SolverConfig(K=2), Preference.uniform(3),
+                              np.zeros(toy.dim_x), np.zeros(toy.dim_y))
 
     def test_dimension_checks(self, two_objective):
         _, problem, _ = two_objective
@@ -486,6 +507,12 @@ class TestParetoSweep:
         with pytest.raises(ConfigurationError):
             pareto_sweep(problem, SolverConfig(), [], np.zeros(3), np.zeros(4))
 
+    def test_rejects_stochastic_bundle(self, monkeypatch):
+        toy = _toy_without_runs(monkeypatch)
+        with pytest.raises(ConfigurationError, match=r"pass problem\.deterministic\(\)$"):
+            pareto_sweep(toy, SolverConfig(K=2), [Preference.uniform(3)] * 2,
+                         np.zeros(toy.dim_x), np.zeros(toy.dim_y))
+
 
 class TestRunStochastic:
     def test_full_batch_degenerates_to_deterministic(self, two_objective):
@@ -551,6 +578,13 @@ class TestRunStochastic:
             assert np.array_equal(a.weights.lam, b.weights.lam)
             assert a.d_norm_sq == b.d_norm_sq
             assert a.counters == b.counters
+
+    def test_rejects_deterministic_bundle(self, two_objective, monkeypatch):
+        _, problem, _ = two_objective
+        monkeypatch.setattr(optimizer, "_Run", _no_run)
+        with pytest.raises(ConfigurationError, match=r"pass wrap_deterministic\(problem\)$"):
+            run_stochastic(problem, SolverConfig(K=2, D=2, Q=2, beta=0.1),
+                           Preference.uniform(2), np.zeros(3), np.zeros(4))
 
     def test_rejects_nonpreference_variant(self, two_objective):
         _, problem, _ = two_objective
@@ -763,6 +797,7 @@ class TestBoundLowerGradient:
 
 UPPER_FORMS = ("ul_value", "ul_grad_x", "ul_grad_y", "reference.grad_phi")
 ORACLE_FIELDS = ("ul_value", "ul_grad_x", "ul_grad_y", "ll_grad_y", "ll_hvp", "ll_jvp")
+COUNTED_FIELDS = ORACLE_FIELDS[1:]
 
 
 def _forwarding_upper(problem, fields, wrap):
@@ -943,12 +978,12 @@ class TestLockstepSweep:
     @pytest.mark.parametrize("missing", [None] + [form.name for form in core._FORMS],
                              ids=lambda name: f"without-{name}" if name else "full")
     def test_counted_batch_has_the_problems_row_forms(self, two_objective, missing):
-        # The sweep asks ``has_row_forms`` once, of the raw problem, for
-        # every counted batch it makes: the two answers agree.
+        # The sweep asks ``has_row_forms`` of its counted batch, which
+        # forwards every form of the raw problem: the two answers agree.
         _, problem, _ = two_objective
         if missing is not None:
             problem = _without_form(problem, missing)
-        batch = counted_oracles(problem, [OracleCounters(), OracleCounters()])
+        batch = counted_oracles(problem, OracleCounters())
         # Without ``ll_grad_y.at`` the form on it, ``at.rows``, goes too.
         assert core.has_row_forms(batch) == core.has_row_forms(problem) == (missing is None)
 
@@ -1023,6 +1058,22 @@ class TestLockstepSweep:
             pareto_sweep(flaky, config, prefs, np.zeros(3), np.zeros(4))
         assert isinstance(info.value.__cause__, FloatingPointError)
 
+    def test_counted_bundle_without_row_forms_sweeps_row_by_row(self, monkeypatch):
+        # A counting wrapper that rebuilds each counted bundle with
+        # ``dataclasses.replace``, as the benchmark's tracer does, drops the
+        # row forms of the counted oracles; the sweep then goes row by row,
+        # entry by entry as without the wrapper.
+        problem, config, prefs, x0, y0 = self._sweep_50(["solver.k=12"])
+        swept = _sweep_outputs(problem, config, prefs, x0, y0)
+        counted = optimizer.counted_oracles
+
+        def replacing(oracles, counters):
+            bundle = counted(oracles, counters)
+            return replace(bundle, **{f: _plain(f, getattr(bundle, f)) for f in COUNTED_FIELDS})
+
+        monkeypatch.setattr(optimizer, "counted_oracles", replacing)
+        assert _sweep_outputs(problem, config, prefs, x0, y0) == swept
+
     def test_zero_upper_gradient_objective_runs_in_lockstep(self, monkeypatch):
         # Objective 0 is a regularizer on x alone.  Its ``ul_grad_y`` is
         # zero, so its CG iterate stays exactly zero while the others' do
@@ -1067,13 +1118,17 @@ class TestLockstepSweep:
             calls.append(len(x))
             return lockstep(oracles, x, *args)
 
-        def no_redo(run):
+        def no_redo(*args):
             raise AssertionError("a lockstep attempt failed")
 
+        # A failed attempt would redo its iteration through the vector
+        # columns, and the run would fail with this error.
         monkeypatch.setattr(optimizer, "build_hypergradient_rows", counting)
-        monkeypatch.setattr(optimizer._Run, "rewind_counters", no_redo)
-        swept = self._assert_equal_everywhere(regularized, config, prefs, x0, y0)
+        monkeypatch.setattr(optimizer, "build_hypergradient_matrix", no_redo)
+        swept = _sweep_outputs(regularized, config, prefs, x0, y0)
+        monkeypatch.undo()
         assert calls == [len(prefs)] * config.K
+        assert swept == self._assert_equal_everywhere(regularized, config, prefs, x0, y0)
         expected = expected_counters(config, 3, "cg").as_tuple()
         assert all(out[1][-1][5] == expected and out[5] is None for out in swept)
         # The entries' traces as the row by row columns built them before
